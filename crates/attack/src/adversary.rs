@@ -3,10 +3,14 @@
 //!
 //! This is the execution layer behind the `attacks` campaign: one
 //! [`run_adversary`] call drives a [`workloads::attack::AttackPattern`]
-//! through a [`crate::agents::PatternAgent`] on the lock-step
+//! through a [`crate::agents::PatternAgent`] on the
 //! [`crate::agents::MultiAgentRunner`] (serialized dependent accesses, the
 //! flush+access attacker model every experiment in this crate uses) and
-//! distils the run into an [`AdversaryOutcome`].
+//! distils the run into an [`AdversaryOutcome`].  The runner visits only
+//! the ticks on which the controller or the agent can act: the controller's
+//! `next_event_at` wake-up, the agent's `wake_at` (a burst-gated pattern
+//! sleeps until its `not_before`), and the tick after each completion.  The
+//! outcome is bit-identical to stepping every tick.
 //!
 //! The headline question each run answers is the paper's: *did any row's
 //! PRAC activation counter reach the RowHammer threshold before a

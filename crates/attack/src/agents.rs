@@ -1,4 +1,4 @@
-//! Memory agents and the lock-step multi-agent runner.
+//! Memory agents and the event-driven multi-agent runner.
 //!
 //! The PRACLeak experiments follow Ramulator2's trace mode: each actor
 //! (victim, attacker, trojan, spy) is a stream of *dependent* memory accesses
@@ -7,9 +7,24 @@
 //! measurement a real attacker makes with a timed pointer chase.
 //!
 //! [`MultiAgentRunner`] multiplexes several agents onto one
-//! [`MemoryController`]: each tick it lets every idle agent enqueue its next
-//! access, advances the controller, and routes completions (with their
-//! latencies) back to the owning agent.
+//! [`MemoryController`].  On each tick it visits, it lets every idle agent
+//! enqueue its next access, advances the controller, and routes completions
+//! (with their latencies) back to the owning agent.  It does not visit every
+//! tick: after a tick that delivered no completion it jumps straight to the
+//! earliest of the controller's [`MemoryController::next_event_at`], each
+//! idle agent's [`MemoryAgent::wake_at`] and the run's deadline.  A tick
+//! that delivered a completion is always followed by a visit to the next
+//! tick, so the owning agent can issue again.
+//!
+//! The skipped ticks are exactly those a per-tick loop would spend as pure
+//! no-ops, so every issue tick, completion tick, statistic and RFM log entry
+//! is bit-identical to stepping one tick at a time
+//! (`tests/runner_equivalence.rs` races the two).  That rests on the two
+//! wake-up contracts: the controller's (see
+//! [`MemoryController::next_event_at`]) and the agents'.  An agent's
+//! `wake_at(now)` must never return a tick at or before `now`, and never a
+//! tick later than the first one at which its `next_action` would issue,
+//! finish, or change any state.  Waking early is always safe.
 
 use memctrl::controller::MemoryController;
 use memctrl::mapping::AddressMapping;
@@ -64,8 +79,20 @@ pub trait MemoryAgent: std::fmt::Debug {
     /// Called when the agent's outstanding access completes.
     fn on_completion(&mut self, access: RecordedAccess);
 
-    /// `true` once the agent has nothing further to do.
+    /// `true` once the agent has nothing further to do.  May only change
+    /// inside [`MemoryAgent::next_action`] or
+    /// [`MemoryAgent::on_completion`].
     fn is_done(&self) -> bool;
+
+    /// Earliest tick after `now` at which [`MemoryAgent::next_action`]
+    /// could do anything but return [`AgentAction::Idle`] with no side
+    /// effect.  Asked only while the agent is idle (not done, no access
+    /// outstanding).  It must be greater than `now` and never later than
+    /// that first tick; waking early is harmless.  The default, `now + 1`,
+    /// asks the agent on every tick.
+    fn wake_at(&self, now: u64) -> u64 {
+        now + 1
+    }
 }
 
 /// A scripted agent that walks a fixed address list (optionally in a loop),
@@ -142,6 +169,12 @@ impl MemoryAgent for SerializedAccessAgent {
 
     fn is_done(&self) -> bool {
         self.remaining_accesses == 0
+    }
+
+    /// Think time and [`SerializedAccessAgent::starting_at`] gate the next
+    /// issue at `earliest_next_issue`.
+    fn wake_at(&self, now: u64) -> u64 {
+        self.earliest_next_issue.max(now + 1)
     }
 }
 
@@ -246,6 +279,13 @@ impl MemoryAgent for PatternAgent {
     fn is_done(&self) -> bool {
         self.remaining_accesses == 0
     }
+
+    /// A gated access waits for its `not_before`; otherwise the pattern is
+    /// asked on the next tick.
+    fn wake_at(&self, now: u64) -> u64 {
+        self.pending
+            .map_or(now + 1, |access| access.not_before.max(now + 1))
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -255,12 +295,14 @@ struct Outstanding {
     address: u64,
 }
 
-/// Runs several agents against one memory controller in lock step.
+/// Runs several agents against one memory controller, visiting only the
+/// ticks on which something can happen (see the module docs).
 #[derive(Debug)]
 pub struct MultiAgentRunner {
     controller: MemoryController,
     now: u64,
     next_request_id: u64,
+    visited_ticks: u64,
 }
 
 impl MultiAgentRunner {
@@ -271,6 +313,7 @@ impl MultiAgentRunner {
             controller,
             now: 0,
             next_request_id: 0,
+            visited_ticks: 0,
         }
     }
 
@@ -286,11 +329,19 @@ impl MultiAgentRunner {
         self.now
     }
 
+    /// Ticks the runner has visited so far, over all its runs.  Every other
+    /// tick up to [`MultiAgentRunner::now`] was skipped as a no-op.
+    #[must_use]
+    pub fn visited_ticks(&self) -> u64 {
+        self.visited_ticks
+    }
+
     /// Runs until every agent reports done (or `max_ticks` elapse).  Returns
     /// the tick at which the run stopped.
     pub fn run(&mut self, agents: &mut [&mut dyn MemoryAgent], max_ticks: u64) -> u64 {
         let deadline = self.now + max_ticks;
         let mut outstanding: Vec<Option<Outstanding>> = vec![None; agents.len()];
+        let mut completions = Vec::new();
         while self.now < deadline {
             if agents.iter().all(|a| a.is_done()) && outstanding.iter().all(Option::is_none) {
                 break;
@@ -321,7 +372,9 @@ impl MultiAgentRunner {
                 }
             }
             // Advance the controller one tick and deliver completions.
-            for completion in self.controller.tick(self.now) {
+            completions.clear();
+            self.controller.tick_into(self.now, &mut completions);
+            for completion in &completions {
                 let agent_idx = completion.core as usize;
                 if let Some(Some(out)) = outstanding.get(agent_idx) {
                     let record = RecordedAccess {
@@ -334,9 +387,39 @@ impl MultiAgentRunner {
                     outstanding[agent_idx] = None;
                 }
             }
-            self.now += 1;
+            self.visited_ticks += 1;
+            self.now = if completions.is_empty() {
+                self.next_visit(agents, &outstanding).min(deadline)
+            } else {
+                self.now + 1
+            };
         }
         self.now
+    }
+
+    /// The next tick after `now` that needs a visit: the earliest of the
+    /// controller's wake-up and every idle agent's, or `now + 1` once the
+    /// run is finished so the loop can stop where a per-tick loop would.
+    fn next_visit(
+        &self,
+        agents: &[&mut dyn MemoryAgent],
+        outstanding: &[Option<Outstanding>],
+    ) -> u64 {
+        let mut wake = self.controller.next_event_at(self.now).unwrap_or(u64::MAX);
+        let mut finished = true;
+        for (agent, out) in agents.iter().zip(outstanding) {
+            if out.is_some() {
+                finished = false;
+            } else if !agent.is_done() {
+                finished = false;
+                wake = wake.min(agent.wake_at(self.now));
+            }
+        }
+        if finished {
+            self.now + 1
+        } else {
+            wake
+        }
     }
 }
 

@@ -68,7 +68,7 @@ impl CovertChannelResult {
 /// Sender for the activity-based channel: for each bit, either hammers its
 /// row `NBO` times (bit = 1) or idles until the end of the window (bit = 0).
 #[derive(Debug)]
-struct ActivitySender {
+pub struct ActivitySender {
     row_address: u64,
     bits: Vec<bool>,
     nbo: u32,
@@ -78,7 +78,11 @@ struct ActivitySender {
 }
 
 impl ActivitySender {
-    fn new(row_address: u64, bits: Vec<bool>, nbo: u32, window_ticks: u64) -> Self {
+    /// Creates a sender transmitting `bits`, one per `window_ticks`-long
+    /// window starting at tick 0, by hammering `row_address` `nbo` times
+    /// in each '1' window.
+    #[must_use]
+    pub fn new(row_address: u64, bits: Vec<bool>, nbo: u32, window_ticks: u64) -> Self {
         let first_active = bits.first().copied().unwrap_or(false);
         Self {
             row_address,
@@ -124,6 +128,15 @@ impl MemoryAgent for ActivitySender {
 
     fn is_done(&self) -> bool {
         self.current_bit >= self.bits.len()
+    }
+
+    /// A silent bit window has nothing to do until the window ends.
+    fn wake_at(&self, now: u64) -> u64 {
+        if self.accesses_left_in_bit > 0 {
+            now + 1
+        } else {
+            self.window_end().max(now + 1)
+        }
     }
 }
 

@@ -10,9 +10,13 @@
 //!   access indices that the attack observes.
 //! * [`agents`] — memory "agents" (attacker, victim, trojan, spy) that issue
 //!   serialized dependent requests to the [`memctrl::MemoryController`] and
-//!   record per-access latencies, plus the lock-step multi-agent runner and
-//!   the [`agents::PatternAgent`] bridge driving any pluggable
-//!   [`workloads::attack::AttackPattern`].
+//!   record per-access latencies, plus the multi-agent runner and the
+//!   [`agents::PatternAgent`] bridge driving any pluggable
+//!   [`workloads::attack::AttackPattern`].  The runner is event-driven: it
+//!   jumps from tick to tick along the controller's `next_event_at` and the
+//!   agents' `wake_at` wake-ups.  An agent's `wake_at` must never return a
+//!   tick at or before `now`, nor one after the first tick its
+//!   `next_action` would act on.
 //! * [`adversary`] — the attack-vs-mitigation experiment driver behind the
 //!   `attacks` campaign: runs a registered pattern against a mitigated
 //!   system and reports the per-cell security metrics (peak per-row

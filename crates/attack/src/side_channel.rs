@@ -104,7 +104,7 @@ impl SideChannelExperiment {
             }
         }
         let victim_access_count = victim_accesses.len() as u64;
-        let mut victim = VictimAgent::new(victim_accesses);
+        let mut victim = SerializedAccessAgent::new(victim_accesses, victim_access_count);
 
         let mut runner = MultiAgentRunner::new(controller);
         runner.run(&mut [&mut victim], victim_access_count * 4_000 + 100_000);
@@ -185,35 +185,6 @@ impl SideChannelExperiment {
                 )
             })
             .collect()
-    }
-}
-
-/// A victim agent that walks a precomputed access list.
-#[derive(Debug)]
-struct VictimAgent {
-    inner: SerializedAccessAgent,
-}
-
-impl VictimAgent {
-    fn new(accesses: Vec<u64>) -> Self {
-        let count = accesses.len() as u64;
-        Self {
-            inner: SerializedAccessAgent::new(accesses, count),
-        }
-    }
-}
-
-impl crate::agents::MemoryAgent for VictimAgent {
-    fn next_action(&mut self, now: u64) -> crate::agents::AgentAction {
-        self.inner.next_action(now)
-    }
-
-    fn on_completion(&mut self, access: crate::agents::RecordedAccess) {
-        self.inner.on_completion(access);
-    }
-
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
     }
 }
 

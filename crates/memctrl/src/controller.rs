@@ -650,12 +650,18 @@ impl MemoryController {
 }
 
 impl MemoryController {
-    /// Runs the controller until `deadline`, returning every completion in
-    /// order.  Convenience wrapper used by tests and the attack drivers.
+    /// Runs the controller from `start` until `deadline` with no new
+    /// requests, returning every completion in order.  Visits only the
+    /// ticks [`MemoryController::next_event_at`] names; the result equals
+    /// calling [`MemoryController::tick`] on every tick in between.
     pub fn run_until(&mut self, start: u64, deadline: u64) -> Vec<CompletedRequest> {
         let mut all = Vec::new();
-        for now in start..deadline {
-            all.extend(self.tick(now));
+        let mut now = start;
+        while now < deadline {
+            self.tick_into(now, &mut all);
+            now = self
+                .next_event_at(now)
+                .map_or(deadline, |wake| wake.min(deadline));
         }
         all
     }
@@ -1017,6 +1023,51 @@ mod tests {
             "expected injected RFMs every tREFI, got {}",
             ctrl.stats().injected_rfms
         );
+    }
+
+    #[test]
+    fn run_until_matches_ticking_every_cycle() {
+        let timing = DramTimingSummary::ddr5_8000b();
+        let policies = [
+            MitigationPolicy::AboOnly,
+            MitigationPolicy::Tprac(TpracConfig::with_window_trefi(0.25, &timing)),
+            MitigationPolicy::Para { one_in: 4, seed: 3 },
+        ];
+        for policy in policies {
+            let prac = PracConfig::builder()
+                .rowhammer_threshold(16)
+                .back_off_threshold(16)
+                .policy(policy)
+                .build();
+            let config = ControllerConfig {
+                mapping: MappingKind::RowInterleaved,
+                page_policy: PagePolicy::Closed,
+                obfuscation: Some(ObfuscationConfig::new(0.5).unwrap()),
+                ..ControllerConfig::default()
+            };
+            let mut skipping =
+                MemoryController::new(DramDeviceConfig::tiny_for_tests(prac), config);
+            // A queue of row conflicts in one bank (enough activations to
+            // assert Alert at NBO = 16) and a few accesses in another.
+            for id in 0..48u64 {
+                let (bank_group, row) = if id % 4 == 3 { (1, 5) } else { (0, id % 2) };
+                let pa = physical_for(&skipping, bank_group, 0, row as u32, 0);
+                assert!(skipping.enqueue(MemoryRequest::read(id, pa, 0, id * 3)));
+            }
+            let mut stepping = skipping.clone();
+            let deadline = stepping.device().config().timing.t_refi * 6;
+            let mut stepped = Vec::new();
+            for now in 0..deadline {
+                stepped.extend(stepping.tick(now));
+            }
+            let skipped = skipping.run_until(0, deadline);
+            assert_eq!(skipped.len(), 48);
+            assert_eq!(skipped, stepped);
+            assert_eq!(skipping.stats(), stepping.stats());
+            assert_eq!(skipping.device().stats(), stepping.device().stats());
+            assert_eq!(skipping.rfm_log(), stepping.rfm_log());
+            assert!(skipping.stats().total_rfms() > 0, "{:?}", skipping.stats());
+        }
     }
 
     #[test]
