@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the event-core hot paths reshaped by the
-//! data-layout pass: slab-backed event-wheel churn, the branchless
+//! data-layout pass: the event engine's wheel round, the branchless
 //! per-device bank min-reduce and the allocation-free FR-FCFS candidate
 //! scan.  These are the CI smoke set behind the `BENCH_sim.json`
 //! trajectory — `prac-bench bench sim` measures the same three kernels
@@ -11,25 +11,49 @@ use dram_sim::command::DramCommand;
 use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
 use memctrl::scheduler::{FrFcfsScheduler, SchedulerCandidate};
-use system_sim::event::{EventSource, EventWheel};
+use system_sim::event::EventWheel;
 
-/// The engine's steady state: re-register the three sources, pop the next
-/// wake-up.  The engine-sized wheel stays on the linear slab path and must
-/// never build a heap index.
-fn bench_wheel_push_pop(c: &mut Criterion) {
-    c.bench_function("event_wheel_push_pop_x1000", |b| {
-        let mut wheel = EventWheel::new();
-        let mut now = 0u64;
-        b.iter(|| {
-            for _ in 0..1000 {
-                wheel.reregister(EventSource::Cluster, Some(now + 3));
-                wheel.reregister(EventSource::Controller, Some(now + 1));
-                wheel.reregister(EventSource::Forwarding, Some(now + 2));
-                now = wheel.next_after(black_box(now)).unwrap();
+/// One event-engine round for a system with `channels` channels, as
+/// `SystemSimulation::run_event_from` makes it: slots 0 and 1 (cluster,
+/// forwarding) plus one slot per channel; re-arm the cluster and every due
+/// channel, arm or disarm forwarding, pop the next wake-up, then read back
+/// which slots fired.
+fn wheel_rounds(channels: usize, rounds: u64) -> u64 {
+    let mut wheel = EventWheel::with_slots(2 + channels);
+    let mut due = vec![true; channels];
+    let mut cluster_due = true;
+    let mut now = 0u64;
+    for round in 0..rounds {
+        if cluster_due {
+            wheel.reregister_slot(0, Some(now + 3));
+        }
+        for (channel, is_due) in due.iter().enumerate() {
+            if *is_due {
+                let wake = now + 1 + (round + channel as u64) % 4;
+                wheel.reregister_slot(2 + channel, Some(wake));
             }
-            black_box(now)
+        }
+        wheel.reregister_slot(1, (round % 5 == 0).then_some(now + 2));
+        let next = wheel
+            .next_after(black_box(now))
+            .expect("the cluster slot is always armed");
+        cluster_due = wheel.armed_at(0) == Some(next);
+        for (channel, is_due) in due.iter_mut().enumerate() {
+            *is_due = wheel.armed_at(2 + channel) == Some(next);
+        }
+        now = next;
+    }
+    now
+}
+
+/// The engine's wheel round at one and four channels (the fig10 and the
+/// widest scaling shapes); both stay on the linear slab path.
+fn bench_wheel_push_pop(c: &mut Criterion) {
+    for channels in [1usize, 4] {
+        c.bench_function(&format!("event_wheel_round_{channels}ch_x1000"), |b| {
+            b.iter(|| black_box(wheel_rounds(channels, 1000)));
         });
-    });
+    }
     // A wheel wide enough for per-bank slots exercises the lazy-deletion
     // heap path and its compaction bound.
     c.bench_function("event_wheel_64slot_churn_x1000", |b| {

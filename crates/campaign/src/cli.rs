@@ -100,7 +100,7 @@ COMMANDS:
                       --key HEX, --ping, --stats or --shutdown
     store             Inspect or maintain the result store directly
     bench             Perf-trajectory tooling: `bench sim` micro-benchmarks
-                      the event-core kernels (wheel churn, bank min-reduce,
+                      the event-core kernels (wheel round, bank min-reduce,
                       scheduler scan) plus the fig10-quick and 4-channel
                       scaling-quick wall clocks; `bench trajectory` renders
                       the recorded trajectories (default BENCH_sim.json +
@@ -956,9 +956,9 @@ fn bench_command(options: &Options) -> i32 {
 }
 
 /// `prac-bench bench sim`: micro-benchmarks the three event-core hot paths
-/// reshaped by the data-layout pass — event-wheel churn, the branchless
-/// per-device bank min-reduce and the allocation-free FR-FCFS candidate
-/// scan — plus the end-to-end fig10-quick wall clock (cold and forked) and
+/// reshaped by the data-layout pass — one event-engine wheel round, the
+/// branchless per-device bank min-reduce and the allocation-free FR-FCFS
+/// candidate scan — plus the end-to-end fig10-quick wall clock (cold and forked) and
 /// the cold 4-channel scaling-quick wall clock, and optionally appends the
 /// measurement to the `BENCH_sim.json` trajectory.
 fn sim_bench(options: &Options) -> i32 {
@@ -969,25 +969,42 @@ fn sim_bench(options: &Options) -> i32 {
     use dram_sim::device::{DramDevice, DramDeviceConfig};
     use dram_sim::org::DramAddress;
     use memctrl::scheduler::{FrFcfsScheduler, SchedulerCandidate};
-    use system_sim::event::{EventSource, EventWheel};
+    use system_sim::event::EventWheel;
 
     const WHEEL_ROUNDS: u64 = 1_000_000;
     const REDUCE_ROUNDS: u64 = 100_000;
     const SCAN_ROUNDS: u64 = 100_000;
     const SCAN_CANDIDATES: usize = 64;
 
-    // Event-wheel churn: the engine's steady state is "re-register a few
-    // sources, pop the next wake-up" — three pushes and one pop per round.
-    let mut wheel = EventWheel::new();
+    // Event-wheel round, as the engine's loop makes it for a one-channel
+    // system: slots 0 and 1 (cluster, forwarding) plus one slot per
+    // channel.  Re-arm the cluster and every due channel, arm or disarm
+    // forwarding, pop the next wake-up, then read back which slots fired.
+    const WHEEL_CHANNELS: usize = 1;
+    let mut wheel = EventWheel::with_slots(2 + WHEEL_CHANNELS);
+    let mut due = [true; WHEEL_CHANNELS];
+    let mut cluster_due = true;
     let started = Instant::now();
     let mut now = 0u64;
-    for _ in 0..WHEEL_ROUNDS {
-        wheel.reregister(EventSource::Cluster, Some(now + 3));
-        wheel.reregister(EventSource::Controller, Some(now + 1));
-        wheel.reregister(EventSource::Forwarding, Some(now + 2));
-        now = wheel
-            .next_after(now)
-            .expect("an armed wheel yields a wake-up");
+    for round in 0..WHEEL_ROUNDS {
+        if cluster_due {
+            wheel.reregister_slot(0, Some(now + 3));
+        }
+        for (channel, is_due) in due.iter().enumerate() {
+            if *is_due {
+                let wake = now + 1 + (round + channel as u64) % 4;
+                wheel.reregister_slot(2 + channel, Some(wake));
+            }
+        }
+        wheel.reregister_slot(1, (round % 5 == 0).then_some(now + 2));
+        let next = wheel
+            .next_after(black_box(now))
+            .expect("the cluster slot is always armed");
+        cluster_due = wheel.armed_at(0) == Some(next);
+        for (channel, is_due) in due.iter_mut().enumerate() {
+            *is_due = wheel.armed_at(2 + channel) == Some(next);
+        }
+        now = next;
     }
     black_box(now);
     let wheel_push_pop_ns = started.elapsed().as_nanos() as f64 / WHEEL_ROUNDS as f64;
@@ -1087,7 +1104,7 @@ fn sim_bench(options: &Options) -> i32 {
         }
     };
 
-    println!("wheel push/pop:       {wheel_push_pop_ns:.1} ns/round ({WHEEL_ROUNDS} rounds)");
+    println!("wheel round:          {wheel_push_pop_ns:.1} ns/round ({WHEEL_ROUNDS} rounds)");
     println!(
         "bank min-reduce:      {bank_min_reduce_ns:.1} ns/call over {} banks",
         org.total_banks()

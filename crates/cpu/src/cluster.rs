@@ -67,7 +67,19 @@ pub struct CpuCluster {
     dram_requests_per_cycle: usize,
     /// Write-back identifier space distinct from core-generated ids.
     next_writeback_id: u64,
+    /// Per-core wake-up cache: the tick [`Core::next_event_at`] last
+    /// returned, [`NEVER`] for `None`, or [`STALE`] once the core's tick or
+    /// a memory completion may have moved it.
+    wakes: Vec<u64>,
+    /// Core ticks actually run (telemetry only, never part of results).
+    core_ticks: u64,
 }
+
+/// Wake-up cache entry of a core that must be ticked (and asked again).
+/// Every tick is `>= STALE`, so a stale core is always due.
+const STALE: u64 = 0;
+/// Wake-up cache entry of a core that only a memory completion can unblock.
+const NEVER: u64 = u64::MAX;
 
 impl CpuCluster {
     /// Creates a cluster running `traces[i]` on core `i` until each core has
@@ -93,8 +105,10 @@ impl CpuCluster {
             cores,
             llc,
             dram_requests_per_cycle: 4,
+            wakes: vec![STALE; config.cores as usize],
             config,
             next_writeback_id: 1 << 48,
+            core_ticks: 0,
         }
     }
 
@@ -122,13 +136,22 @@ impl CpuCluster {
         self.cores[core as usize].is_finished()
     }
 
+    /// Number of core ticks run so far: one per unfinished core that
+    /// [`CpuCluster::tick`] actually ticked, rather than credited with a
+    /// stalled cycle.  Telemetry only; it never affects results.
+    #[must_use]
+    pub fn core_ticks(&self) -> u64 {
+        self.core_ticks
+    }
+
     /// Delivers a DRAM completion to the owning core.
     pub fn on_memory_completion(&mut self, core: u32, request_id: u64) {
         if request_id >= (1 << 48) {
             return; // write-back: no one is waiting
         }
-        if let Some(core) = self.cores.get_mut(core as usize) {
-            core.on_memory_completion(request_id);
+        if let Some(target) = self.cores.get_mut(core as usize) {
+            target.on_memory_completion(request_id);
+            self.wakes[core as usize] = STALE;
         }
     }
 
@@ -136,12 +159,20 @@ impl CpuCluster {
     /// progress without an external memory completion (see
     /// [`Core::next_event_at`]); `None` when every unfinished core is
     /// blocked on DRAM.
-    #[must_use]
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        self.cores
-            .iter()
-            .filter_map(|core| core.next_event_at(now))
-            .min()
+    ///
+    /// Only cores whose cached wake-up is stale — ticked, or handed a
+    /// completion, since they were last asked — are asked again.  A cached
+    /// wake-up stays exact: the core's state has not changed since, and the
+    /// cached tick lies after every tick visited in between.
+    pub fn next_event_at(&mut self, now: u64) -> Option<u64> {
+        let mut earliest = NEVER;
+        for (core, wake) in self.cores.iter().zip(&mut self.wakes) {
+            if *wake == STALE {
+                *wake = core.next_event_at(now).unwrap_or(NEVER);
+            }
+            earliest = earliest.min(*wake);
+        }
+        (earliest != NEVER).then_some(earliest)
     }
 
     /// Accounts `cycles` skipped stalled cycles to every unfinished core
@@ -154,13 +185,25 @@ impl CpuCluster {
 
     /// Advances every unfinished core by one cycle and returns the DRAM
     /// traffic generated.
+    ///
+    /// A core whose wake-up from [`CpuCluster::next_event_at`] lies after
+    /// `now` is not ticked: its tick would only count a stalled cycle, so it
+    /// is credited that cycle instead.  A cluster that is never asked for
+    /// wake-ups (the tick engine's) keeps every entry stale and so ticks
+    /// every unfinished core on every call.
     pub fn tick(&mut self, now: u64) -> ClusterOutput {
         let mut requests = Vec::new();
         let mut pending_writebacks = Vec::new();
-        for core in &mut self.cores {
+        for (core, wake) in self.cores.iter_mut().zip(&mut self.wakes) {
             if core.is_finished() {
                 continue;
             }
+            if *wake > now {
+                core.credit_stalled_cycles(1);
+                continue;
+            }
+            *wake = STALE;
+            self.core_ticks += 1;
             let mut port = SharedPort {
                 llc: &mut self.llc,
                 llc_latency: self.config.llc.hit_latency,

@@ -71,6 +71,8 @@ impl Default for ControllerConfig {
 struct PendingRequest {
     request: MemoryRequest,
     address: DramAddress,
+    /// Flat index of the target bank, decoded once at enqueue.
+    bank: u32,
     /// Set once the column command has been issued; holds the completion tick.
     completion_tick: Option<u64>,
     /// The request needed an activation (row was closed when first serviced).
@@ -115,7 +117,18 @@ pub struct MemoryController {
     /// [`RFM_LOG_CAP`] entries (the *first* ~1 M RFMs are kept, later ones
     /// are dropped) to keep memory use flat on pathological runs.
     rfm_log: Vec<(u64, RfmKind)>,
+    /// Earliest `completion_tick` among in-flight requests (`u64::MAX` when
+    /// none), so the completion walk runs only when something is due.
+    next_completion: u64,
+    /// Polls served by [`MemoryController::poll`] (telemetry only).
+    polls: u64,
+    /// FR-FCFS demand scans made by ticks and polls (telemetry only).
+    demand_scans: u64,
 }
+
+/// The FR-FCFS choice a tick made, `(queue index, command)`, or `None` when
+/// the queue held no candidate.
+type DemandChoice = Option<(usize, DramCommand)>;
 
 /// Maximum number of RFM-log entries retained.
 const RFM_LOG_CAP: usize = 1 << 20;
@@ -194,6 +207,9 @@ impl MemoryController {
             next_injection_check: timing.t_refi,
             config,
             rfm_log: Vec::new(),
+            next_completion: u64::MAX,
+            polls: 0,
+            demand_scans: 0,
         }
     }
 
@@ -276,6 +292,21 @@ impl MemoryController {
         &self.rfm_log
     }
 
+    /// Number of [`MemoryController::poll`] calls so far.  Telemetry only: it
+    /// is not part of the controller statistics and never affects results.
+    #[must_use]
+    pub fn polls(&self) -> u64 {
+        self.polls
+    }
+
+    /// Number of FR-FCFS demand scans ticks and polls have made so far (a
+    /// poll scans once when its wake-up can reuse the tick's choice, twice
+    /// otherwise).  Telemetry only, like [`MemoryController::polls`].
+    #[must_use]
+    pub fn demand_scans(&self) -> u64 {
+        self.demand_scans
+    }
+
     /// Number of requests currently pending (queued or in flight).
     #[must_use]
     pub fn pending_requests(&self) -> usize {
@@ -314,9 +345,11 @@ impl MemoryController {
             "request {:#x} routed to the wrong channel",
             request.physical_address
         );
+        let bank = address.flat_bank(&self.device.config().organization);
         self.pending.push(PendingRequest {
             request,
             address,
+            bank,
             completion_tick: None,
             needed_activate: false,
             had_conflict: false,
@@ -353,10 +386,49 @@ impl MemoryController {
 
     /// [`MemoryController::tick`] with a caller-owned completion buffer:
     /// appends this tick's completions to `completed` instead of allocating
-    /// a fresh `Vec` per poll.  This is the hot-loop entry point — the
-    /// memory subsystem polls a controller at every one of its wake-ups, so
-    /// the buffer lives across ticks at the call site.
+    /// a fresh `Vec` per tick.
     pub fn tick_into(&mut self, now: u64, completed: &mut Vec<CompletedRequest>) {
+        let _ = self.tick_choosing(now, completed);
+    }
+
+    /// One tick followed by the wake-up after it: appends this tick's
+    /// completions to `completed` and returns exactly what
+    /// [`MemoryController::tick_into`] followed by
+    /// [`MemoryController::next_event_at`] would.
+    ///
+    /// This is the hot-loop entry point — the memory subsystem polls a
+    /// controller at every one of its wake-ups.  Fusing the two halves lets
+    /// the wake-up reuse the tick's FR-FCFS choice instead of scanning the
+    /// queue a second time whenever nothing the choice depends on (the
+    /// queue, the open rows, the hit streak) changed after the tick's scan.
+    pub fn poll(&mut self, now: u64, completed: &mut Vec<CompletedRequest>) -> Option<u64> {
+        self.polls += 1;
+        let choice = match self.tick_choosing(now, completed) {
+            Some(choice) => choice,
+            None => {
+                self.demand_scans += 1;
+                self.chosen_demand_command()
+            }
+        };
+        let wake = self.wake_after(now, choice);
+        debug_assert_eq!(
+            wake,
+            self.next_event_at(now),
+            "fused wake-up diverged from next_event_at at tick {now}"
+        );
+        wake
+    }
+
+    /// The tick proper.  Returns the FR-FCFS choice the demand scheduler made
+    /// when it is still the choice a fresh scan would make after the tick:
+    /// the tick reached demand scheduling (no refresh or RFM was issued),
+    /// the device rejected the attempted command (or there was none), and
+    /// the trailing completion pass removed nothing.  `None` otherwise.
+    fn tick_choosing(
+        &mut self,
+        now: u64,
+        completed: &mut Vec<CompletedRequest>,
+    ) -> Option<DemandChoice> {
         self.collect_completions_into(now, completed);
 
         // 1. Periodic refresh has the highest priority once due.
@@ -372,20 +444,24 @@ impl MemoryController {
                 if performs_tref {
                     self.mitigation.note_targeted_refresh(now);
                 }
-                return;
+                return None;
             }
         }
         // Refresh due but channel blocked: fall through and retry next tick.
 
         // 2. Mitigation policies (RFM engines).
         if self.drive_rfm_engines(now) {
-            return;
+            return None;
         }
 
         // 3. Demand scheduling.
-        self.schedule_demand(now);
+        self.demand_scans += 1;
+        let choice = self.chosen_demand_command();
+        let issued = choice.is_some_and(|(index, cmd)| self.issue_demand(now, index, cmd));
 
+        let before = completed.len();
         self.collect_completions_into(now, completed);
+        (!issued && completed.len() == before).then_some(choice)
     }
 
     /// Runs the ABO responder and the mitigation engine; returns `true` when
@@ -444,11 +520,10 @@ impl MemoryController {
     /// `(queue index, command)`.  Pure: both the per-tick scheduling path and
     /// the event engine's wake-up computation derive from this one function,
     /// which is what keeps the two engines cycle-exact.
-    fn chosen_demand_command(&self) -> Option<(usize, DramCommand)> {
+    fn chosen_demand_command(&self) -> DemandChoice {
         if self.pending.is_empty() {
             return None;
         }
-        let org = self.device.config().organization;
         // Stream the candidates straight out of the pending queue: this runs
         // on every scheduling poll *and* every wake-up computation, so it
         // must not allocate a candidate list per call.
@@ -458,7 +533,7 @@ impl MemoryController {
             .enumerate()
             .filter(|(_, p)| p.completion_tick.is_none())
             .map(|(i, p)| {
-                let bank = self.device.bank(p.address.flat_bank(&org));
+                let bank = self.device.bank(p.bank);
                 SchedulerCandidate {
                     queue_index: i,
                     address: p.address,
@@ -469,7 +544,7 @@ impl MemoryController {
         let index = self.scheduler.choose_from(candidates)?.queue_index;
         let pending = &self.pending[index];
         let addr = pending.address;
-        let cmd = match self.device.bank(addr.flat_bank(&org)).open_row() {
+        let cmd = match self.device.bank(pending.bank).open_row() {
             Some(row) if row == addr.row => match pending.request.kind {
                 RequestKind::Read => DramCommand::Read(addr),
                 RequestKind::Write => DramCommand::Write(addr),
@@ -480,63 +555,62 @@ impl MemoryController {
         Some((index, cmd))
     }
 
-    /// Picks a pending request with FR-FCFS and issues the next command it
-    /// needs (PRE, ACT, or RD/WR).
-    fn schedule_demand(&mut self, now: u64) {
-        let Some((index, cmd)) = self.chosen_demand_command() else {
-            return;
-        };
-        let org = self.device.config().organization;
+    /// Issues the command the FR-FCFS scheduler chose for pending request
+    /// `index` (PRE, ACT, or RD/WR).  Returns `true` when the device accepted
+    /// it.
+    fn issue_demand(&mut self, now: u64, index: usize, cmd: DramCommand) -> bool {
+        let bank = self.pending[index].bank;
         // The hit-streak update is committed only when the device accepts a
         // command: rejected attempts leave the scheduler (and therefore the
         // whole controller) untouched, so cycles in which nothing can issue
         // are pure no-ops the event-driven engine may skip.
         match cmd {
             DramCommand::Read(addr) | DramCommand::Write(addr) => {
-                // Row open: issue the column command.
-                match self.device.issue(cmd, now) {
-                    Ok(done) => {
-                        self.scheduler.note_scheduled(addr.flat_bank(&org), true);
-                        let entry = &mut self.pending[index];
-                        entry.completion_tick = Some(done);
-                        // Classify the whole request by what it needed.
-                        if entry.had_conflict {
-                            self.stats.row_conflicts += 1;
-                        } else if entry.needed_activate {
-                            self.stats.row_misses += 1;
-                        } else {
-                            self.stats.row_hits += 1;
-                        }
-                        if self.config.page_policy == PagePolicy::Closed {
-                            // Best effort immediate precharge; if it violates
-                            // timing it will simply be retried by a later
-                            // conflict/miss path.
-                            let _ = self.device.issue(DramCommand::Precharge(addr), done);
-                        }
-                    }
-                    Err(IssueError::TooEarly { .. }) => {}
-                    Err(IssueError::IllegalState { .. }) => {
-                        // The row was closed between candidate collection and
-                        // issue (e.g. by a refresh); retry next tick.
-                    }
+                // Row open: issue the column command.  A rejection is either
+                // a timing constraint or the row having been closed between
+                // candidate collection and issue (e.g. by a refresh); both
+                // retry on a later tick.
+                let Ok(done) = self.device.issue(cmd, now) else {
+                    return false;
+                };
+                self.scheduler.note_scheduled(bank, true);
+                self.next_completion = self.next_completion.min(done);
+                let entry = &mut self.pending[index];
+                entry.completion_tick = Some(done);
+                // Classify the whole request by what it needed.
+                if entry.had_conflict {
+                    self.stats.row_conflicts += 1;
+                } else if entry.needed_activate {
+                    self.stats.row_misses += 1;
+                } else {
+                    self.stats.row_hits += 1;
+                }
+                if self.config.page_policy == PagePolicy::Closed {
+                    // Best effort immediate precharge; if it violates
+                    // timing it will simply be retried by a later
+                    // conflict/miss path.
+                    let _ = self.device.issue(DramCommand::Precharge(addr), done);
                 }
             }
-            DramCommand::Precharge(addr) => {
+            DramCommand::Precharge(_) => {
                 // Row conflict: precharge first.
-                if self.device.issue(cmd, now).is_ok() {
-                    self.scheduler.note_scheduled(addr.flat_bank(&org), false);
-                    self.pending[index].had_conflict = true;
+                if self.device.issue(cmd, now).is_err() {
+                    return false;
                 }
+                self.scheduler.note_scheduled(bank, false);
+                self.pending[index].had_conflict = true;
             }
-            DramCommand::Activate(addr) => {
+            DramCommand::Activate(_) => {
                 // Row closed: activate.
-                if self.device.issue(cmd, now).is_ok() {
-                    self.scheduler.note_scheduled(addr.flat_bank(&org), false);
-                    self.pending[index].needed_activate = true;
+                if self.device.issue(cmd, now).is_err() {
+                    return false;
                 }
+                self.scheduler.note_scheduled(bank, false);
+                self.pending[index].needed_activate = true;
             }
             _ => unreachable!("demand scheduling only produces RD/WR/PRE/ACT"),
         }
+        true
     }
 
     /// Earliest tick strictly after `now` at which [`MemoryController::tick`]
@@ -560,6 +634,14 @@ impl MemoryController {
     /// * the next command the FR-FCFS demand scheduler would attempt.
     #[must_use]
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
+        self.wake_after(now, self.chosen_demand_command())
+    }
+
+    /// The wake-up computation behind [`MemoryController::next_event_at`]
+    /// and [`MemoryController::poll`], given the FR-FCFS choice for the
+    /// current state: a fresh scan, or the tick's own when
+    /// [`MemoryController::tick_choosing`] vouches that it is still current.
+    fn wake_after(&self, now: u64, choice: DemandChoice) -> Option<u64> {
         fn earlier(wake: &mut Option<u64>, candidate: u64) {
             *wake = Some(wake.map_or(candidate, |w| w.min(candidate)));
         }
@@ -567,10 +649,8 @@ impl MemoryController {
         let channel_ready = self.device.channel_ready_at();
         let mut wake: Option<u64> = None;
 
-        for p in &self.pending {
-            if let Some(done) = p.completion_tick {
-                earlier(&mut wake, done.max(soonest));
-            }
+        if self.next_completion != u64::MAX {
+            earlier(&mut wake, self.next_completion.max(soonest));
         }
         if self.config.refresh_enabled {
             earlier(&mut wake, self.next_refresh.max(channel_ready).max(soonest));
@@ -600,12 +680,7 @@ impl MemoryController {
         if self.injection.is_some() {
             earlier(&mut wake, self.next_injection_check.max(soonest));
         }
-        // Deliberate recomputation: on a visited tick the demand choice was
-        // already made once inside `tick()`.  Caching it across the two
-        // calls would need invalidation on every mutation of the queue, the
-        // banks and the streak — cheap to get subtly wrong, and the scan is
-        // O(pending) with a 64-entry queue bound, so purity wins.
-        if let Some((_, cmd)) = self.chosen_demand_command() {
+        if let Some((_, cmd)) = choice {
             // When the attempted command is rejected for timing, the device
             // names the first violated constraint's release tick; waking
             // there re-runs the (pure) attempt against the next constraint,
@@ -621,8 +696,13 @@ impl MemoryController {
     }
 
     /// Removes requests whose completion tick has been reached, appending
-    /// them to the caller-owned buffer.
+    /// them to the caller-owned buffer.  The walk runs only when the
+    /// earliest in-flight completion is due, and refreshes that cache.
     fn collect_completions_into(&mut self, now: u64, completed: &mut Vec<CompletedRequest>) {
+        if now < self.next_completion {
+            return;
+        }
+        let mut next_completion = u64::MAX;
         let mut i = 0;
         while i < self.pending.len() {
             if let Some(done) = self.pending[i].completion_tick {
@@ -643,24 +723,25 @@ impl MemoryController {
                     completed.push(record);
                     continue;
                 }
+                next_completion = next_completion.min(done);
             }
             i += 1;
         }
+        self.next_completion = next_completion;
     }
 }
 
 impl MemoryController {
     /// Runs the controller from `start` until `deadline` with no new
     /// requests, returning every completion in order.  Visits only the
-    /// ticks [`MemoryController::next_event_at`] names; the result equals
-    /// calling [`MemoryController::tick`] on every tick in between.
+    /// ticks [`MemoryController::poll`] names; the result equals calling
+    /// [`MemoryController::tick`] on every tick in between.
     pub fn run_until(&mut self, start: u64, deadline: u64) -> Vec<CompletedRequest> {
         let mut all = Vec::new();
         let mut now = start;
         while now < deadline {
-            self.tick_into(now, &mut all);
             now = self
-                .next_event_at(now)
+                .poll(now, &mut all)
                 .map_or(deadline, |wake| wake.min(deadline));
         }
         all

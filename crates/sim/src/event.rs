@@ -13,8 +13,12 @@
 //! Wake-ups are keyed by **(tick, source slot)**, with one slot per channel
 //! controller: a 4-channel wheel holds the cluster, the forwarding glue and
 //! four independent channel streams, so the engine polls only the channels
-//! whose wake-up equals the tick it jumped to instead of all of them (see
-//! `SystemSimulation::run_event_from`).
+//! whose wake-up equals the tick it jumped to instead of all of them, and
+//! ticks the cluster only when its own slot fired (see
+//! `SystemSimulation::run_event_from`).  A channel's wake-up comes back from
+//! the same call that ticks it (`MemoryController::poll`), and the cluster
+//! keeps one wake-up per core, re-asking only the cores it ticked or handed
+//! a completion.
 //!
 //! # Cycle-exactness
 //!

@@ -175,18 +175,11 @@ impl MemorySubsystem {
         self.controllers[channel as usize].enqueue(request)
     }
 
-    /// Advances every channel by one tick, in channel order, appending all
-    /// completions to the caller-owned buffer.  The fixed order keeps
-    /// multi-channel runs deterministic, and the reused buffer keeps the
-    /// per-tick hot path allocation-free.
-    pub fn tick(&mut self, now: u64, completed: &mut Vec<CompletedRequest>) {
-        for controller in &mut self.controllers {
-            controller.tick_into(now, completed);
-        }
-    }
-
-    /// Advances exactly the channels whose `due` flag is set by one tick,
-    /// appending their completions to `completed` in channel order.
+    /// Polls exactly the channels whose `due` flag is set
+    /// ([`MemoryController::poll`]: one tick plus the wake-up after it),
+    /// appending their completions to `completed` in channel order and
+    /// writing each due channel's next wake-up to `wakes[channel]`.  The
+    /// entries of channels that were not due are left untouched.
     ///
     /// This is the per-channel scheduling entry point: the event engine
     /// tracks one wake-up stream per channel and sets `due` only for the
@@ -207,65 +200,45 @@ impl MemorySubsystem {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds when `due.len()` differs from the channel
-    /// count.
+    /// Panics in debug builds when `due.len()` or `wakes.len()` differs
+    /// from the channel count.
     pub fn tick_due(
         &mut self,
         now: u64,
         due: &[bool],
         sim_threads: usize,
         completed: &mut Vec<CompletedRequest>,
+        wakes: &mut [Option<u64>],
     ) {
         debug_assert_eq!(due.len(), self.controllers.len());
+        debug_assert_eq!(wakes.len(), self.controllers.len());
         let due_count = due.iter().filter(|&&is_due| is_due).count();
         if sim_threads > 1 && due_count > 1 {
-            let mut shards: Vec<(&mut MemoryController, &mut Vec<CompletedRequest>)> = self
+            let mut shards: Vec<_> = self
                 .controllers
                 .iter_mut()
                 .zip(self.scratch.iter_mut())
+                .zip(wakes.iter_mut())
                 .enumerate()
                 .filter(|&(channel, _)| due[channel])
                 .map(|(_, shard)| shard)
                 .collect();
             crate::parallel::parallel_for_each_mut(&mut shards, sim_threads, |shard| {
-                let (controller, buffer) = shard;
-                controller.tick_into(now, buffer);
+                let ((controller, buffer), wake) = shard;
+                **wake = controller.poll(now, buffer);
             });
             // Completion-merge barrier: drain the per-channel buffers in
             // channel index order — the sequential order exactly.
-            for (_, buffer) in shards {
+            for ((_, buffer), _) in shards {
                 completed.append(buffer);
             }
             return;
         }
-        for (channel, controller) in self.controllers.iter_mut().enumerate() {
-            if due[channel] {
-                controller.tick_into(now, completed);
+        for ((controller, wake), &is_due) in self.controllers.iter_mut().zip(wakes).zip(due) {
+            if is_due {
+                *wake = controller.poll(now, completed);
             }
         }
-    }
-
-    /// Earliest tick strictly after `now` at which *any* channel could act:
-    /// the min of every channel's wake-up registration.  `None` when all
-    /// channels are fully idle.
-    #[must_use]
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        self.controllers
-            .iter()
-            .filter_map(|controller| controller.next_event_at(now))
-            .min()
-    }
-
-    /// Earliest tick strictly after `now` at which the given channel could
-    /// act — that channel's own wake-up stream for the per-channel slots of
-    /// the event wheel.  `None` when the channel is fully idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `channel` is out of range.
-    #[must_use]
-    pub fn next_event_at_channel(&self, channel: u32, now: u64) -> Option<u64> {
-        self.controllers[channel as usize].next_event_at(now)
     }
 
     /// Controller statistics summed over every channel.
@@ -354,6 +327,22 @@ mod tests {
         MemorySubsystem::new(device, config)
     }
 
+    /// Polls every channel on every tick in `ticks`, appending completions
+    /// to `completed`; returns the wake-ups of the last poll.
+    fn poll_all(
+        sub: &mut MemorySubsystem,
+        ticks: std::ops::Range<u64>,
+        completed: &mut Vec<CompletedRequest>,
+    ) -> Vec<Option<u64>> {
+        let channels = sub.channels() as usize;
+        let due = vec![true; channels];
+        let mut wakes = vec![None; channels];
+        for now in ticks {
+            sub.tick_due(now, &due, 1, completed, &mut wakes);
+        }
+        wakes
+    }
+
     #[test]
     fn builds_one_controller_per_channel() {
         let sub = subsystem(4);
@@ -386,9 +375,7 @@ mod tests {
         }
         assert_ne!(sub.route(0), sub.route(64));
         let mut completed = Vec::new();
-        for now in 0..2_000 {
-            sub.tick(now, &mut completed);
-        }
+        poll_all(&mut sub, 0..2_000, &mut completed);
         assert_eq!(completed.len(), 2);
         let stats = sub.aggregated_controller_stats();
         assert_eq!(stats.reads_completed, 2);
@@ -423,9 +410,7 @@ mod tests {
         assert_eq!(sub.route(0x1234_5600), 0);
         assert!(sub.enqueue(0, MemoryRequest::read(9, 0x40, 0, 0)));
         let mut completed = Vec::new();
-        for now in 0..2_000 {
-            sub.tick(now, &mut completed);
-        }
+        poll_all(&mut sub, 0..2_000, &mut completed);
         assert_eq!(completed.len(), 1);
         assert_eq!(sub.merged_rfm_log(), sub.controller(0).rfm_log());
     }
@@ -486,11 +471,19 @@ mod tests {
                 }
             }
             let due = vec![true; 4];
+            let mut wakes = vec![None; 4];
             let mut completed = Vec::new();
+            let mut wake_log = Vec::new();
             for now in 0..4_000 {
-                sub.tick_due(now, &due, sim_threads, &mut completed);
+                sub.tick_due(now, &due, sim_threads, &mut completed, &mut wakes);
+                wake_log.push(wakes.clone());
             }
-            (completed, sub.channel_stats(), sub.merged_rfm_log())
+            (
+                completed,
+                wake_log,
+                sub.channel_stats(),
+                sub.merged_rfm_log(),
+            )
         };
         let sequential = run(1);
         assert!(!sequential.0.is_empty(), "the workload must complete reads");
@@ -511,30 +504,37 @@ mod tests {
             .expect("some line routes to channel 1");
         assert!(sub.enqueue(1, MemoryRequest::read(1, pa, 0, 0)));
         let mut completed = Vec::new();
-        // Poll only channel 0 (idle): nothing may happen anywhere.
+        // Poll only channel 0 (idle): nothing may happen anywhere, and the
+        // unpolled channel's wake-up entry is left alone.
+        let mut wakes = vec![Some(7), Some(7)];
         for now in 0..2_000 {
-            sub.tick_due(now, &[true, false], 1, &mut completed);
+            sub.tick_due(now, &[true, false], 1, &mut completed, &mut wakes);
         }
         assert!(completed.is_empty());
         assert_eq!(sub.aggregated_controller_stats().reads_completed, 0);
+        assert_eq!(wakes, [None, Some(7)]);
         // Now poll channel 1 as well: the read completes.
         for now in 2_000..4_000 {
-            sub.tick_due(now, &[true, true], 1, &mut completed);
+            sub.tick_due(now, &[true, true], 1, &mut completed, &mut wakes);
         }
         assert_eq!(completed.len(), 1);
     }
 
     #[test]
-    fn next_event_is_the_min_across_channels() {
+    fn polls_hand_back_each_channels_own_wake_up() {
         let mut sub = subsystem(2);
         // Idle subsystem with refresh disabled: no wake-ups at all.
-        assert_eq!(sub.next_event_at(0), None);
-        // Work on channel 1 only: the subsystem wake-up is channel 1's.
+        assert_eq!(poll_all(&mut sub, 0..1, &mut Vec::new()), [None, None]);
+        // Work on channel 1 only: only channel 1 wakes, exactly when its
+        // controller says it will.
         let pa = (0..64)
             .map(|i| i * 64)
             .find(|&pa| sub.route(pa) == 1)
             .expect("some line routes to channel 1");
-        sub.enqueue(1, MemoryRequest::read(1, pa, 0, 0));
-        assert_eq!(sub.next_event_at(0), sub.controller(1).next_event_at(0));
+        sub.enqueue(1, MemoryRequest::read(1, pa, 0, 1));
+        let wakes = poll_all(&mut sub, 1..2, &mut Vec::new());
+        assert_eq!(wakes[0], None);
+        assert!(wakes[1].is_some());
+        assert_eq!(wakes[1], sub.controller(1).next_event_at(1));
     }
 }

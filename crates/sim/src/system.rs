@@ -164,6 +164,28 @@ pub(crate) struct BacklogEntry {
     channel: u32,
 }
 
+/// Scratch the engine loops reuse across [`SystemSimulation::step`] calls.
+struct StepScratch {
+    /// Which channels the step polls.  `step` only ever sets flags (fan-out
+    /// marks the target channel due); the engine loop clears them.
+    due: Vec<bool>,
+    /// Each polled channel's wake-up after its poll.
+    wakes: Vec<Option<u64>>,
+    /// Completion buffer, drained before `step` returns.
+    completions: Vec<CompletedRequest>,
+}
+
+impl StepScratch {
+    /// Scratch for `channels` channels, every channel due.
+    fn new(channels: usize) -> Self {
+        Self {
+            due: vec![true; channels],
+            wakes: vec![None; channels],
+            completions: Vec::new(),
+        }
+    }
+}
+
 /// Process-wide count of [`SystemSimulation`] instances ever constructed.
 static SIMULATIONS_BUILT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
@@ -199,6 +221,8 @@ pub struct SystemSimulation {
     inflight: std::collections::HashMap<u64, (u32, u64)>,
     next_controller_id: u64,
     sim_threads: usize,
+    /// Steps settled so far (telemetry only, never part of results).
+    visited_steps: u64,
 }
 
 impl SystemSimulation {
@@ -222,6 +246,7 @@ impl SystemSimulation {
             inflight: std::collections::HashMap::new(),
             next_controller_id: 0,
             sim_threads: config.sim_threads.max(1),
+            visited_steps: 0,
         }
     }
 
@@ -229,6 +254,20 @@ impl SystemSimulation {
     #[must_use]
     pub fn instructions_per_core(&self) -> u64 {
         self.instructions_per_core
+    }
+
+    /// The CPU cluster (read-only).
+    #[must_use]
+    pub fn cluster(&self) -> &CpuCluster {
+        &self.cluster
+    }
+
+    /// Number of steps settled so far: every tick under the tick engine,
+    /// only the ticks it jumps to under the event engine.  Telemetry only:
+    /// it is not part of [`SystemResult`] and never affects results.
+    #[must_use]
+    pub fn visited_steps(&self) -> u64 {
+        self.visited_steps
     }
 
     /// The memory subsystem (read-only).
@@ -267,32 +306,43 @@ impl SystemSimulation {
     /// for every tick, the event engine only for ticks in which something
     /// can happen.
     ///
-    /// `due` selects which channels are polled this tick.  Polling a
-    /// channel ahead of its wake-up is a pure no-op (the engine purity
-    /// contract), so the tick engine passes an all-true mask while the
-    /// event engine narrows it to the channels whose wheel slot fired —
-    /// the results are bit-identical either way.  Fanning a request out to
-    /// a channel marks it due: the enqueue mutates that controller, so its
-    /// previously armed wake-up no longer covers it.  `completions` is
-    /// caller-owned scratch, drained before the function returns.
+    /// `tick_cluster` is false when no core can act this tick (the event
+    /// engine's cluster slot did not fire): each unfinished core is then
+    /// credited the stalled cycle its tick would have counted, and nothing
+    /// else happens on the CPU side.  `scratch.due` selects which channels
+    /// are polled.  Polling a channel ahead of its wake-up is a pure no-op
+    /// (the engine purity contract), so the tick engine passes an all-true
+    /// mask while the event engine narrows it to the channels whose wheel
+    /// slot fired — the results are bit-identical either way.  Fanning a
+    /// request out to a channel marks it due: the enqueue mutates that
+    /// controller, so its previously armed wake-up no longer covers it.
+    /// Each polled channel's next wake-up lands in `scratch.wakes`.
+    ///
+    /// Returns whether a read completion was delivered to a core (which
+    /// moves that core's wake-up).
     fn step(
         &mut self,
         now: u64,
+        tick_cluster: bool,
         backlog: &mut Vec<BacklogEntry>,
-        due: &mut [bool],
-        completions: &mut Vec<CompletedRequest>,
-    ) {
+        scratch: &mut StepScratch,
+    ) -> bool {
+        self.visited_steps += 1;
         // 1. CPU side: collect new DRAM-bound requests, routing each to its
         //    channel once on arrival.
-        let output = self.cluster.tick(now);
-        backlog.extend(output.requests.into_iter().map(|(core, request)| {
-            let channel = self.memory.route(request.address);
-            BacklogEntry {
-                core,
-                request,
-                channel,
-            }
-        }));
+        if tick_cluster {
+            let output = self.cluster.tick(now);
+            backlog.extend(output.requests.into_iter().map(|(core, request)| {
+                let channel = self.memory.route(request.address);
+                BacklogEntry {
+                    core,
+                    request,
+                    channel,
+                }
+            }));
+        } else {
+            self.cluster.credit_stalled_cycles(1);
+        }
 
         // 2. Fan out as many backlog requests as their channels accept.  A
         //    full channel never blocks requests bound for other channels.
@@ -316,23 +366,31 @@ impl SystemSimulation {
             };
             let accepted = self.memory.enqueue(entry.channel, request);
             debug_assert!(accepted);
-            due[entry.channel as usize] = true;
+            scratch.due[entry.channel as usize] = true;
             if !entry.request.is_write && entry.core != u32::MAX {
                 self.inflight.insert(id, (entry.core, entry.request.id));
             }
         }
 
-        // 3. Memory side: advance the due channels one tick and merge the
-        //    per-channel completions back into the in-flight map.
-        self.memory
-            .tick_due(now, due, self.sim_threads, completions);
-        for completion in completions.drain(..) {
+        // 3. Memory side: poll the due channels and merge the per-channel
+        //    completions back into the in-flight map.
+        self.memory.tick_due(
+            now,
+            &scratch.due,
+            self.sim_threads,
+            &mut scratch.completions,
+            &mut scratch.wakes,
+        );
+        let mut delivered = false;
+        for completion in scratch.completions.drain(..) {
             if completion.kind == RequestKind::Read {
                 if let Some((core, core_req_id)) = self.inflight.remove(&completion.id) {
                     self.cluster.on_memory_completion(core, core_req_id);
+                    delivered = true;
                 }
             }
         }
+        delivered
     }
 
     /// Collects the final statistics after the last settled tick.
@@ -369,11 +427,12 @@ impl SystemSimulation {
     ) -> PrefixOutcome {
         let bound = pause_at.unwrap_or(self.max_ticks).min(self.max_ticks);
         // The tick engine visits every tick, so every channel is due every
-        // tick (`step` only ever sets flags, never clears them).
-        let mut due = vec![true; self.memory.channels() as usize];
-        let mut completions = Vec::new();
+        // tick (`step` only ever sets flags, never clears them), and it never
+        // asks the cluster for wake-ups, so `CpuCluster::tick` ticks every
+        // unfinished core every cycle: this loop is the ungated oracle.
+        let mut scratch = StepScratch::new(self.memory.channels() as usize);
         while now < bound && !self.cluster.all_finished() {
-            self.step(now, &mut backlog, &mut due, &mut completions);
+            self.step(now, true, &mut backlog, &mut scratch);
             now += 1;
         }
         if now < self.max_ticks && !self.cluster.all_finished() {
@@ -383,8 +442,8 @@ impl SystemSimulation {
         PrefixOutcome::Finished(self.finish(now))
     }
 
-    /// The event-driven main loop: settle a tick, ask every component for
-    /// its next wake-up, jump to the earliest one.
+    /// The event-driven main loop: settle a tick, re-arm the wake-ups of the
+    /// components it touched, jump to the earliest one.
     ///
     /// Skipped ticks are exactly the ticks the tick engine would process as
     /// no-ops, except that each of them would have aged every unfinished
@@ -399,6 +458,12 @@ impl SystemSimulation {
     /// The event-engine main loop, generalised over a resume point and an
     /// optional pause bound (the checkpoint/fork entry point).
     ///
+    /// Each visited tick polls only the channels whose wheel slot fired
+    /// there (plus those a request was fanned out to), and ticks the CPU
+    /// cluster only when its own slot fired; otherwise every unfinished core
+    /// is credited one stalled cycle.  Within a cluster tick, only the cores
+    /// whose own wake-up is due run (see [`CpuCluster::tick`]).
+    ///
     /// Pausing at `P` stops *before* settling tick `P`, crediting only the
     /// skipped ticks strictly below it; the resumed run then visits `P`
     /// itself.  When the cold run would have skipped `P` as a no-op, the
@@ -409,9 +474,10 @@ impl SystemSimulation {
     /// The event wheel is always rebuilt from component wake-ups on the
     /// first iteration, so a resumed run starts with a fresh wheel rather
     /// than a captured one (the wheel is derived state).  The same holds
-    /// for the per-channel due mask: it starts all-true, which over-polls
-    /// harmlessly (polling ahead of a wake-up is a no-op) and converges to
-    /// the exact fired set after one jump.
+    /// for the due flags: the first step after a start or resume ticks the
+    /// cluster and polls every channel, which over-polls harmlessly
+    /// (polling ahead of a wake-up is a no-op) and converges to the exact
+    /// fired set after one jump.
     pub(crate) fn run_event_from(
         mut self,
         mut now: u64,
@@ -420,11 +486,8 @@ impl SystemSimulation {
     ) -> PrefixOutcome {
         let channels = self.memory.channels() as usize;
         let mut wheel = EventWheel::with_slots(CHANNEL_SLOT_BASE + channels);
-        // All channels due on the first iteration: cold starts and resumed
-        // forks alike begin with one full poll, then narrow to the channels
-        // whose slot actually fired.
-        let mut due = vec![true; channels];
-        let mut completions = Vec::new();
+        let mut scratch = StepScratch::new(channels);
+        let mut cluster_due = true;
         if now >= self.max_ticks || self.cluster.all_finished() {
             return PrefixOutcome::Finished(self.finish(now));
         }
@@ -436,19 +499,23 @@ impl SystemSimulation {
         loop {
             // Invariant: now < max_ticks and at least one core is unfinished,
             // mirroring the tick engine's loop condition.
-            self.step(now, &mut backlog, &mut due, &mut completions);
+            let delivered = self.step(now, cluster_due, &mut backlog, &mut scratch);
             if self.cluster.all_finished() {
                 now += 1;
                 break;
             }
-            wheel.reregister_slot(SLOT_CLUSTER, self.cluster.next_event_at(now));
+            // A cluster that was neither ticked nor handed a completion did
+            // not change, so its armed wake-up is still exact.
+            if cluster_due || delivered {
+                wheel.reregister_slot(SLOT_CLUSTER, self.cluster.next_event_at(now));
+            }
             // Each channel keeps its own wheel slot.  A channel that was
             // not polled this tick did not change state, so its armed
-            // wake-up is still exact — only due channels need re-arming.
-            for (channel, is_due) in due.iter().enumerate() {
+            // wake-up is still exact — only due channels need re-arming,
+            // with the wake-up their poll returned.
+            for (channel, is_due) in scratch.due.iter().enumerate() {
                 if *is_due {
-                    let wake = self.memory.next_event_at_channel(channel as u32, now);
-                    wheel.reregister_slot(CHANNEL_SLOT_BASE + channel, wake);
+                    wheel.reregister_slot(CHANNEL_SLOT_BASE + channel, scratch.wakes[channel]);
                 }
             }
             // Forwarding is pending when any backlog entry's own channel has
@@ -481,11 +548,13 @@ impl SystemSimulation {
                 now = self.max_ticks;
                 break;
             }
-            // The jump lands on `next`: poll exactly the channels whose
-            // slot is armed there.  (Cluster and forwarding wake-ups do not
-            // by themselves make a channel due — fan-out marks the target
-            // channel due inside `step` when a request actually lands.)
-            for (channel, is_due) in due.iter_mut().enumerate() {
+            // The jump lands on `next`: tick the cluster and poll exactly
+            // the channels whose slot is armed there.  (A forwarding wake-up
+            // does not by itself make a channel due — fan-out marks the
+            // target channel due inside `step` when a request actually
+            // lands.)
+            cluster_due = wheel.armed_at(SLOT_CLUSTER) == Some(next);
+            for (channel, is_due) in scratch.due.iter_mut().enumerate() {
                 *is_due = wheel.armed_at(CHANNEL_SLOT_BASE + channel) == Some(next);
             }
             now = next;
@@ -514,6 +583,10 @@ mod tests {
     use prac_core::config::PracConfig;
 
     fn tiny_system(instr: u64, traces: Vec<Trace>) -> SystemSimulation {
+        tiny_system_on(EngineKind::default(), instr, traces)
+    }
+
+    fn tiny_system_on(engine: EngineKind, instr: u64, traces: Vec<Trace>) -> SystemSimulation {
         let cores = traces.len() as u32;
         let mut cpu = CpuConfig::tiny_for_tests();
         cpu.cores = cores;
@@ -531,7 +604,7 @@ mod tests {
             controller: ControllerConfig::default(),
             instructions_per_core: instr,
             max_ticks: 50_000_000,
-            engine: EngineKind::default(),
+            engine,
             sim_threads: 1,
         };
         SystemSimulation::new(config, traces)
@@ -598,6 +671,61 @@ mod tests {
         assert_eq!(ticked, evented, "engines must be cycle-exact");
         assert!(ticked.completed);
         assert!(!ticked.rfm_log.is_empty() || ticked.controller_stats.total_rfms() == 0);
+    }
+
+    /// The event engine ticks only the cores that are due and lets most
+    /// controller polls reuse their tick's FR-FCFS scan; the tick engine
+    /// ticks every core on every cycle.  Both still agree bit for bit.
+    #[test]
+    fn event_engine_skips_idle_cores_and_repeat_scans() {
+        let traces = || {
+            (1..=4u64)
+                .map(|core| memory_trace(core << 32, 2048))
+                .collect::<Vec<_>>()
+        };
+        let ticked = tiny_system_on(EngineKind::Tick, 3_000, traces()).run();
+        assert!(ticked.completed);
+        // Pause both runs on their last tick to read the counters, then
+        // finish them.
+        let last = ticked.elapsed_ticks - 1;
+        let counters = |engine| {
+            let paused = tiny_system_on(engine, 3_000, traces())
+                .run_until(last)
+                .paused()
+                .expect("the run is still going on its last tick");
+            let sim = paused.simulation();
+            let cycles: u64 = sim.cluster().core_stats().iter().map(|s| s.cycles).sum();
+            let controller = sim.memory().controller(0);
+            let counts = (
+                sim.visited_steps(),
+                sim.cluster().core_ticks(),
+                cycles,
+                controller.polls(),
+                controller.demand_scans(),
+            );
+            (counts, paused.resume())
+        };
+
+        let ((steps, core_ticks, cycles, _, _), result) = counters(EngineKind::Tick);
+        assert_eq!(result, ticked);
+        assert_eq!(steps, last);
+        assert_eq!(
+            core_ticks, cycles,
+            "the tick engine ticks every core every cycle"
+        );
+
+        let ((steps, core_ticks, cycles, polls, scans), result) = counters(EngineKind::Event);
+        assert_eq!(result, ticked, "engines must be cycle-exact");
+        assert!(steps < last);
+        assert!(
+            core_ticks < 4 * steps,
+            "{core_ticks} core ticks over {steps} visited steps"
+        );
+        assert!(core_ticks < cycles);
+        assert!(
+            polls > 0 && scans < 2 * polls,
+            "{scans} scans over {polls} polls"
+        );
     }
 
     #[test]
