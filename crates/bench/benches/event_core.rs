@@ -1,10 +1,8 @@
 //! Criterion micro-benchmarks for the event-core hot paths reshaped by the
 //! data-layout pass: the event engine's wheel round, the branchless
 //! per-device bank min-reduce and the allocation-free FR-FCFS candidate
-//! scan.  These are the CI smoke set behind the `BENCH_sim.json`
-//! trajectory — `prac-bench bench sim` measures the same three kernels
-//! (plus the fig10-quick wall clock) with plain wall-clock loops so the
-//! appended numbers stay comparable across machines.
+//! scan.  CI runs them as the kernel smoke gate; end-to-end and per-layer
+//! performance is measured by `perfbench/`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_sim::command::DramCommand;
@@ -47,28 +45,13 @@ fn wheel_rounds(channels: usize, rounds: u64) -> u64 {
 }
 
 /// The engine's wheel round at one and four channels (the fig10 and the
-/// widest scaling shapes); both stay on the linear slab path.
+/// widest scaling shapes).
 fn bench_wheel_push_pop(c: &mut Criterion) {
     for channels in [1usize, 4] {
         c.bench_function(&format!("event_wheel_round_{channels}ch_x1000"), |b| {
             b.iter(|| black_box(wheel_rounds(channels, 1000)));
         });
     }
-    // A wheel wide enough for per-bank slots exercises the lazy-deletion
-    // heap path and its compaction bound.
-    c.bench_function("event_wheel_64slot_churn_x1000", |b| {
-        let mut wheel = EventWheel::with_slots(64);
-        let mut now = 0u64;
-        b.iter(|| {
-            for round in 0..1000u64 {
-                let slot = (round % 64) as usize;
-                wheel.reregister_slot(slot, Some(now + 1_000));
-                wheel.reregister_slot(slot, Some(now + 1));
-                now = wheel.next_after(black_box(now)).unwrap();
-            }
-            black_box(now)
-        });
-    });
 }
 
 /// The device-wide `next_transition_at` min-reduce over the full paper

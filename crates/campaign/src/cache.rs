@@ -3,21 +3,11 @@
 //!
 //! Each executed scenario is persisted as one store record whose identity is
 //! the scenario's cache-key preimage (`sim-r<REV>:{canonical spec JSON}`), so
-//! the store key *is* the pre-existing [`Scenario::key`] hash: every cache
-//! entry written before the store existed maps to the same key after it.  A
-//! later run with the same configuration finds the record, verifies the
+//! the store key *is* the scenario's [`Scenario::key`] hash.  A later run with the same configuration finds the record, verifies the
 //! embedded spec matches (guarding against hash collisions and stale
 //! formats), and skips the simulation.  Any change to the scenario —
 //! threshold, seed, budget, workload — changes the key and misses.
-//!
-//! Opening a cache at a directory that still holds the legacy layout (one
-//! `<16-hex-key>.json` file per cell) migrates those cells into the store:
-//! parseable cells whose content re-hashes to their file name are imported
-//! and the legacy file removed; unparseable files are quarantined into
-//! `quarantine/` (never a crash); cells whose key no longer matches (stale
-//! `SIM_REVISION`) are left alone — they were already unreachable.
 
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -43,18 +33,14 @@ pub struct CachedResult {
 }
 
 impl ResultCache {
-    /// Opens (and creates if needed) a cache rooted at `root`, migrating any
-    /// legacy per-cell JSON files found there into the store.
+    /// Opens (and creates if needed) a cache rooted at `root`.
     ///
     /// # Errors
     ///
     /// Propagates the error if the store cannot be opened.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
-        let root = root.into();
-        let store = ResultStore::open(&root)?;
-        migrate_legacy_cells(&store, &root)?;
         Ok(Self {
-            store: Arc::new(store),
+            store: Arc::new(ResultStore::open(root)?),
         })
     }
 
@@ -105,9 +91,8 @@ impl ResultCache {
     }
 }
 
-/// Builds the store record for a scenario result.  The payload keeps the
-/// exact object shape of the legacy per-cell files (`spec` / `metrics` /
-/// `wall_ms`), so migrated and freshly written records are indistinguishable.
+/// Builds the store record for a scenario result: a `spec` / `metrics` /
+/// `wall_ms` object under the scenario's cache-key preimage.
 fn record_for(scenario: &Scenario, result: &CachedResult) -> StoreRecord {
     let mut entry = Map::new();
     entry.insert("spec".into(), scenario.spec.to_json());
@@ -131,64 +116,6 @@ fn decode_payload(payload: &Value, scenario: &Scenario) -> Option<CachedResult> 
     })
 }
 
-/// Migrates legacy `<16-hex-key>.json` cells sitting next to the store.
-fn migrate_legacy_cells(store: &ResultStore, root: &Path) -> io::Result<()> {
-    let mut migrated = false;
-    for entry in fs::read_dir(root)?.filter_map(Result::ok) {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(stem) = name.strip_suffix(".json") else {
-            continue;
-        };
-        if stem.len() != 16 || u64::from_str_radix(stem, 16).is_err() {
-            continue; // index.json and anything else that is not a cell
-        }
-        let key = u64::from_str_radix(stem, 16).expect("checked above");
-        match read_legacy_cell(&path, key) {
-            Ok(Some(record)) => {
-                if !store.contains(key) {
-                    store.insert(&record)?;
-                }
-                migrated = true;
-                fs::remove_file(&path)?;
-            }
-            Ok(None) => {
-                // Parseable but its key no longer matches its content — a
-                // stale SIM_REVISION cell.  It was already unreachable under
-                // the old layout; leave it for the archaeologists.
-            }
-            Err(_) => {
-                // Unparseable: quarantine instead of crashing the run.
-                let quarantine = root.join("quarantine");
-                fs::create_dir_all(&quarantine)?;
-                let _ = fs::rename(&path, quarantine.join(name));
-            }
-        }
-    }
-    if migrated {
-        store.flush()?;
-    }
-    Ok(())
-}
-
-/// Reads one legacy cell.  `Ok(Some)` when the embedded spec re-hashes to
-/// the file's key (so the record is current), `Ok(None)` when it is
-/// parseable but stale, `Err` when unreadable.
-fn read_legacy_cell(path: &Path, key: u64) -> io::Result<Option<StoreRecord>> {
-    let text = fs::read_to_string(path)?;
-    let payload: Value = serde_json::from_str(&text)
-        .map_err(|error| io::Error::new(io::ErrorKind::InvalidData, error.to_string()))?;
-    let spec = payload
-        .get("spec")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "cell missing `spec`"))?;
-    let mut identity = format!("sim-r{}:", crate::scenario::SIM_REVISION);
-    identity.push_str(&spec.to_string());
-    let record = StoreRecord::new(identity, payload);
-    Ok((record.key() == key).then_some(record))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,7 +124,7 @@ mod tests {
     fn temp_root(tag: &str) -> PathBuf {
         let root =
             std::env::temp_dir().join(format!("prac-campaign-cache-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(&root);
         root
     }
 
@@ -250,42 +177,6 @@ mod tests {
         let record = StoreRecord::new(key_preimage(&s.spec), Value::Object(payload));
         cache.store_handle().insert(&record).unwrap();
         assert!(cache.lookup(&s).is_none());
-    }
-
-    #[test]
-    fn legacy_cells_migrate_into_the_store() {
-        let root = temp_root("migrate");
-        // Write a legacy-format cell the way the pre-store cache did.
-        {
-            let cache = ResultCache::open(&root).unwrap();
-            cache.store(&scenario(1024), &result(7)).unwrap();
-        }
-        let legacy_key = scenario(1024).key();
-        let store = ResultStore::open(&root).unwrap();
-        let record = store.get(legacy_key).unwrap();
-        let legacy_path = root.join(format!("{legacy_key:016x}.json"));
-        fs::write(&legacy_path, record.payload.to_string()).unwrap();
-        fs::remove_dir_all(root.join("segments")).unwrap();
-        fs::remove_file(root.join("index.json")).unwrap();
-        drop(store);
-        // Also drop an unparseable cell next to it.
-        let junk_path = root.join("00000000deadbeef.json");
-        fs::write(&junk_path, "not json {").unwrap();
-
-        let cache = ResultCache::open(&root).unwrap();
-        assert_eq!(
-            cache.lookup(&scenario(1024)),
-            Some(result(7)),
-            "legacy cell must hit through the store"
-        );
-        assert!(!legacy_path.exists(), "migrated cell file is removed");
-        assert!(!junk_path.exists(), "junk cell is moved out of the way");
-        assert!(
-            root.join("quarantine")
-                .join("00000000deadbeef.json")
-                .exists(),
-            "junk cell is quarantined, not deleted"
-        );
     }
 
     #[test]

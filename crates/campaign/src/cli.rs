@@ -5,9 +5,8 @@
 //!   runner with the incremental cache and JSON/CSV artifacts,
 //! * `prac-bench serve` / `query` — the result store as a long-running
 //!   NDJSON query service and its scripting client,
-//! * `prac-bench store <stats|verify|compact|export|import|bench>` — direct
-//!   store maintenance,
-//! * the former `fig*`/`table*` binaries delegate here via [`delegate`].
+//! * `prac-bench store <stats|verify|compact|export|import>` — direct
+//!   store maintenance.
 
 use std::path::PathBuf;
 
@@ -21,7 +20,6 @@ use crate::cache::ResultCache;
 use crate::registry::{all_campaigns, find_campaign, Profile};
 use crate::runner::{CampaignRunner, RunSummary, ScenarioRecord};
 use crate::serve::{client, Server};
-use crate::trajectory;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,9 +46,6 @@ struct Options {
     spec_json: Option<String>,
     key: Option<String>,
     protocol_op: Option<&'static str>,
-    append: Option<PathBuf>,
-    lookups: Option<u64>,
-    commit: Option<String>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +58,6 @@ enum Command {
     Serve,
     Query,
     Store,
-    Bench,
     Help,
 }
 
@@ -83,9 +77,6 @@ USAGE:
     prac-bench query [--addr H:P | --socket PATH] <what>
     prac-bench store <stats|verify|compact> [--cache-dir DIR]
     prac-bench store <export|import> <FILE> [--cache-dir DIR]
-    prac-bench store bench [--lookups N] [--append FILE] [--commit HASH]
-    prac-bench bench sim [--engine E] [--append FILE] [--commit HASH]
-    prac-bench bench trajectory [SIM_FILE] [STORE_FILE]
 
 COMMANDS:
     list              Enumerate the registered campaigns
@@ -99,12 +90,6 @@ COMMANDS:
                       <campaign> <scenario> pair, --spec-json JSON,
                       --key HEX, --ping, --stats or --shutdown
     store             Inspect or maintain the result store directly
-    bench             Perf-trajectory tooling: `bench sim` micro-benchmarks
-                      the event-core kernels (wheel round, bank min-reduce,
-                      scheduler scan) plus the fig10-quick and 4-channel
-                      scaling-quick wall clocks; `bench trajectory` renders
-                      the recorded trajectories (default BENCH_sim.json +
-                      BENCH_store.json) as markdown tables
 
 OPTIONS:
     --all             Run every registered campaign
@@ -149,13 +134,6 @@ OPTIONS:
     --ping            query: liveness check
     --stats           query: store statistics from the server
     --shutdown        query: ask the server to stop cleanly
-    --lookups <N>     store bench: lookups to time (default: 10000)
-    --append <FILE>   store/sim bench: append the measurement to a JSON
-                      trajectory file (e.g. BENCH_store.json / BENCH_sim.json);
-                      fails loudly if the existing file is malformed
-    --commit <HASH>   store/sim bench: record this short git commit hash in
-                      the appended entry (CI passes `git rev-parse --short
-                      HEAD`; the bench never shells out to git itself)
 
 Artifacts are written to <out>/<campaign>/results.{json,csv}; cached cells
 are reused when the scenario configuration (including seeds and budgets) is
@@ -185,9 +163,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         spec_json: None,
         key: None,
         protocol_op: None,
-        append: None,
-        lookups: None,
-        commit: None,
     };
     let mut iter = args.iter();
     match iter.next().map(String::as_str) {
@@ -199,7 +174,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         Some("serve") => options.command = Command::Serve,
         Some("query") => options.command = Command::Query,
         Some("store") => options.command = Command::Store,
-        Some("bench") => options.command = Command::Bench,
         Some("help" | "--help" | "-h") | None => return Ok(options),
         Some(other) => return Err(format!("unknown command `{other}`")),
     }
@@ -327,21 +301,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--ping" => options.protocol_op = Some("ping"),
             "--stats" => options.protocol_op = Some("stats"),
             "--shutdown" => options.protocol_op = Some("shutdown"),
-            "--lookups" => options.lookups = Some(numeric("--lookups")?),
-            "--append" => {
-                options.append = Some(
-                    iter.next()
-                        .map(PathBuf::from)
-                        .ok_or_else(|| "--append requires a file".to_string())?,
-                );
-            }
-            "--commit" => {
-                options.commit = Some(
-                    iter.next()
-                        .cloned()
-                        .ok_or_else(|| "--commit requires a hash".to_string())?,
-                );
-            }
             name if name.starts_with("--") => return Err(format!("unknown option `{name}`")),
             name => options.names.push(name.to_string()),
         }
@@ -490,7 +449,6 @@ pub fn run_cli(args: &[String]) -> i32 {
         Command::Serve => serve_command(&options),
         Command::Query => query_command(&options),
         Command::Store => store_command(&options),
-        Command::Bench => bench_command(&options),
     }
 }
 
@@ -498,29 +456,6 @@ pub fn run_cli(args: &[String]) -> i32 {
 #[must_use]
 pub fn main_from_env() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    run_cli(&args)
-}
-
-/// Delegation shim for the former per-figure bench binaries: forwards any
-/// recognised legacy flags (`--full`, `--instr`, `--workers`) and runs the
-/// named campaign.
-#[must_use]
-pub fn delegate(campaign_name: &str) -> i32 {
-    let mut args = vec!["run".to_string(), campaign_name.to_string()];
-    let mut env = std::env::args().skip(1);
-    while let Some(arg) = env.next() {
-        match arg.as_str() {
-            "--full" => args.push(arg),
-            "--instr" | "--workers" | "--engine" | "--channels" | "--ranks" | "--profile"
-            | "--attack" => {
-                if let Some(value) = env.next() {
-                    args.push(arg);
-                    args.push(value);
-                }
-            }
-            _ => {}
-        }
-    }
     run_cli(&args)
 }
 
@@ -768,9 +703,6 @@ fn store_command(options: &Options) -> i32 {
         .clone()
         .unwrap_or_else(ResultCache::default_root);
     let action = options.names.first().map(String::as_str);
-    if action == Some("bench") {
-        return store_bench(options);
-    }
     let store = match ResultStore::open(&store_root) {
         Ok(store) => store,
         Err(error) => {
@@ -861,309 +793,10 @@ fn store_command(options: &Options) -> i32 {
             }
         }
         _ => {
-            eprintln!(
-                "error: `store` needs stats, verify, compact, export, import or bench\n\n{USAGE}"
-            );
+            eprintln!("error: `store` needs stats, verify, compact, export or import\n\n{USAGE}");
             2
         }
     }
-}
-
-/// `prac-bench store bench`: measures store lookup latency on a synthetic
-/// store plus the no-cache fig10-quick wall-clock, and optionally appends
-/// the measurement to a JSON trajectory file (ROADMAP item 3's tracked
-/// baseline).
-fn store_bench(options: &Options) -> i32 {
-    use std::time::Instant;
-
-    const BENCH_RECORDS: u64 = 1_000;
-    let lookups = options.lookups.unwrap_or(10_000).max(1);
-
-    // A throwaway store with a known population.
-    let root = std::env::temp_dir().join(format!("prac-store-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let store = match ResultStore::open(&root) {
-        Ok(store) => store,
-        Err(error) => {
-            eprintln!("error: cannot open bench store: {error}");
-            return 1;
-        }
-    };
-    for n in 0..BENCH_RECORDS {
-        let mut payload = Map::new();
-        payload.insert("value".into(), n.into());
-        let record = result_store::StoreRecord::new(format!("bench-{n}"), Value::Object(payload));
-        if let Err(error) = store.insert(&record) {
-            eprintln!("error: bench insert failed: {error}");
-            return 1;
-        }
-    }
-    let keys = store.keys();
-    let mut samples_ns: Vec<u64> = Vec::with_capacity(lookups as usize);
-    for n in 0..lookups {
-        let key = keys[(n % BENCH_RECORDS) as usize];
-        let started = Instant::now();
-        let hit = store.get(key).is_some();
-        samples_ns.push(started.elapsed().as_nanos() as u64);
-        assert!(hit, "bench store lookup must hit");
-    }
-    samples_ns.sort_unstable();
-    let mean_ns = samples_ns.iter().sum::<u64>() as f64 / samples_ns.len() as f64;
-    let p50_ns = samples_ns[samples_ns.len() / 2];
-    let _ = std::fs::remove_dir_all(&root);
-
-    // The end-to-end yardstick: fig10 quick, no cache.
-    let campaign = find_campaign("fig10", &Profile::quick()).expect("fig10 is registered");
-    let runner = CampaignRunner::new().with_engine(options.engine);
-    let fig10_wall_ms = match runner.run(&campaign) {
-        Ok(summary) => summary.wall_ms,
-        Err(error) => {
-            eprintln!("error: fig10 bench run failed: {error}");
-            return 1;
-        }
-    };
-
-    println!("store lookups:        {lookups} over {BENCH_RECORDS} records");
-    println!("lookup latency mean:  {mean_ns:.0} ns");
-    println!("lookup latency p50:   {p50_ns} ns");
-    println!("fig10 quick no-cache: {fig10_wall_ms:.1} ms");
-
-    if let Some(path) = &options.append {
-        let mut entry = trajectory::base_entry(options.commit.as_deref());
-        entry.insert("records".into(), BENCH_RECORDS.into());
-        entry.insert("lookups".into(), lookups.into());
-        entry.insert("store_lookup_ns_mean".into(), mean_ns.into());
-        entry.insert("store_lookup_ns_p50".into(), p50_ns.into());
-        entry.insert("fig10_quick_wall_ms".into(), fig10_wall_ms.into());
-        if let Err(error) = trajectory::append(path, entry) {
-            eprintln!("error: cannot append to {}: {error}", path.display());
-            return 1;
-        }
-        println!("appended measurement to {}", path.display());
-    }
-    0
-}
-
-fn bench_command(options: &Options) -> i32 {
-    match options.names.first().map(String::as_str) {
-        Some("sim") => sim_bench(options),
-        Some("trajectory") => trajectory_report(options),
-        _ => {
-            eprintln!("error: `bench` needs sim or trajectory\n\n{USAGE}");
-            2
-        }
-    }
-}
-
-/// `prac-bench bench sim`: micro-benchmarks the three event-core hot paths
-/// reshaped by the data-layout pass — one event-engine wheel round, the
-/// branchless per-device bank min-reduce and the allocation-free FR-FCFS
-/// candidate scan — plus the end-to-end fig10-quick wall clock (cold and forked) and
-/// the cold 4-channel scaling-quick wall clock, and optionally appends the
-/// measurement to the `BENCH_sim.json` trajectory.
-fn sim_bench(options: &Options) -> i32 {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    use dram_sim::command::DramCommand;
-    use dram_sim::device::{DramDevice, DramDeviceConfig};
-    use dram_sim::org::DramAddress;
-    use memctrl::scheduler::{FrFcfsScheduler, SchedulerCandidate};
-    use system_sim::event::EventWheel;
-
-    const WHEEL_ROUNDS: u64 = 1_000_000;
-    const REDUCE_ROUNDS: u64 = 100_000;
-    const SCAN_ROUNDS: u64 = 100_000;
-    const SCAN_CANDIDATES: usize = 64;
-
-    // Event-wheel round, as the engine's loop makes it for a one-channel
-    // system: slots 0 and 1 (cluster, forwarding) plus one slot per
-    // channel.  Re-arm the cluster and every due channel, arm or disarm
-    // forwarding, pop the next wake-up, then read back which slots fired.
-    const WHEEL_CHANNELS: usize = 1;
-    let mut wheel = EventWheel::with_slots(2 + WHEEL_CHANNELS);
-    let mut due = [true; WHEEL_CHANNELS];
-    let mut cluster_due = true;
-    let started = Instant::now();
-    let mut now = 0u64;
-    for round in 0..WHEEL_ROUNDS {
-        if cluster_due {
-            wheel.reregister_slot(0, Some(now + 3));
-        }
-        for (channel, is_due) in due.iter().enumerate() {
-            if *is_due {
-                let wake = now + 1 + (round + channel as u64) % 4;
-                wheel.reregister_slot(2 + channel, Some(wake));
-            }
-        }
-        wheel.reregister_slot(1, (round % 5 == 0).then_some(now + 2));
-        let next = wheel
-            .next_after(black_box(now))
-            .expect("the cluster slot is always armed");
-        cluster_due = wheel.armed_at(0) == Some(next);
-        for (channel, is_due) in due.iter_mut().enumerate() {
-            *is_due = wheel.armed_at(2 + channel) == Some(next);
-        }
-        now = next;
-    }
-    black_box(now);
-    let wheel_push_pop_ns = started.elapsed().as_nanos() as f64 / WHEEL_ROUNDS as f64;
-
-    // Bank min-reduce over the full paper geometry with half the banks
-    // open, so both sides of the branchless open/precharged select stay
-    // live.
-    let config = DramDeviceConfig::paper_default();
-    let org = config.organization;
-    let mut device = DramDevice::new(config);
-    for bank in 0..org.total_banks() {
-        if bank % 2 != 0 {
-            continue;
-        }
-        let addr = DramAddress {
-            channel: 0,
-            rank: bank / org.banks_per_rank(),
-            bank_group: (bank / org.banks_per_group) % org.bank_groups,
-            bank: bank % org.banks_per_group,
-            row: bank,
-            column: 0,
-        };
-        let _ = device.issue(DramCommand::Activate(addr), u64::from(bank) * 1_000);
-    }
-    let started = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..REDUCE_ROUNDS {
-        acc = acc.wrapping_add(black_box(device.next_bank_transition_at()));
-    }
-    black_box(acc);
-    let bank_min_reduce_ns = started.elapsed().as_nanos() as f64 / REDUCE_ROUNDS as f64;
-
-    // FR-FCFS candidate scan: one `choose_from` pass over a queue-sized
-    // candidate iterator, no per-call allocation.
-    let template: Vec<SchedulerCandidate> = (0..SCAN_CANDIDATES)
-        .map(|index| SchedulerCandidate {
-            queue_index: index,
-            address: DramAddress {
-                channel: 0,
-                rank: (index as u32) % org.ranks,
-                bank_group: (index as u32) % org.bank_groups,
-                bank: (index as u32) % org.banks_per_group,
-                row: index as u32,
-                column: 0,
-            },
-            row_hit: index % 3 == 0,
-            arrival_tick: (97 * index as u64) % 1_024,
-        })
-        .collect();
-    let scheduler = FrFcfsScheduler::paper_default();
-    let started = Instant::now();
-    let mut picked = 0usize;
-    for _ in 0..SCAN_ROUNDS {
-        let chosen = scheduler
-            .choose_from(black_box(template.iter().copied()))
-            .expect("a non-empty candidate set schedules something");
-        picked = picked.wrapping_add(chosen.queue_index);
-    }
-    black_box(picked);
-    let scheduler_scan_ns = started.elapsed().as_nanos() as f64 / SCAN_ROUNDS as f64;
-
-    // The end-to-end yardstick: fig10 quick, no cache — once cold and once
-    // with checkpoint/fork prefix sharing, so the trajectory tracks the
-    // fork path's speedup alongside the kernel timings.
-    let campaign = find_campaign("fig10", &Profile::quick()).expect("fig10 is registered");
-    let fig10 = |fork_prefix: bool| {
-        let runner = CampaignRunner::new()
-            .with_engine(options.engine)
-            .with_fork_prefix(fork_prefix);
-        runner.run(&campaign).map(|summary| summary.wall_ms)
-    };
-    let (fig10_wall_ms, fig10_fork_wall_ms) = match (fig10(false), fig10(true)) {
-        (Ok(cold), Ok(forked)) => (cold, forked),
-        (Err(error), _) | (_, Err(error)) => {
-            eprintln!("error: fig10 bench run failed: {error}");
-            return 1;
-        }
-    };
-
-    // The multi-channel yardstick: the 4-channel slice of the scaling
-    // campaign, cold — the run whose wall clock the channel-sharded
-    // execution work targets.
-    let mut scaling = find_campaign("scaling", &Profile::quick()).expect("scaling is registered");
-    scaling
-        .scenarios
-        .retain(|scenario| scenario.name.starts_with("ch4/"));
-    assert!(
-        !scaling.scenarios.is_empty(),
-        "the scaling campaign lost its 4-channel cells"
-    );
-    let runner = CampaignRunner::new().with_engine(options.engine);
-    let scaling_4ch_wall_ms = match runner.run(&scaling) {
-        Ok(summary) => summary.wall_ms,
-        Err(error) => {
-            eprintln!("error: scaling 4ch bench run failed: {error}");
-            return 1;
-        }
-    };
-
-    println!("wheel round:          {wheel_push_pop_ns:.1} ns/round ({WHEEL_ROUNDS} rounds)");
-    println!(
-        "bank min-reduce:      {bank_min_reduce_ns:.1} ns/call over {} banks",
-        org.total_banks()
-    );
-    println!(
-        "scheduler scan:       {scheduler_scan_ns:.1} ns/call over {SCAN_CANDIDATES} candidates"
-    );
-    println!("fig10 quick no-cache: {fig10_wall_ms:.1} ms");
-    println!("fig10 quick forked:   {fig10_fork_wall_ms:.1} ms");
-    println!("scaling quick 4ch:    {scaling_4ch_wall_ms:.1} ms");
-
-    if let Some(path) = &options.append {
-        let mut entry = trajectory::base_entry(options.commit.as_deref());
-        entry.insert("wheel_push_pop_ns".into(), wheel_push_pop_ns.into());
-        entry.insert("bank_min_reduce_ns".into(), bank_min_reduce_ns.into());
-        entry.insert("scheduler_scan_ns".into(), scheduler_scan_ns.into());
-        entry.insert("fig10_quick_wall_ms".into(), fig10_wall_ms.into());
-        entry.insert("fig10_quick_fork_wall_ms".into(), fig10_fork_wall_ms.into());
-        entry.insert(
-            "scaling_quick_4ch_wall_ms".into(),
-            scaling_4ch_wall_ms.into(),
-        );
-        if let Err(error) = trajectory::append(path, entry) {
-            eprintln!("error: cannot append to {}: {error}", path.display());
-            return 1;
-        }
-        println!("appended measurement to {}", path.display());
-    }
-    0
-}
-
-/// `prac-bench bench trajectory`: renders the recorded perf trajectories
-/// (default `BENCH_sim.json` + `BENCH_store.json`) as the markdown tables
-/// embedded in the README's "Perf trajectory" section.
-fn trajectory_report(options: &Options) -> i32 {
-    let sim_path = options
-        .names
-        .get(1)
-        .map_or_else(|| PathBuf::from("BENCH_sim.json"), PathBuf::from);
-    let store_path = options
-        .names
-        .get(2)
-        .map_or_else(|| PathBuf::from("BENCH_store.json"), PathBuf::from);
-    let sim = match trajectory::load(&sim_path) {
-        Ok(entries) => entries,
-        Err(error) => {
-            eprintln!("error: cannot read {}: {error}", sim_path.display());
-            return 1;
-        }
-    };
-    let store = match trajectory::load(&store_path) {
-        Ok(entries) => entries,
-        Err(error) => {
-            eprintln!("error: cannot read {}: {error}", store_path.display());
-            return 1;
-        }
-    };
-    print!("{}", trajectory::render_markdown(&sim, &store));
-    0
 }
 
 fn print_summary(name: &str, summary: &RunSummary) {
@@ -1272,6 +905,8 @@ mod tests {
     fn rejects_unknown_options_and_commands() {
         assert!(parse(&args(&["run", "--bogus"])).is_err());
         assert!(parse(&args(&["frobnicate"])).is_err());
+        assert!(parse(&args(&["bench", "sim"])).is_err());
+        assert!(parse(&args(&["store", "stats", "--append", "x.json"])).is_err());
     }
 
     #[test]
@@ -1368,30 +1003,6 @@ mod tests {
         assert_eq!(run_cli(&args(&["help"])), 0);
         assert_eq!(run_cli(&args(&["run", "no-such-campaign"])), 2);
         assert_eq!(run_cli(&args(&["run"])), 2);
-    }
-
-    #[test]
-    fn parses_bench_subcommands_and_commit() {
-        let options = parse(&args(&[
-            "bench",
-            "sim",
-            "--append",
-            "BENCH_sim.json",
-            "--commit",
-            "abc1234",
-        ]))
-        .unwrap();
-        assert_eq!(options.command, Command::Bench);
-        assert_eq!(options.names, vec!["sim".to_string()]);
-        assert_eq!(options.append, Some(PathBuf::from("BENCH_sim.json")));
-        assert_eq!(options.commit, Some("abc1234".to_string()));
-        let options = parse(&args(&["bench", "trajectory", "a.json", "b.json"])).unwrap();
-        assert_eq!(options.command, Command::Bench);
-        assert_eq!(options.names, args(&["trajectory", "a.json", "b.json"]));
-        assert!(parse(&args(&["store", "bench", "--commit"])).is_err());
-        // `bench` without a recognised action is a usage error, not a panic.
-        assert_eq!(run_cli(&args(&["bench"])), 2);
-        assert_eq!(run_cli(&args(&["bench", "frobnicate"])), 2);
     }
 
     #[test]

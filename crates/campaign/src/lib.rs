@@ -18,8 +18,8 @@
 //!   move between machines as store bundles,
 //! * [`artifact`] — the [`ArtifactStore`] writing per-campaign
 //!   `results.json` / `results.csv` under `target/campaigns/`,
-//! * [`runner`] — the [`CampaignRunner`] fanning cache misses out over the
-//!   work-stealing pool with per-scenario timing and progress,
+//! * [`runner`] — the [`CampaignRunner`] fanning cache misses out over
+//!   scoped worker threads with per-scenario timing and progress,
 //! * [`registry`] — every paper figure/table as a registered campaign
 //!   (`fig03` … `fig14`, `table2`, `table5`, `storage`) plus the
 //!   beyond-paper sweeps (`defenses`, `scaling`, and the adversarial
@@ -49,7 +49,6 @@ pub mod registry;
 pub mod runner;
 pub mod scenario;
 pub mod serve;
-pub mod trajectory;
 
 pub use artifact::{ArtifactPaths, ArtifactStore};
 pub use cache::{CachedResult, ResultCache};

@@ -1,7 +1,7 @@
 //! The parallel campaign runner.
 //!
 //! Splits a campaign into cached hits and cells that must execute, fans the
-//! misses out over [`system_sim::parallel_map`]'s work-stealing pool with
+//! misses out over [`system_sim::parallel_map`]'s scoped threads with
 //! per-scenario timing and live progress lines, stores fresh results back
 //! into the cache, and writes the JSON/CSV artifacts.
 
@@ -253,7 +253,7 @@ impl CampaignRunner {
             );
         }
 
-        // Phase 2: fan the misses out over the work-stealing pool.  With
+        // Phase 2: fan the misses out over the worker threads.  With
         // prefix sharing on, perf cells that differ only in their mitigation
         // setup travel as one work unit so the group executor can simulate
         // their common prefix once; everything else stays per-cell.

@@ -41,58 +41,17 @@
 //!    credits those cycles in bulk, keeping IPC bit-identical.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::system::{SystemResult, SystemSimulation};
 
-/// Who registered a wake-up with a default-shaped ([`EventWheel::new`])
-/// wheel.
-///
-/// The engine's own wheel is built with [`EventWheel::with_slots`] and
-/// addresses slots directly (fixed cluster/forwarding slots followed by one
-/// slot per channel controller); this enum remains the addressing scheme
-/// for three-slot wheels in tests and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventSource {
-    /// The CPU cluster (earliest retire or issue opportunity).
-    Cluster = 0,
-    /// A memory controller (completions, refresh, RFM engines, demand).
-    Controller = 1,
-    /// The system glue: backlog requests waiting for controller queue space.
-    Forwarding = 2,
-}
-
-/// Number of distinct [`EventSource`]s.
-const SOURCES: usize = 3;
-
-/// Slot counts up to this many are served by a direct linear min-scan over
-/// the slab, with no heap index at all.  The engine's three sources fit
-/// comfortably; a scan over a handful of slots beats paying heap churn on
-/// every re-registration.
-const LINEAR_SLOTS_MAX: usize = 8;
-
-/// One wake-up slot in the wheel's slab: the armed tick (if any) and the
-/// generation that invalidates older heap-index entries.
-#[derive(Debug, Clone, Copy, Default)]
-struct WheelSlot {
-    armed_at: Option<u64>,
-    generation: u64,
-}
-
 /// A monotonic slab-backed event wheel holding one pending wake-up per
-/// source.
+/// slot.
 ///
-/// The slab (`slots`) is the single source of truth: re-registering a source
-/// overwrites its slot in place.  Small wheels (up to `LINEAR_SLOTS_MAX` (8)
-/// slots — including the engine's three [`EventSource`]s) answer
-/// [`EventWheel::next_after`] with a branch-predictable linear min-scan and
-/// never touch a heap.  Larger wheels (built with [`EventWheel::with_slots`])
-/// keep a lazy binary-heap *index* over the slab: stale entries are
-/// invalidated by the per-slot generation and discarded on pop, and a
-/// compaction pass rebuilds the heap from the slab whenever the stale
-/// backlog exceeds [`EventWheel::occupancy_bound`], so occupancy stays
-/// bounded by the live slot count regardless of re-registration pattern.
+/// The slab is the single source of truth: re-registering a slot
+/// overwrites it in place, and [`EventWheel::next_after`] answers with a
+/// branch-predictable linear min-scan over it.  The engine's wheel holds
+/// two fixed slots plus one per channel controller, so the scan stays a
+/// handful of entries and never pays heap churn on re-registration.
 ///
 /// Time never moves backwards: the wheel panics in debug builds if a
 /// wake-up is registered at or before the last tick it handed out.
@@ -103,35 +62,19 @@ struct WheelSlot {
 /// never required for correctness.
 #[derive(Debug, Clone)]
 pub struct EventWheel {
-    /// The slab: current wake-up per slot (the truth).
-    slots: Vec<WheelSlot>,
-    /// Lazy min-heap index of `(tick, slot, generation)` entries; empty and
-    /// unused when the slot count is within [`LINEAR_SLOTS_MAX`].
-    heap: BinaryHeap<Reverse<(u64, u32, u64)>>,
+    /// The slab: current wake-up per slot (`None` when disarmed).
+    slots: Vec<Option<u64>>,
     /// The last tick returned by [`EventWheel::next_after`].
     horizon: u64,
 }
 
-impl Default for EventWheel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EventWheel {
-    /// Creates an empty wheel at tick 0 with one slot per [`EventSource`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_slots(SOURCES)
-    }
-
-    /// Creates an empty wheel at tick 0 with `slots` generic slots,
-    /// addressed via [`EventWheel::reregister_slot`].
+    /// Creates an empty wheel at tick 0 with `slots` slots, addressed via
+    /// [`EventWheel::reregister_slot`].
     #[must_use]
     pub fn with_slots(slots: usize) -> Self {
         Self {
-            slots: vec![WheelSlot::default(); slots],
-            heap: BinaryHeap::new(),
+            slots: vec![None; slots],
             horizon: 0,
         }
     }
@@ -142,11 +85,6 @@ impl EventWheel {
         self.slots.len()
     }
 
-    /// Registers (or replaces) the wake-up of `source`; `None` disarms it.
-    pub fn reregister(&mut self, source: EventSource, tick: Option<u64>) {
-        self.reregister_slot(source as usize, tick);
-    }
-
     /// Registers (or replaces) the wake-up of slot `slot`; `None` disarms
     /// it.
     ///
@@ -155,55 +93,29 @@ impl EventWheel {
     /// Panics when `slot` is out of range, and in debug builds when `tick`
     /// is at or before the wheel's horizon.
     pub fn reregister_slot(&mut self, slot: usize, tick: Option<u64>) {
-        let entry = &mut self.slots[slot];
-        entry.generation += 1;
-        entry.armed_at = tick;
         if let Some(tick) = tick {
             debug_assert!(
                 tick > self.horizon,
                 "wake-up for slot {slot} at {tick} is not after the horizon {}",
                 self.horizon
             );
-            if self.slots.len() > LINEAR_SLOTS_MAX {
-                let generation = self.slots[slot].generation;
-                self.heap.push(Reverse((
-                    tick,
-                    u32::try_from(slot).expect("slot count fits in u32"),
-                    generation,
-                )));
-                self.maybe_compact();
-            }
         }
+        self.slots[slot] = tick;
     }
 
     /// Returns the earliest armed wake-up strictly after `now`, or `None`
-    /// when every source is disarmed.  Advances the wheel's horizon.
+    /// when every slot is disarmed.  Advances the wheel's horizon.
     pub fn next_after(&mut self, now: u64) -> Option<u64> {
-        if self.slots.len() <= LINEAR_SLOTS_MAX {
-            // Slab scan: no heap, no pops, no stale entries to launder.
-            let mut min: Option<u64> = None;
-            for slot in &self.slots {
-                if let Some(tick) = slot.armed_at {
-                    if tick > now && min.is_none_or(|m| tick < m) {
-                        min = Some(tick);
-                    }
-                }
+        let mut min: Option<u64> = None;
+        for &tick in self.slots.iter().flatten() {
+            if tick > now && min.is_none_or(|m| tick < m) {
+                min = Some(tick);
             }
-            if let Some(tick) = min {
-                self.horizon = tick;
-            }
-            return min;
         }
-        while let Some(Reverse((tick, slot, generation))) = self.heap.peek().copied() {
-            let entry = self.slots[slot as usize];
-            if generation != entry.generation || entry.armed_at.is_none() || tick <= now {
-                self.heap.pop();
-                continue;
-            }
+        if let Some(tick) = min {
             self.horizon = tick;
-            return Some(tick);
         }
-        None
+        min
     }
 
     /// The tick slot `slot` is currently armed at, or `None` when the slot
@@ -216,48 +128,13 @@ impl EventWheel {
     /// Panics when `slot` is out of range.
     #[must_use]
     pub fn armed_at(&self, slot: usize) -> Option<u64> {
-        self.slots[slot].armed_at
+        self.slots[slot]
     }
 
-    /// Number of live (non-stale) wake-ups currently armed.
+    /// Number of wake-ups currently armed.
     #[must_use]
     pub fn armed_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.armed_at.is_some()).count()
-    }
-
-    /// Number of entries resident in the wheel's heap index (live + stale).
-    ///
-    /// Always 0 for linear-scan wheels; for heap-indexed wheels this is the
-    /// quantity the compaction guard keeps below
-    /// [`EventWheel::occupancy_bound`].
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Upper bound the compaction guard enforces on
-    /// [`EventWheel::occupancy`]: re-registration patterns that bury stale
-    /// entries under live ones (the unbounded-growth failure mode of pure
-    /// lazy deletion) trigger a rebuild of the heap from the slab once the
-    /// index exceeds twice the slot count (plus slack for tiny wheels).
-    #[must_use]
-    pub fn occupancy_bound(&self) -> usize {
-        2 * self.slots.len() + 8
-    }
-
-    /// Rebuilds the heap index from the slab when lazily-deleted entries
-    /// have accumulated past [`EventWheel::occupancy_bound`].
-    fn maybe_compact(&mut self) {
-        if self.heap.len() <= self.occupancy_bound() {
-            return;
-        }
-        self.heap.clear();
-        for (slot, entry) in self.slots.iter().enumerate() {
-            if let Some(tick) = entry.armed_at {
-                self.heap
-                    .push(Reverse((tick, slot as u32, entry.generation)));
-            }
-        }
+        self.slots.iter().filter(|s| s.is_some()).count()
     }
 }
 
@@ -346,29 +223,29 @@ mod tests {
 
     #[test]
     fn wheel_returns_earliest_armed_wakeup() {
-        let mut wheel = EventWheel::new();
-        wheel.reregister(EventSource::Cluster, Some(50));
-        wheel.reregister(EventSource::Controller, Some(20));
-        wheel.reregister(EventSource::Forwarding, None);
+        let mut wheel = EventWheel::with_slots(3);
+        wheel.reregister_slot(0, Some(50));
+        wheel.reregister_slot(1, Some(20));
+        wheel.reregister_slot(2, None);
         assert_eq!(wheel.armed_count(), 2);
         assert_eq!(wheel.next_after(0), Some(20));
     }
 
     #[test]
     fn reregistration_replaces_previous_wakeup() {
-        let mut wheel = EventWheel::new();
-        wheel.reregister(EventSource::Controller, Some(20));
-        wheel.reregister(EventSource::Controller, Some(400));
+        let mut wheel = EventWheel::with_slots(3);
+        wheel.reregister_slot(1, Some(20));
+        wheel.reregister_slot(1, Some(400));
         assert_eq!(wheel.next_after(0), Some(400), "stale entry must be gone");
-        wheel.reregister(EventSource::Controller, None);
+        wheel.reregister_slot(1, None);
         assert_eq!(wheel.next_after(400), None);
     }
 
     #[test]
     fn entries_at_or_before_now_are_consumed() {
-        let mut wheel = EventWheel::new();
-        wheel.reregister(EventSource::Cluster, Some(10));
-        wheel.reregister(EventSource::Controller, Some(30));
+        let mut wheel = EventWheel::with_slots(3);
+        wheel.reregister_slot(0, Some(10));
+        wheel.reregister_slot(1, Some(30));
         assert_eq!(wheel.next_after(10), Some(30));
     }
 
@@ -376,54 +253,10 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not after the horizon")]
     fn wheel_rejects_wakeups_behind_the_horizon() {
-        let mut wheel = EventWheel::new();
-        wheel.reregister(EventSource::Cluster, Some(100));
+        let mut wheel = EventWheel::with_slots(3);
+        wheel.reregister_slot(0, Some(100));
         assert_eq!(wheel.next_after(0), Some(100));
-        wheel.reregister(EventSource::Controller, Some(99));
-    }
-
-    #[test]
-    fn engine_wheel_never_builds_a_heap_index() {
-        // The three-source wheel the engines use runs in linear-scan mode:
-        // re-registration churn must leave no resident heap entries at all.
-        let mut wheel = EventWheel::new();
-        for t in 0..10_000u64 {
-            wheel.reregister(EventSource::Cluster, Some(t + 1));
-            wheel.reregister(EventSource::Controller, Some(t + 2));
-            wheel.reregister(EventSource::Forwarding, Some(t + 3));
-            assert_eq!(wheel.next_after(t), Some(t + 1));
-        }
-        assert_eq!(wheel.occupancy(), 0);
-    }
-
-    #[test]
-    fn heap_occupancy_stays_bounded_under_reregistration_churn() {
-        // Pure lazy deletion grows without bound when a slot is repeatedly
-        // re-registered to an *earlier* tick than a previous registration:
-        // the stale later entry stays buried below the live minimum and is
-        // never popped.  The compaction guard must keep the index bounded
-        // relative to the live slot count on exactly that pattern.
-        let slots = 64;
-        let mut wheel = EventWheel::with_slots(slots);
-        let mut now = 0;
-        for round in 0..10_000u64 {
-            let base = (round + 1) * 1_000;
-            // First a far wake-up, then a near correction: the far entry
-            // goes stale and would accumulate forever without compaction.
-            for slot in 0..slots {
-                wheel.reregister_slot(slot, Some(base + 900 + slot as u64));
-                wheel.reregister_slot(slot, Some(base + 1 + slot as u64));
-            }
-            assert!(
-                wheel.occupancy() <= wheel.occupancy_bound(),
-                "round {round}: occupancy {} exceeds bound {}",
-                wheel.occupancy(),
-                wheel.occupancy_bound()
-            );
-            assert_eq!(wheel.next_after(now), Some(base + 1));
-            now = base + 1;
-        }
-        assert_eq!(wheel.armed_count(), slots);
+        wheel.reregister_slot(1, Some(99));
     }
 
     #[test]

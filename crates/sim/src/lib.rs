@@ -35,9 +35,9 @@
 //!   refitted to a different mitigation configuration, and resumed
 //!   bit-identically to an uninterrupted run — the campaign runner uses it
 //!   to simulate shared scenario prefixes once and fork per cell.
-//! * [`parallel`] — a work-stealing thread pool used by the campaign runner
-//!   to sweep workloads and configurations concurrently, with a streaming
-//!   variant whose producer can keep feeding the pool while workers run.
+//! * [`parallel`] — the scoped thread pool the campaign runner uses to
+//!   sweep workloads and configurations concurrently, and the channel-shard
+//!   fan-out behind `--sim-threads`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,7 +57,7 @@ pub use experiment::{
     mitigation_registry, run_workload, run_workload_normalized, workload_traces, ExperimentConfig,
     MitigationDescriptor, MitigationSetup, ResolvedMitigation, PARA_DEFAULT_SEED,
 };
-pub use parallel::{parallel_map, parallel_map_streaming};
+pub use parallel::parallel_map;
 pub use snapshot::{fork_horizon, PausedSimulation, PrefixOutcome};
 pub use subsystem::{ChannelStats, MemorySubsystem};
 pub use system::{simulations_built, SystemConfig, SystemResult, SystemSimulation};

@@ -1,155 +1,34 @@
-//! A work-stealing parallel-map used to sweep experiments concurrently.
+//! A scoped thread pool used to sweep experiments concurrently.
 //!
-//! The campaign engine and the bench harness run many independent
-//! (workload × configuration) simulations; [`parallel_map`] fans them out
-//! over a work-stealing thread pool, preserving input order in the output,
-//! and [`parallel_map_streaming`] does the same for inputs that arrive
-//! lazily from an iterator while the workers are already running.
-//!
-//! Each worker owns a deque (pre-loaded with a contiguous chunk of the input
-//! by `parallel_map`; empty under the streaming variant); when a worker
-//! drains its own deque it steals from the shared injector and then from the
-//! other workers, so long-running scenarios at one end of the input cannot
-//! serialise the sweep.  If a worker panics, the original panic payload is
-//! re-raised on the calling thread (not a generic "a scoped thread panicked"
-//! message), and the remaining workers stop picking up new tasks.
-//!
-//! # Shutdown protocol
-//!
-//! With a live producer ([`parallel_map_streaming`]), a worker may only exit
-//! when the producer has finished feeding tasks *and* every produced task
-//! has completed (or a panic aborted the run).  An "every queue looked
-//! empty" scan is **not** a valid exit condition there: a task pushed into
-//! the injector just after the scan would be silently dropped, and the
-//! result assembly would report a missing slot.  The completion counter
-//! closes that race — idle workers re-scan (with a short nap between scans)
-//! until the ledger balances, draining any late-pushed injector work before
-//! shutting down.  [`parallel_map`] pre-loads every task before the workers
-//! start and never re-enqueues, so there an empty scan *is* proof of
-//! completion and drained workers exit immediately.
+//! The campaign engine runs many independent (workload × configuration)
+//! simulations; [`parallel_map`] fans them out over scoped threads that
+//! claim the next input index from one shared atomic counter, so a long
+//! scenario holds up only the thread running it while the others keep
+//! claiming.  Each thread keeps its `(index, result)` pairs locally, and
+//! the pairs are merged back into input order once every thread has
+//! joined.  If a worker panics, the original panic payload is re-raised on
+//! the calling thread (not a generic "a scoped thread panicked" message),
+//! and the remaining workers stop claiming new inputs.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use parking_lot::Mutex;
-
-/// Shared coordination state of one pool run.
-struct PoolState<R> {
-    /// Results by input index; slots are reserved by the producer before the
-    /// corresponding task becomes visible to workers.
-    results: Mutex<Vec<Option<R>>>,
-    /// First panic payload observed in a worker.
-    panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Set on panic: workers stop picking up new tasks.
-    aborted: AtomicBool,
-    /// Tasks made visible to the pool so far.
-    produced: AtomicUsize,
-    /// Tasks fully executed so far.
-    completed: AtomicUsize,
-    /// Whether the producer is done feeding tasks.
-    producer_done: AtomicBool,
+/// Records the first panic payload of a run; later ones are dropped.  The
+/// slot is one `Option` written in a single step, so a poisoned lock still
+/// guards a valid value.
+fn record_panic(slot: &Mutex<Option<Box<dyn Any + Send>>>, payload: Box<dyn Any + Send>) {
+    slot.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get_or_insert(payload);
 }
 
-impl<R> PoolState<R> {
-    fn new() -> Self {
-        Self {
-            results: Mutex::new(Vec::new()),
-            panic_payload: Mutex::new(None),
-            aborted: AtomicBool::new(false),
-            produced: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            producer_done: AtomicBool::new(false),
-        }
-    }
-}
-
-/// One worker's main loop: pop from the local deque, then the injector, then
-/// steal.
-///
-/// `live_producer` selects the exit condition.  With a live producer
-/// (streaming), a worker may only exit once the producer is done *and* the
-/// task ledger balances — an "every queue looked empty" scan could race a
-/// late injector push and drop it.  Without one (`parallel_map`: every task
-/// is visible before the workers start and none is ever re-enqueued), an
-/// empty scan proves the remaining work is already owned by other workers,
-/// so drained workers exit immediately instead of idling until the slowest
-/// task finishes.
-fn worker_loop<T, R, F>(
-    local: &Worker<(usize, T)>,
-    injector: &Injector<(usize, T)>,
-    stealers: &[Stealer<(usize, T)>],
-    state: &PoolState<R>,
-    live_producer: bool,
-    f: &F,
-) where
-    F: Fn(&T) -> R + Send + Sync,
-{
-    while !state.aborted.load(Ordering::Relaxed) {
-        // Own deque first, then the injector, then steal from the other
-        // workers' deques.  `Steal::Retry` signals a race, not emptiness —
-        // per the crossbeam contract the scan must repeat until every source
-        // reports `Empty`.
-        let task = local.pop().or_else(|| loop {
-            let mut contended = false;
-            let steals =
-                std::iter::once(injector.steal()).chain(stealers.iter().map(Stealer::steal));
-            for steal in steals {
-                match steal {
-                    Steal::Success(task) => return Some(task),
-                    Steal::Retry => contended = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !contended {
-                return None;
-            }
-        });
-        match task {
-            Some((index, input)) => match catch_unwind(AssertUnwindSafe(|| f(&input))) {
-                Ok(output) => {
-                    state.results.lock()[index] = Some(output);
-                    state.completed.fetch_add(1, Ordering::Release);
-                }
-                Err(payload) => {
-                    state.panic_payload.lock().get_or_insert(payload);
-                    state.aborted.store(true, Ordering::Relaxed);
-                }
-            },
-            None => {
-                if !live_producer {
-                    break;
-                }
-                // Every queue looked empty, but the producer may still be
-                // feeding (or another worker may be about to finish a task
-                // it popped).  Only a balanced ledger after the producer
-                // finished guarantees nothing is left to drain; until then,
-                // nap briefly rather than busy-spinning against the
-                // producer and the running tasks.
-                if state.producer_done.load(Ordering::Acquire)
-                    && state.completed.load(Ordering::Acquire)
-                        == state.produced.load(Ordering::Acquire)
-                {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
-        }
-    }
-}
-
-/// Unwraps the pool state into ordered results, re-raising a worker panic.
-fn collect<R>(state: PoolState<R>) -> Vec<R> {
-    if let Some(payload) = state.panic_payload.into_inner() {
+/// Re-raises the recorded panic, if any, on the calling thread.
+fn reraise(slot: Mutex<Option<Box<dyn Any + Send>>>) {
+    if let Some(payload) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
         resume_unwind(payload);
     }
-    state
-        .results
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("every task produced a result"))
-        .collect()
 }
 
 /// Applies `f` to every item of `inputs` using up to `workers` threads and
@@ -161,93 +40,59 @@ fn collect<R>(state: PoolState<R>) -> Vec<R> {
 /// `panic!("reason")` inside `f` surfaces as `"reason"` at the call site.
 pub fn parallel_map<T, R, F>(inputs: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
-    F: Fn(&T) -> R + Send + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let n = inputs.len();
     if n == 0 {
         return Vec::new();
     }
     let workers = workers.clamp(1, n);
+    // `Relaxed` suffices for both atomics: the counter's read-modify-write
+    // hands out each index once whatever the ordering, neither publishes
+    // other data, and results reach this thread through the joins.
+    let next = AtomicUsize::new(0);
+    let aborted = AtomicBool::new(false);
+    let panic_payload = Mutex::new(None);
 
-    // Pre-distribute contiguous chunks to per-worker deques for locality;
-    // the injector stays empty and serves stealing (and any future top-up).
-    let locals: Vec<Worker<(usize, T)>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<(usize, T)>> = locals.iter().map(Worker::stealer).collect();
-    let injector: Injector<(usize, T)> = Injector::new();
-    let chunk = n.div_ceil(workers);
-    for (index, input) in inputs.into_iter().enumerate() {
-        locals[(index / chunk).min(workers - 1)].push((index, input));
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while !aborted.load(Ordering::Relaxed) {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(input) = inputs.get(index) else {
+                            break;
+                        };
+                        match catch_unwind(AssertUnwindSafe(|| f(input))) {
+                            Ok(output) => done.push((index, output)),
+                            Err(payload) => {
+                                record_panic(&panic_payload, payload);
+                                aborted.store(true, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker panics are caught in the loop"))
+            .collect()
+    });
+    reraise(panic_payload);
+
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (index, output) in claimed.into_iter().flatten() {
+        slots[index] = Some(output);
     }
-
-    let state: PoolState<R> = PoolState::new();
-    *state.results.lock() = (0..n).map(|_| None).collect();
-    state.produced.store(n, Ordering::Release);
-    state.producer_done.store(true, Ordering::Release);
-
-    std::thread::scope(|scope| {
-        for local in locals {
-            let stealers = &stealers;
-            let injector = &injector;
-            let state = &state;
-            let f = &f;
-            scope.spawn(move || worker_loop(&local, injector, stealers, state, false, f));
-        }
-    });
-
-    collect(state)
-}
-
-/// Like [`parallel_map`], but pulls inputs lazily from an iterator on the
-/// calling thread while the workers are already running, so a slow producer
-/// (scenario generation, trace decoding, I/O) overlaps with execution.
-/// Results come back in production order.
-///
-/// Tasks are fed through the pool's injector as they arrive; the shutdown
-/// protocol guarantees workers drain everything that was pushed — however
-/// late — before exiting.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic with its original payload.  The
-/// producer stops feeding as soon as a panic is observed.
-pub fn parallel_map_streaming<T, R, F, I>(inputs: I, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&T) -> R + Send + Sync,
-    I: IntoIterator<Item = T>,
-{
-    let workers = workers.max(1);
-    let locals: Vec<Worker<(usize, T)>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<(usize, T)>> = locals.iter().map(Worker::stealer).collect();
-    let injector: Injector<(usize, T)> = Injector::new();
-    let state: PoolState<R> = PoolState::new();
-
-    std::thread::scope(|scope| {
-        for local in locals {
-            let stealers = &stealers;
-            let injector = &injector;
-            let state = &state;
-            let f = &f;
-            scope.spawn(move || worker_loop(&local, injector, stealers, state, true, f));
-        }
-        // Produce on the calling thread: reserve the result slot before the
-        // task becomes stealable, then count it, so the ledger can only
-        // balance once every visible task has executed.
-        for (index, input) in inputs.into_iter().enumerate() {
-            if state.aborted.load(Ordering::Relaxed) {
-                break;
-            }
-            state.results.lock().push(None);
-            injector.push((index, input));
-            state.produced.fetch_add(1, Ordering::Release);
-        }
-        state.producer_done.store(true, Ordering::Release);
-    });
-
-    collect(state)
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every input produced a result"))
+        .collect()
 }
 
 /// Applies `f` to every item of `items` in place, fanning contiguous chunks
@@ -259,9 +104,9 @@ where
 /// that share no state, each is mutated independently, and the caller
 /// merges any outputs in item order afterwards — so the observable result
 /// is identical for every thread count.  Unlike [`parallel_map`] there is
-/// no work stealing: one event round's shards are few and similarly sized,
-/// and the per-round latency of chunked scoped spawns is what matters, not
-/// imbalance resilience.
+/// no shared counter: one event round's shards are few and similarly
+/// sized, and the per-round latency of chunked scoped spawns is what
+/// matters, not imbalance resilience.
 ///
 /// # Panics
 ///
@@ -280,7 +125,7 @@ where
         return;
     }
     let chunk = items.len().div_ceil(threads);
-    let panic_payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let panic_payload = Mutex::new(None);
     std::thread::scope(|scope| {
         for shard in items.chunks_mut(chunk) {
             let f = &f;
@@ -291,14 +136,12 @@ where
                         f(item);
                     }
                 })) {
-                    panic_payload.lock().get_or_insert(payload);
+                    record_panic(panic_payload, payload);
                 }
             });
         }
     });
-    if let Some(payload) = panic_payload.into_inner() {
-        resume_unwind(payload);
-    }
+    reraise(panic_payload);
 }
 
 #[cfg(test)]
@@ -356,23 +199,25 @@ mod tests {
         assert_eq!(message, "worker payload 11");
     }
 
-    /// Regression test for the shutdown race: before the completion-counter
-    /// protocol, a worker exited as soon as one scan saw every queue empty.
-    /// With a producer that stalls between pushes, every worker would pass
-    /// that scan during the stall, exit, and the late-pushed tasks would rot
-    /// in the injector (result assembly then hit an unfilled slot).  The
-    /// pool must instead drain the injector however late tasks arrive.
     #[test]
-    fn late_pushed_tasks_are_never_dropped() {
-        let inputs = (0..24u64).inspect(|i| {
-            // Stall the producer long enough that the workers' queues run
-            // dry repeatedly between pushes.
-            if i % 6 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(10));
+    fn every_input_is_claimed_exactly_once() {
+        // A pure `f` cannot tell a double claim from a single one, so count
+        // the calls: uneven durations make the workers race for the counter.
+        let calls: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+        let total = AtomicUsize::new(0);
+        let out = parallel_map((0..200usize).collect(), 8, |&i| {
+            if i % 17 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
             }
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            total.fetch_add(1, Ordering::Relaxed);
+            i
         });
-        let out = parallel_map_streaming(inputs, 4, |x| x * 3);
-        assert_eq!(out, (0..24u64).map(|x| x * 3).collect::<Vec<_>>());
+        assert_eq!(out, (0..200).collect::<Vec<_>>());
+        assert_eq!(total.load(Ordering::Relaxed), 200);
+        for (i, count) in calls.iter().enumerate() {
+            assert_eq!(count.load(Ordering::Relaxed), 1, "input {i}");
+        }
     }
 
     #[test]
@@ -403,27 +248,5 @@ mod tests {
             .downcast_ref::<String>()
             .expect("payload should be the original formatted message");
         assert_eq!(message, "shard payload 7");
-    }
-
-    #[test]
-    fn streaming_with_empty_producer_returns_empty() {
-        let out: Vec<u32> = parallel_map_streaming(std::iter::empty::<u32>(), 4, |x| *x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn streaming_propagates_panics_and_stops_the_producer() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map_streaming(0..1000u32, 2, |x| {
-                assert!(*x != 3, "streaming payload {x}");
-                std::thread::sleep(std::time::Duration::from_micros(50));
-                *x
-            })
-        })
-        .expect_err("a worker panic must propagate");
-        let message = caught
-            .downcast_ref::<String>()
-            .expect("payload should be the original formatted message");
-        assert_eq!(message, "streaming payload 3");
     }
 }

@@ -7,8 +7,7 @@
 //! preimage, e.g. the campaign layer's `sim-r2:{canonical spec JSON}`) plus
 //! an arbitrary JSON *payload*.  The record's key is the stable 64-bit
 //! FNV-1a hash of the identity bytes, which makes the store a drop-in home
-//! for the pre-existing scenario cache keys: same preimage, same key, no
-//! cache entry orphaned by the migration.
+//! for the scenario cache keys: same preimage, same key.
 //!
 //! On disk a store is a directory of append-only newline-delimited segment
 //! files plus a rebuildable index:

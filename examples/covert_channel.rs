@@ -19,7 +19,7 @@ fn main() {
 
     // A reduced sweep of Table 2: both channel variants at two Back-Off
     // thresholds. The full sweep (NBO in {256, 512, 1024}) is regenerated by
-    // `cargo run -p bench --bin table2_covert_channel`.
+    // `cargo run --release --bin prac-bench -- run table2 --full`.
     for nbo in [256u32, 512] {
         for kind in [
             CovertChannelKind::ActivityBased,

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example performance_study`.
 //! The full 50-workload sweep is regenerated by
-//! `cargo run --release -p bench --bin fig10_performance`.
+//! `cargo run --release --bin prac-bench -- run fig10 --full`.
 
 use prac_timing::prelude::*;
 use system_sim::run_workload_normalized;

@@ -20,9 +20,9 @@
 //! | CPU | [`cpu_sim`] | Trace-driven ROB-limited cores with an L1/L2/LLC hierarchy |
 //! | Workloads | [`workloads`] | Synthetic workload suite bucketed by memory intensity, seedable end-to-end, plus the pluggable `AttackPattern` adversary API and its registry |
 //! | Attacks | [`pracleak`] | PRACLeak covert channels, the AES T-table side channel, and the attack-vs-mitigation adversary driver |
-//! | Full system | [`system_sim`] | The simulation harness: multi-channel `MemorySubsystem`, twin tick/event engines, the work-stealing `parallel_map` |
+//! | Full system | [`system_sim`] | The simulation harness: multi-channel `MemorySubsystem`, twin tick/event engines, the scoped-thread `parallel_map` |
 //! | Campaigns | [`campaign`] | Declarative scenario sweeps, result cache, artifacts and the `prac-bench` CLI |
-//! | Bench wrappers | `bench-harness` | The legacy `fig*`/`table*` binaries, now thin wrappers over the campaign registry |
+//! | Microbenches | `bench-harness` | Criterion micro-benchmarks of the simulator kernels and mitigation-queue designs |
 //!
 //! (External dependencies resolve to offline shims under `crates/compat/`;
 //! see that directory's README.)
