@@ -7,8 +7,8 @@
 //! [`crate::agents::MultiAgentRunner`] (serialized dependent accesses, the
 //! flush+access attacker model every experiment in this crate uses) and
 //! distils the run into an [`AdversaryOutcome`].  The runner visits only
-//! the ticks on which the controller or the agent can act: the controller's
-//! `next_event_at` wake-up, the agent's `wake_at` (a burst-gated pattern
+//! the ticks on which the controller or the agent can act: the wake-up the
+//! controller's `poll` returns, the agent's `wake_at` (a burst-gated pattern
 //! sleeps until its `not_before`), and the tick after each completion.  The
 //! outcome is bit-identical to stepping every tick.
 //!

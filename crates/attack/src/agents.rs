@@ -8,23 +8,24 @@
 //!
 //! [`MultiAgentRunner`] multiplexes several agents onto one
 //! [`MemoryController`].  On each tick it visits, it lets every idle agent
-//! enqueue its next access, advances the controller, and routes completions
+//! enqueue its next access, polls the controller, and routes completions
 //! (with their latencies) back to the owning agent.  It does not visit every
 //! tick: after a tick that delivered no completion it jumps straight to the
-//! earliest of the controller's [`MemoryController::next_event_at`], each
-//! idle agent's [`MemoryAgent::wake_at`] and the run's deadline.  A tick
-//! that delivered a completion is always followed by a visit to the next
-//! tick, so the owning agent can issue again.
+//! earliest of the wake-up [`MemoryController::poll`] returned, each idle
+//! agent's [`MemoryAgent::wake_at`] and the run's deadline.  A tick that
+//! delivered a completion is always followed by a visit to the next tick,
+//! so the owning agent can issue again.
 //!
 //! The skipped ticks are exactly those a per-tick loop would spend as pure
 //! no-ops, so every issue tick, completion tick, statistic and RFM log entry
 //! is bit-identical to stepping one tick at a time
 //! (`tests/runner_equivalence.rs` races the two).  That rests on the two
 //! wake-up contracts: the controller's (see
-//! [`MemoryController::next_event_at`]) and the agents'.  An agent's
-//! `wake_at(now)` must never return a tick at or before `now`, and never a
-//! tick later than the first one at which its `next_action` would issue,
-//! finish, or change any state.  Waking early is always safe.
+//! [`MemoryController::next_event_at`], the oracle for `poll`'s wake-up)
+//! and the agents'.  An agent's `wake_at(now)` must never return a tick at
+//! or before `now`, and never a tick later than the first one at which its
+//! `next_action` would issue, finish, or change any state.  Waking early is
+//! always safe.
 
 use memctrl::controller::MemoryController;
 use memctrl::mapping::AddressMapping;
@@ -373,7 +374,7 @@ impl MultiAgentRunner {
             }
             // Advance the controller one tick and deliver completions.
             completions.clear();
-            self.controller.tick_into(self.now, &mut completions);
+            let controller_wake = self.controller.poll(self.now, &mut completions);
             for completion in &completions {
                 let agent_idx = completion.core as usize;
                 if let Some(Some(out)) = outstanding.get(agent_idx) {
@@ -389,7 +390,8 @@ impl MultiAgentRunner {
             }
             self.visited_ticks += 1;
             self.now = if completions.is_empty() {
-                self.next_visit(agents, &outstanding).min(deadline)
+                self.next_visit(agents, &outstanding, controller_wake)
+                    .min(deadline)
             } else {
                 self.now + 1
             };
@@ -398,14 +400,16 @@ impl MultiAgentRunner {
     }
 
     /// The next tick after `now` that needs a visit: the earliest of the
-    /// controller's wake-up and every idle agent's, or `now + 1` once the
-    /// run is finished so the loop can stop where a per-tick loop would.
+    /// controller's wake-up (as its poll at `now` returned it) and every idle
+    /// agent's, or `now + 1` once the run is finished so the loop can stop
+    /// where a per-tick loop would.
     fn next_visit(
         &self,
         agents: &[&mut dyn MemoryAgent],
         outstanding: &[Option<Outstanding>],
+        controller_wake: Option<u64>,
     ) -> u64 {
-        let mut wake = self.controller.next_event_at(self.now).unwrap_or(u64::MAX);
+        let mut wake = controller_wake.unwrap_or(u64::MAX);
         let mut finished = true;
         for (agent, out) in agents.iter().zip(outstanding) {
             if out.is_some() {

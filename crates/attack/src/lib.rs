@@ -13,8 +13,8 @@
 //!   record per-access latencies, plus the multi-agent runner and the
 //!   [`agents::PatternAgent`] bridge driving any pluggable
 //!   [`workloads::attack::AttackPattern`].  The runner is event-driven: it
-//!   jumps from tick to tick along the controller's `next_event_at` and the
-//!   agents' `wake_at` wake-ups.  An agent's `wake_at` must never return a
+//!   jumps from tick to tick along the wake-ups the controller's `poll`
+//!   returns and the agents' `wake_at` wake-ups.  An agent's `wake_at` must never return a
 //!   tick at or before `now`, nor one after the first tick its
 //!   `next_action` would act on.
 //! * [`adversary`] — the attack-vs-mitigation experiment driver behind the

@@ -1,14 +1,13 @@
 //! Criterion micro-benchmarks for the event-core hot paths reshaped by the
 //! data-layout pass: the event engine's wheel round, the branchless
-//! per-device bank min-reduce and the allocation-free FR-FCFS candidate
-//! scan.  CI runs them as the kernel smoke gate; end-to-end and per-layer
+//! per-device bank min-reduce and the controller's FR-FCFS lane pick.  CI runs them as the kernel smoke gate; end-to-end and per-layer
 //! performance is measured by `perfbench/`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_sim::command::DramCommand;
 use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
-use memctrl::scheduler::{FrFcfsScheduler, SchedulerCandidate};
+use memctrl::scheduler::{FrFcfsScheduler, ScanLane};
 use system_sim::event::EventWheel;
 
 /// One event-engine round for a system with `channels` channels, as
@@ -84,34 +83,55 @@ fn bench_bank_min_reduce(c: &mut Criterion) {
     });
 }
 
-/// One FR-FCFS `choose_from` pass over a queue-sized candidate iterator —
-/// the per-poll cost the controller pays, with no per-call allocation.
+/// One [`FrFcfsScheduler::choose_lane`] pass over a full 64-request queue
+/// against a paper-geometry device's open rows — the scan the controller
+/// makes whenever its cached FR-FCFS choice is stale.  A third of the banks
+/// hold a lane's row open, a third hold another row, the rest are closed;
+/// every 32nd request is already in flight.
 fn bench_scheduler_scan(c: &mut Criterion) {
-    let org = dram_sim::org::DramOrganization::ddr5_32gb_quad_rank();
-    let template: Vec<SchedulerCandidate> = (0..64usize)
-        .map(|index| SchedulerCandidate {
-            queue_index: index,
-            address: DramAddress {
-                channel: 0,
-                rank: (index as u32) % org.ranks,
-                bank_group: (index as u32) % org.bank_groups,
-                bank: (index as u32) % org.banks_per_group,
-                row: index as u32,
-                column: 0,
+    let mut device = DramDevice::new(DramDeviceConfig::paper_default());
+    let org = device.config().organization;
+    let lanes: Vec<ScanLane> = (0..64u32)
+        .map(|index| ScanLane {
+            arrival_tick: (97 * u64::from(index)) % 1_024,
+            bank: if index % 32 == 31 {
+                ScanLane::ISSUED
+            } else {
+                (index * 2) % org.total_banks()
             },
-            row_hit: index % 3 == 0,
-            arrival_tick: (97 * index as u64) % 1_024,
+            row: index,
         })
         .collect();
+    for (index, lane) in lanes
+        .iter()
+        .enumerate()
+        .filter(|(i, lane)| i % 3 != 2 && !lane.is_issued())
+    {
+        let addr = DramAddress {
+            channel: 0,
+            rank: lane.bank / org.banks_per_rank(),
+            bank_group: (lane.bank / org.banks_per_group) % org.bank_groups,
+            bank: lane.bank % org.banks_per_group,
+            row: if index % 3 == 0 {
+                lane.row
+            } else {
+                lane.row + 1
+            },
+            column: 0,
+        };
+        device
+            .issue(DramCommand::Activate(addr), index as u64 * 1_000)
+            .unwrap();
+    }
     let scheduler = FrFcfsScheduler::paper_default();
     c.bench_function("scheduler_scan_64cand_x100", |b| {
         b.iter(|| {
             let mut picked = 0usize;
             for _ in 0..100 {
                 let chosen = scheduler
-                    .choose_from(black_box(template.iter().copied()))
+                    .choose_lane(black_box(&lanes), black_box(device.open_rows()))
                     .unwrap();
-                picked = picked.wrapping_add(chosen.queue_index);
+                picked = picked.wrapping_add(chosen);
             }
             black_box(picked)
         });

@@ -62,6 +62,15 @@ pub trait BankActivationView {
     fn bank_count(&self) -> usize;
     /// Activations bank `bank` has accumulated since its last RFM.
     fn activations_since_rfm(&self, bank: usize) -> u32;
+    /// The largest [`BankActivationView::activations_since_rfm`] over every
+    /// bank (0 for a view with no banks).  The default walks the banks; a
+    /// view that tracks the maximum incrementally should override it.
+    fn max_activations_since_rfm(&self) -> u32 {
+        (0..self.bank_count())
+            .map(|bank| self.activations_since_rfm(bank))
+            .max()
+            .unwrap_or(0)
+    }
     /// Cumulative row activations across the whole channel since reset.
     fn total_activations(&self) -> u64;
 }
@@ -284,8 +293,7 @@ impl AcbEngine {
     }
 
     fn wants_rfm(&self, banks: &dyn BankActivationView) -> bool {
-        (0..banks.bank_count())
-            .any(|bank| banks.activations_since_rfm(bank) >= self.bank_activation_threshold)
+        banks.max_activations_since_rfm() >= self.bank_activation_threshold
     }
 }
 

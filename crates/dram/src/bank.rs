@@ -85,6 +85,13 @@ impl BankTimingTable {
         self.open_row.is_empty()
     }
 
+    /// The open row of every bank, indexed by flat bank, with [`ROW_NONE`]
+    /// for a precharged bank.
+    #[must_use]
+    pub fn open_rows(&self) -> &[u32] {
+        &self.open_row
+    }
+
     /// The currently open row of bank `i`, if the bank is active.
     #[must_use]
     pub fn open_row(&self, i: usize) -> Option<u32> {

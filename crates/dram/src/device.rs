@@ -98,6 +98,10 @@ pub struct DramDevice {
     next_counter_reset: u64,
     /// Refreshes serviced so far (for TREF cadence).
     refreshes_seen: u64,
+    /// Largest per-bank `activations_since_rfm` in the channel.  Raised at
+    /// every ACT and zeroed by the two commands that clear every bank's
+    /// count: RFMab and a refresh that performs TREF.
+    max_activations_since_rfm: u32,
     stats: DramStats,
 }
 
@@ -127,6 +131,7 @@ impl DramDevice {
             alert_suppressed_for_acts: 0,
             next_counter_reset,
             refreshes_seen: 0,
+            max_activations_since_rfm: 0,
             config,
             stats: DramStats::default(),
         }
@@ -183,6 +188,20 @@ impl DramDevice {
     pub fn bank(&self, flat_bank: u32) -> BankRef<'_> {
         let i = flat_bank as usize;
         BankRef::new(&self.timings, i, &self.meta[i])
+    }
+
+    /// The open row of every bank, indexed by flat bank, with
+    /// [`crate::bank::ROW_NONE`] for a precharged bank.
+    #[must_use]
+    pub fn open_rows(&self) -> &[u32] {
+        self.timings.open_rows()
+    }
+
+    /// The largest [`BankRef::activations_since_rfm`] over every bank of
+    /// the channel, kept up to date by the device instead of walked.
+    #[must_use]
+    pub fn max_activations_since_rfm(&self) -> u32 {
+        self.max_activations_since_rfm
     }
 
     /// The earliest tick at which *any* bank of the channel can change
@@ -315,6 +334,9 @@ impl DramDevice {
                 self.timings
                     .activate(idx, addr.row, now, &self.config.timing)?;
                 let counter = self.meta[idx].note_activation(addr.row);
+                self.max_activations_since_rfm = self
+                    .max_activations_since_rfm
+                    .max(self.meta[idx].activations_since_rfm());
                 self.rank_next_act[addr.rank as usize] = now + self.config.timing.t_rrd;
                 if self.config.timing.t_faw > 0 {
                     let rank = addr.rank as usize;
@@ -420,6 +442,7 @@ impl DramDevice {
                         self.stats.rows_mitigated_by_tref += 1;
                     }
                 }
+                self.max_activations_since_rfm = 0;
             }
         }
         end
@@ -437,6 +460,7 @@ impl DramDevice {
                 self.stats.rows_mitigated_by_rfm += 1;
             }
         }
+        self.max_activations_since_rfm = 0;
         self.channel_ready_at = self.channel_ready_at.max(end);
         self.stats.rfm_all_bank += 1;
         if self.alert {

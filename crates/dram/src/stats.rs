@@ -42,6 +42,17 @@ impl DramStats {
         self.rows_mitigated_by_rfm + self.rows_mitigated_by_tref
     }
 
+    /// Commands the device accepted: ACT, PRE, RD, WR, REF and RFMab.
+    #[must_use]
+    pub fn total_commands(&self) -> u64 {
+        self.activations
+            + self.precharges
+            + self.reads
+            + self.writes
+            + self.refreshes
+            + self.rfm_all_bank
+    }
+
     /// Merges another statistics block into this one (used when aggregating
     /// across devices or runs).
     pub fn merge(&mut self, other: &DramStats) {

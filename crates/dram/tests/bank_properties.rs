@@ -17,6 +17,10 @@
 //!    greater than `t` — the event-driven engine relies on this to sleep
 //!    without re-polling.
 //!
+//! 4. **The ACB maximum is exact.**  The device's running maximum of the
+//!    per-bank activations since the last RFM equals the walk over every
+//!    bank after any ACT/PRE/RFMab/REF sequence, with TREF on and off.
+//!
 //! The proptest shim replays a fixed number of deterministically seeded
 //! cases, so failures reproduce bit-for-bit across runs and machines.
 
@@ -303,7 +307,57 @@ fn drive_two_rank_device(t_faw: u64, steps: &[DeviceStep]) {
     }
 }
 
+/// Replays a random ACT/PRE/RFMab/REF stream against one device and checks
+/// after every step that the device's running
+/// `max_activations_since_rfm()` equals the walk over its banks.  With TREF
+/// on, every second refresh clears every bank's count as an RFM does.
+fn drive_activation_maximum(tref_every_n_refreshes: Option<u32>, steps: &[DeviceStep]) {
+    let mut config = DramDeviceConfig::tiny_for_tests(PracConfig::paper_default());
+    config.tref_every_n_refreshes = tref_every_n_refreshes;
+    let org = config.organization;
+    let mut device = DramDevice::new(config);
+    let banks = org.total_banks();
+    let mut now = 0u64;
+    for &(_, cmd_sel, bank_sel, row, delta) in steps {
+        now += delta;
+        let flat = u32::from(bank_sel) % banks;
+        let addr = DramAddress::new(
+            &org,
+            flat / org.banks_per_rank(),
+            (flat / org.banks_per_group) % org.bank_groups,
+            flat % org.banks_per_group,
+            row % org.rows_per_bank,
+            0,
+        );
+        let command = match cmd_sel % 8 {
+            0..=3 => DramCommand::Activate(addr),
+            4 | 5 => DramCommand::Precharge(addr),
+            6 => DramCommand::RfmAllBank,
+            _ => DramCommand::Refresh,
+        };
+        let _ = device.issue(command, now);
+        let walked = (0..banks)
+            .map(|bank| device.bank(bank).activations_since_rfm())
+            .max()
+            .expect("a device has at least one bank");
+        assert_eq!(
+            device.max_activations_since_rfm(),
+            walked,
+            "running maximum disagrees with the bank walk after {command:?} at {now}"
+        );
+    }
+}
+
 proptest! {
+    #[test]
+    fn activation_maximum_matches_the_bank_walk(
+        steps in collection::vec((0u8..1, 0u8..8, 0u8..8, 0u32..64, 0u64..200), 1..300),
+    ) {
+        for tref in [None, Some(2)] {
+            drive_activation_maximum(tref, &steps);
+        }
+    }
+
     #[test]
     fn device_min_reduce_and_ordering_hold_across_channel_counts(
         steps in collection::vec((0u8..8, 0u8..4, 0u8..8, 0u32..64, 0u64..120), 1..200),

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::mapping::{AddressMapping, ChannelInterleave, MappingKind, RankInterleave};
 use crate::request::{CompletedRequest, MemoryRequest, RequestKind};
 use crate::rfm::{AboResponder, RfmKind};
-use crate::scheduler::{FrFcfsScheduler, SchedulerCandidate};
+use crate::scheduler::{FrFcfsScheduler, ScanLane, SchedulerCandidate};
 use crate::stats::ControllerStats;
 
 /// Row-buffer management policy.
@@ -98,6 +98,13 @@ pub struct MemoryController {
     mapping: Box<dyn AddressMapping>,
     scheduler: FrFcfsScheduler,
     pending: Vec<PendingRequest>,
+    /// The scheduler's compact view of `pending`, position for position.
+    lanes: Vec<ScanLane>,
+    /// The FR-FCFS choice for the current state, `None` when stale.  It
+    /// depends only on the pending set and its queue positions, the open
+    /// rows and the hit streak, so it stays valid until an enqueue, an
+    /// accepted device command or a completion removal.
+    choice: Option<DemandChoice>,
     stats: ControllerStats,
     policy: MitigationPolicy,
     /// Next tick at which a periodic refresh is due.
@@ -122,12 +129,12 @@ pub struct MemoryController {
     next_completion: u64,
     /// Polls served by [`MemoryController::poll`] (telemetry only).
     polls: u64,
-    /// FR-FCFS demand scans made by ticks and polls (telemetry only).
+    /// FR-FCFS demand scans: misses of the `choice` cache (telemetry only).
     demand_scans: u64,
 }
 
-/// The FR-FCFS choice a tick made, `(queue index, command)`, or `None` when
-/// the queue held no candidate.
+/// The FR-FCFS choice, `(queue index, command)`, or `None` when the queue
+/// holds no candidate.
 type DemandChoice = Option<(usize, DramCommand)>;
 
 /// Maximum number of RFM-log entries retained.
@@ -148,6 +155,19 @@ impl BankActivationView for DeviceView<'_> {
         self.device
             .bank(u32::try_from(bank).expect("bank index fits u32"))
             .activations_since_rfm()
+    }
+
+    fn max_activations_since_rfm(&self) -> u32 {
+        let max = self.device.max_activations_since_rfm();
+        debug_assert_eq!(
+            max,
+            (0..self.device.bank_count())
+                .map(|bank| self.device.bank(bank).activations_since_rfm())
+                .max()
+                .unwrap_or(0),
+            "the device's running maximum disagrees with the bank walk"
+        );
+        max
     }
 
     fn total_activations(&self) -> u64 {
@@ -198,6 +218,8 @@ impl MemoryController {
             mapping,
             scheduler,
             pending: Vec::with_capacity(config.queue_capacity),
+            lanes: Vec::with_capacity(config.queue_capacity),
+            choice: None,
             stats: ControllerStats::default(),
             policy,
             next_refresh,
@@ -299,9 +321,11 @@ impl MemoryController {
         self.polls
     }
 
-    /// Number of FR-FCFS demand scans ticks and polls have made so far (a
-    /// poll scans once when its wake-up can reuse the tick's choice, twice
-    /// otherwise).  Telemetry only, like [`MemoryController::polls`].
+    /// Number of FR-FCFS demand scans made so far.  The controller caches
+    /// its choice and rescans only after something it depends on changed:
+    /// an enqueue, a command the device accepted, or a completed request
+    /// leaving the queue.  A poll with no such change since the last one
+    /// scans nothing.  Telemetry only, like [`MemoryController::polls`].
     #[must_use]
     pub fn demand_scans(&self) -> u64 {
         self.demand_scans
@@ -346,6 +370,12 @@ impl MemoryController {
             request.physical_address
         );
         let bank = address.flat_bank(&self.device.config().organization);
+        self.lanes.push(ScanLane {
+            arrival_tick: request.arrival_tick,
+            bank,
+            row: address.row,
+        });
+        self.choice = None;
         self.pending.push(PendingRequest {
             request,
             address,
@@ -364,10 +394,20 @@ impl MemoryController {
         }
     }
 
+    /// Issues `cmd` to the device.  Every accepted command can change the
+    /// open rows or the hit streak, so it drops the cached demand choice.
+    fn issue_command(&mut self, cmd: DramCommand, now: u64) -> Result<u64, IssueError> {
+        let result = self.device.issue(cmd, now);
+        if result.is_ok() {
+            self.choice = None;
+        }
+        result
+    }
+
     /// Issues an RFMab if the device accepts it, recording its kind.
     /// Returns the end of the blocking period on success.
     fn try_issue_rfm(&mut self, now: u64, kind: RfmKind) -> Option<u64> {
-        match self.device.issue(DramCommand::RfmAllBank, now) {
+        match self.issue_command(DramCommand::RfmAllBank, now) {
             Ok(end) => {
                 self.record_rfm(now, kind);
                 Some(end)
@@ -387,8 +427,12 @@ impl MemoryController {
     /// [`MemoryController::tick`] with a caller-owned completion buffer:
     /// appends this tick's completions to `completed` instead of allocating
     /// a fresh `Vec` per tick.
+    ///
+    /// An oracle for [`MemoryController::poll`], which is the stepping call:
+    /// it drops the cached FR-FCFS choice first, so the tick scans afresh.
     pub fn tick_into(&mut self, now: u64, completed: &mut Vec<CompletedRequest>) {
-        let _ = self.tick_choosing(now, completed);
+        self.choice = None;
+        self.step(now, completed);
     }
 
     /// One tick followed by the wake-up after it: appends this tick's
@@ -396,39 +440,27 @@ impl MemoryController {
     /// [`MemoryController::tick_into`] followed by
     /// [`MemoryController::next_event_at`] would.
     ///
-    /// This is the hot-loop entry point — the memory subsystem polls a
-    /// controller at every one of its wake-ups.  Fusing the two halves lets
-    /// the wake-up reuse the tick's FR-FCFS choice instead of scanning the
-    /// queue a second time whenever nothing the choice depends on (the
-    /// queue, the open rows, the hit streak) changed after the tick's scan.
+    /// This is the stepping call — the memory subsystem and the PRACLeak
+    /// agent runner poll a controller at every one of its wake-ups.  The
+    /// tick and the wake-up both read the cached FR-FCFS choice, which is
+    /// rescanned only after an enqueue, an accepted device command or a
+    /// completion removal (see [`MemoryController::demand_scans`]), so a
+    /// poll in which nothing issues scans nothing at all.
     pub fn poll(&mut self, now: u64, completed: &mut Vec<CompletedRequest>) -> Option<u64> {
         self.polls += 1;
-        let choice = match self.tick_choosing(now, completed) {
-            Some(choice) => choice,
-            None => {
-                self.demand_scans += 1;
-                self.chosen_demand_command()
-            }
-        };
+        self.step(now, completed);
+        let choice = self.chosen_demand_command();
         let wake = self.wake_after(now, choice);
         debug_assert_eq!(
             wake,
             self.next_event_at(now),
-            "fused wake-up diverged from next_event_at at tick {now}"
+            "polled wake-up diverged from next_event_at at tick {now}"
         );
         wake
     }
 
-    /// The tick proper.  Returns the FR-FCFS choice the demand scheduler made
-    /// when it is still the choice a fresh scan would make after the tick:
-    /// the tick reached demand scheduling (no refresh or RFM was issued),
-    /// the device rejected the attempted command (or there was none), and
-    /// the trailing completion pass removed nothing.  `None` otherwise.
-    fn tick_choosing(
-        &mut self,
-        now: u64,
-        completed: &mut Vec<CompletedRequest>,
-    ) -> Option<DemandChoice> {
+    /// The tick proper: completions, then at most one command.
+    fn step(&mut self, now: u64, completed: &mut Vec<CompletedRequest>) {
         self.collect_completions_into(now, completed);
 
         // 1. Periodic refresh has the highest priority once due.
@@ -437,31 +469,28 @@ impl MemoryController {
             && self.device.can_issue(&DramCommand::Refresh, now).is_ok()
         {
             let performs_tref = self.device.next_refresh_performs_tref();
-            if self.device.issue(DramCommand::Refresh, now).is_ok() {
+            if self.issue_command(DramCommand::Refresh, now).is_ok() {
                 self.stats.refreshes_issued += 1;
                 self.next_refresh += self.device.config().timing.t_refi;
                 self.mitigation.note_refresh(now);
                 if performs_tref {
                     self.mitigation.note_targeted_refresh(now);
                 }
-                return None;
+                return;
             }
         }
         // Refresh due but channel blocked: fall through and retry next tick.
 
         // 2. Mitigation policies (RFM engines).
         if self.drive_rfm_engines(now) {
-            return None;
+            return;
         }
 
         // 3. Demand scheduling.
-        self.demand_scans += 1;
-        let choice = self.chosen_demand_command();
-        let issued = choice.is_some_and(|(index, cmd)| self.issue_demand(now, index, cmd));
-
-        let before = completed.len();
+        if let Some((index, cmd)) = self.chosen_demand_command() {
+            self.issue_demand(now, index, cmd);
+        }
         self.collect_completions_into(now, completed);
-        (!issued && completed.len() == before).then_some(choice)
     }
 
     /// Runs the ABO responder and the mitigation engine; returns `true` when
@@ -517,16 +546,35 @@ impl MemoryController {
     }
 
     /// The command the FR-FCFS demand scheduler would attempt right now, as
-    /// `(queue index, command)`.  Pure: both the per-tick scheduling path and
-    /// the event engine's wake-up computation derive from this one function,
-    /// which is what keeps the two engines cycle-exact.
-    fn chosen_demand_command(&self) -> DemandChoice {
-        if self.pending.is_empty() {
-            return None;
-        }
-        // Stream the candidates straight out of the pending queue: this runs
-        // on every scheduling poll *and* every wake-up computation, so it
-        // must not allocate a candidate list per call.
+    /// `(queue index, command)`: the cached choice, or a fresh
+    /// [`FrFcfsScheduler::choose_lane`] scan that refills the cache.  Both
+    /// the tick's scheduling step and the wake-up computation read it, which
+    /// is what keeps the per-tick and the event-driven paths cycle-exact.
+    fn chosen_demand_command(&mut self) -> DemandChoice {
+        let choice = match self.choice {
+            Some(choice) => choice,
+            None => {
+                self.demand_scans += 1;
+                let choice = self
+                    .scheduler
+                    .choose_lane(&self.lanes, self.device.open_rows())
+                    .map(|index| (index, self.demand_command(index)));
+                self.choice = Some(choice);
+                choice
+            }
+        };
+        debug_assert_eq!(
+            choice,
+            self.scanned_demand_command(),
+            "the cached FR-FCFS choice diverged from a fresh scan"
+        );
+        choice
+    }
+
+    /// The oracle for [`MemoryController::chosen_demand_command`]: a fresh
+    /// [`FrFcfsScheduler::choose_from`] scan over the pending queue, with no
+    /// cache and no lanes.
+    fn scanned_demand_command(&self) -> DemandChoice {
         let candidates = self
             .pending
             .iter()
@@ -542,23 +590,27 @@ impl MemoryController {
                 }
             });
         let index = self.scheduler.choose_from(candidates)?.queue_index;
+        Some((index, self.demand_command(index)))
+    }
+
+    /// The command pending request `index` needs next: RD/WR when its row
+    /// is open, PRE on a row conflict, ACT when the bank is closed.
+    fn demand_command(&self, index: usize) -> DramCommand {
         let pending = &self.pending[index];
         let addr = pending.address;
-        let cmd = match self.device.bank(pending.bank).open_row() {
+        match self.device.bank(pending.bank).open_row() {
             Some(row) if row == addr.row => match pending.request.kind {
                 RequestKind::Read => DramCommand::Read(addr),
                 RequestKind::Write => DramCommand::Write(addr),
             },
             Some(_) => DramCommand::Precharge(addr),
             None => DramCommand::Activate(addr),
-        };
-        Some((index, cmd))
+        }
     }
 
     /// Issues the command the FR-FCFS scheduler chose for pending request
-    /// `index` (PRE, ACT, or RD/WR).  Returns `true` when the device accepted
-    /// it.
-    fn issue_demand(&mut self, now: u64, index: usize, cmd: DramCommand) -> bool {
+    /// `index` (PRE, ACT, or RD/WR), if the device accepts it.
+    fn issue_demand(&mut self, now: u64, index: usize, cmd: DramCommand) {
         let bank = self.pending[index].bank;
         // The hit-streak update is committed only when the device accepts a
         // command: rejected attempts leave the scheduler (and therefore the
@@ -570,11 +622,12 @@ impl MemoryController {
                 // a timing constraint or the row having been closed between
                 // candidate collection and issue (e.g. by a refresh); both
                 // retry on a later tick.
-                let Ok(done) = self.device.issue(cmd, now) else {
-                    return false;
+                let Ok(done) = self.issue_command(cmd, now) else {
+                    return;
                 };
                 self.scheduler.note_scheduled(bank, true);
                 self.next_completion = self.next_completion.min(done);
+                self.lanes[index].bank = ScanLane::ISSUED;
                 let entry = &mut self.pending[index];
                 entry.completion_tick = Some(done);
                 // Classify the whole request by what it needed.
@@ -589,28 +642,27 @@ impl MemoryController {
                     // Best effort immediate precharge; if it violates
                     // timing it will simply be retried by a later
                     // conflict/miss path.
-                    let _ = self.device.issue(DramCommand::Precharge(addr), done);
+                    let _ = self.issue_command(DramCommand::Precharge(addr), done);
                 }
             }
             DramCommand::Precharge(_) => {
                 // Row conflict: precharge first.
-                if self.device.issue(cmd, now).is_err() {
-                    return false;
+                if self.issue_command(cmd, now).is_err() {
+                    return;
                 }
                 self.scheduler.note_scheduled(bank, false);
                 self.pending[index].had_conflict = true;
             }
             DramCommand::Activate(_) => {
                 // Row closed: activate.
-                if self.device.issue(cmd, now).is_err() {
-                    return false;
+                if self.issue_command(cmd, now).is_err() {
+                    return;
                 }
                 self.scheduler.note_scheduled(bank, false);
                 self.pending[index].needed_activate = true;
             }
             _ => unreachable!("demand scheduling only produces RD/WR/PRE/ACT"),
         }
-        true
     }
 
     /// Earliest tick strictly after `now` at which [`MemoryController::tick`]
@@ -632,15 +684,18 @@ impl MemoryController {
     ///   timing deadlines, deferred-RFM retries),
     /// * the obfuscation injection check,
     /// * the next command the FR-FCFS demand scheduler would attempt.
+    ///
+    /// An oracle for the wake-up [`MemoryController::poll`] returns: it
+    /// ignores the cached FR-FCFS choice and scans the queue afresh with
+    /// [`FrFcfsScheduler::choose_from`].
     #[must_use]
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        self.wake_after(now, self.chosen_demand_command())
+        self.wake_after(now, self.scanned_demand_command())
     }
 
     /// The wake-up computation behind [`MemoryController::next_event_at`]
     /// and [`MemoryController::poll`], given the FR-FCFS choice for the
-    /// current state: a fresh scan, or the tick's own when
-    /// [`MemoryController::tick_choosing`] vouches that it is still current.
+    /// current state.
     fn wake_after(&self, now: u64, choice: DemandChoice) -> Option<u64> {
         fn earlier(wake: &mut Option<u64>, candidate: u64) {
             *wake = Some(wake.map_or(candidate, |w| w.min(candidate)));
@@ -708,6 +763,8 @@ impl MemoryController {
             if let Some(done) = self.pending[i].completion_tick {
                 if done <= now {
                     let p = self.pending.swap_remove(i);
+                    self.lanes.swap_remove(i);
+                    self.choice = None;
                     let record = CompletedRequest {
                         id: p.request.id,
                         core: p.request.core,
@@ -1149,6 +1206,70 @@ mod tests {
             assert_eq!(skipping.rfm_log(), stepping.rfm_log());
             assert!(skipping.stats().total_rfms() > 0, "{:?}", skipping.stats());
         }
+    }
+
+    /// Polls at `now`, returning the FR-FCFS scans, the accepted commands
+    /// and the completions that poll added.
+    fn poll_deltas(ctrl: &mut MemoryController, now: u64) -> (u64, u64, usize) {
+        let commands = |ctrl: &MemoryController| ctrl.device().stats().total_commands();
+        let (scans, before) = (ctrl.demand_scans(), commands(ctrl));
+        let mut done = Vec::new();
+        let _ = ctrl.poll(now, &mut done);
+        (
+            ctrl.demand_scans() - scans,
+            commands(ctrl) - before,
+            done.len(),
+        )
+    }
+
+    #[test]
+    fn polls_rescan_only_after_a_state_change() {
+        let mut ctrl = tiny_controller(MitigationPolicy::AboOnly);
+        // The first poll scans the empty queue; an idle repeat reuses it.
+        assert_eq!(poll_deltas(&mut ctrl, 0), (1, 0, 0));
+        assert_eq!(poll_deltas(&mut ctrl, 1), (0, 0, 0));
+        // An enqueue forces a rescan (here the ACT it leads to, another).
+        let pa = physical_for(&ctrl, 0, 0, 3, 1);
+        assert!(ctrl.enqueue(MemoryRequest::read(1, pa, 0, 2)));
+        assert_eq!(poll_deltas(&mut ctrl, 2), (2, 1, 0));
+        // From here on every poll reuses the choice unless it issued a
+        // command (one rescan for the wake-up) or completed the request.
+        let mut completions = 0;
+        for now in 3..2_000 {
+            let (scans, commands, completed) = poll_deltas(&mut ctrl, now);
+            match (commands, completed) {
+                (0, 0) => assert_eq!(scans, 0, "tick {now}: nothing changed"),
+                (1, 0) => assert_eq!(scans, 1, "tick {now}: one command"),
+                (0, 1) => {
+                    assert_eq!(scans, 1, "tick {now}: a completion rescans");
+                    completions += 1;
+                }
+                other => panic!("tick {now}: unexpected poll {other:?}"),
+            }
+        }
+        assert_eq!(completions, 1);
+
+        // A refresh and an RFM each force a rescan of the (empty) queue.
+        let prac = PracConfig::builder().rowhammer_threshold(1024).build();
+        let device_config = DramDeviceConfig::tiny_for_tests(prac);
+        let t_refi = device_config.timing.t_refi;
+        let mut refreshing = MemoryController::new(device_config, ControllerConfig::default());
+        let prac = PracConfig::builder()
+            .rowhammer_threshold(1024)
+            .policy(MitigationPolicy::PeriodicRfm { every_trefi: 1 })
+            .build();
+        let config = ControllerConfig {
+            refresh_enabled: false,
+            ..ControllerConfig::default()
+        };
+        let mut rfm = MemoryController::new(DramDeviceConfig::tiny_for_tests(prac), config);
+        for ctrl in [&mut refreshing, &mut rfm] {
+            assert_eq!(poll_deltas(ctrl, 0), (1, 0, 0));
+            assert_eq!(poll_deltas(ctrl, t_refi - 1), (0, 0, 0));
+            assert_eq!(poll_deltas(ctrl, t_refi), (1, 1, 0));
+        }
+        assert_eq!(refreshing.stats().refreshes_issued, 1);
+        assert_eq!(rfm.stats().periodic_rfms, 1);
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! row-miss requests, so — following the paper's configuration ("FR-FCFS with
 //! a cap of 4") — after `cap` consecutive hits to the same bank the scheduler
 //! falls back to the oldest request.
+//!
+//! The controller's hot path is [`FrFcfsScheduler::choose_lane`]: a pick
+//! over one compact [`ScanLane`] per pending request, compared against the
+//! device's raw open-row array.  [`FrFcfsScheduler::choose_from`] over
+//! [`SchedulerCandidate`]s is the reference both must agree with; the
+//! controller `debug_assert`s that agreement on every choice it uses.  The
+//! choice is a pure function of the lanes (and their queue positions), the
+//! open rows and the hit streak, which is what lets the controller cache it
+//! until one of the three changes.
 
 use dram_sim::org::DramAddress;
 use serde::{Deserialize, Serialize};
@@ -23,6 +32,32 @@ pub struct SchedulerCandidate {
     pub row_hit: bool,
     /// Arrival tick (for FCFS ordering).
     pub arrival_tick: u64,
+}
+
+/// The scheduler's view of one pending request, kept by the controller in
+/// a `Vec` parallel to its pending queue: 16 bytes, so a 64-entry queue
+/// scans in sixteen cache lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanLane {
+    /// Arrival tick (for FCFS ordering).
+    pub arrival_tick: u64,
+    /// Flat index of the target bank, or [`ScanLane::ISSUED`] once the
+    /// request's column command has been issued.
+    pub bank: u32,
+    /// Target row.
+    pub row: u32,
+}
+
+impl ScanLane {
+    /// The `bank` marker of a request that is in flight and no longer a
+    /// scheduling candidate.
+    pub const ISSUED: u32 = u32::MAX;
+
+    /// Whether the request's column command has been issued.
+    #[must_use]
+    pub fn is_issued(&self) -> bool {
+        self.bank == Self::ISSUED
+    }
 }
 
 /// FR-FCFS scheduler state.
@@ -105,6 +140,31 @@ impl FrFcfsScheduler {
         })
     }
 
+    /// [`FrFcfsScheduler::choose_from`] over the controller's compact lanes:
+    /// returns the queue position of the chosen request.
+    ///
+    /// Lane `i` is the request at queue position `i`; issued lanes are
+    /// skipped, and a lane is a row hit when `open_rows[lane.bank]` (the
+    /// device's raw open-row array, [`dram_sim::bank::ROW_NONE`] for a
+    /// closed bank) equals its row.  Each class (row hits, then every
+    /// unissued lane) is picked in two passes: a branch-free min-reduce of
+    /// the arrival ticks, then the first lane in queue order holding that
+    /// tick.  That is the first minimum of `(arrival_tick, queue position)`,
+    /// exactly as `choose_from` breaks ties.
+    #[must_use]
+    pub fn choose_lane(&self, lanes: &[ScanLane], open_rows: &[u32]) -> Option<usize> {
+        // `ScanLane::ISSUED` is out of range of any bank array, so an issued
+        // lane is never a hit.
+        let is_hit = |lane: &ScanLane| open_rows.get(lane.bank as usize) == Some(&lane.row);
+        let hits_allowed = self.cap == 0 || self.consecutive_hits < self.cap;
+        if hits_allowed {
+            if let Some(hit) = first_oldest(lanes, is_hit) {
+                return Some(hit);
+            }
+        }
+        first_oldest(lanes, |lane| !lane.is_issued())
+    }
+
     /// Records that a command for the chosen candidate was accepted by the
     /// device, updating the consecutive-hit streak.  The streak counts
     /// *serviced* scheduling decisions, so attempts rejected by DRAM timing
@@ -128,6 +188,24 @@ impl FrFcfsScheduler {
     }
 }
 
+/// The position of the first lane in `lanes` that passes `keep` and has the
+/// smallest arrival tick among those that do.
+fn first_oldest(lanes: &[ScanLane], keep: impl Fn(&ScanLane) -> bool) -> Option<usize> {
+    let oldest = lanes
+        .iter()
+        .map(|lane| {
+            if keep(lane) {
+                lane.arrival_tick
+            } else {
+                u64::MAX
+            }
+        })
+        .min()?;
+    lanes
+        .iter()
+        .position(|lane| lane.arrival_tick == oldest && keep(lane))
+}
+
 impl Default for FrFcfsScheduler {
     fn default() -> Self {
         Self::paper_default()
@@ -138,6 +216,8 @@ impl Default for FrFcfsScheduler {
 mod tests {
     use super::*;
     use dram_sim::org::DramOrganization;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn candidate(
         queue_index: usize,
@@ -275,6 +355,101 @@ mod tests {
                     s.choose_from(list.iter().copied()).map(|c| c.queue_index),
                     s.choose(list).map(|c| c.queue_index),
                     "streak {hits_so_far}, list {list:?}"
+                );
+            }
+        }
+    }
+
+    /// `choose_from` over the candidates the controller would stream out of
+    /// `lanes`: the unissued ones, at their queue positions.
+    fn reference_pick(s: &FrFcfsScheduler, lanes: &[ScanLane], open_rows: &[u32]) -> Option<usize> {
+        let org = DramOrganization::tiny_for_tests();
+        let candidates = lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, lane)| !lane.is_issued())
+            .map(|(i, lane)| SchedulerCandidate {
+                queue_index: i,
+                address: DramAddress::new(&org, 0, 0, 0, lane.row, 0),
+                row_hit: open_rows[lane.bank as usize] == lane.row,
+                arrival_tick: lane.arrival_tick,
+            });
+        s.choose_from(candidates).map(|c| c.queue_index)
+    }
+
+    #[test]
+    fn lane_pick_keeps_the_first_minimum_on_ties() {
+        use dram_sim::bank::ROW_NONE;
+        let lane = |arrival_tick, bank, row| ScanLane {
+            arrival_tick,
+            bank,
+            row,
+        };
+        let open_rows = [7, ROW_NONE];
+        // Three equally old requests: two hits on bank 0, one miss on the
+        // closed bank 1, and an issued lane that must be ignored.
+        let lanes = [
+            lane(3, 1, 7),
+            lane(3, 0, 7),
+            lane(1, ScanLane::ISSUED, 7),
+            lane(3, 0, 7),
+        ];
+        let s = FrFcfsScheduler::new(4);
+        assert_eq!(s.choose_lane(&lanes, &open_rows), Some(1), "first hit");
+        let mut capped = FrFcfsScheduler::new(1);
+        capped.note_scheduled(0, true);
+        assert_eq!(
+            capped.choose_lane(&lanes, &open_rows),
+            Some(0),
+            "first oldest"
+        );
+        assert_eq!(s.choose_lane(&lanes[2..3], &open_rows), None, "only issued");
+    }
+
+    proptest! {
+        /// The lane pick the controller calls agrees with `choose_from` on
+        /// random queues: arrival ties, issued lanes, positions renumbered by
+        /// `swap_remove`, open and closed banks, every streak from 0 to
+        /// cap + 1, and cap 0.
+        #[test]
+        fn lane_pick_matches_choose_from(
+            queue in collection::vec((0u64..6, 0u32..4, 0u32..3, 0u8..4), 0..40),
+            removals in collection::vec(0usize..64, 0..12),
+            open in collection::vec(0u32..4, 4..5),
+            cap in 0u32..6,
+        ) {
+            use dram_sim::bank::ROW_NONE;
+            // Row 3 never matches a lane row, so it stands for a closed bank.
+            let open_rows: Vec<u32> = open
+                .iter()
+                .map(|&row| if row == 3 { ROW_NONE } else { row })
+                .collect();
+            let mut lanes: Vec<ScanLane> = queue
+                .iter()
+                .map(|&(arrival_tick, bank, row, issued)| ScanLane {
+                    arrival_tick,
+                    bank: if issued == 0 { ScanLane::ISSUED } else { bank },
+                    row,
+                })
+                .collect();
+            for &at in &removals {
+                if !lanes.is_empty() {
+                    lanes.swap_remove(at % lanes.len());
+                }
+            }
+            for streak in 0..=cap + 1 {
+                let mut s = FrFcfsScheduler::new(cap);
+                for _ in 0..streak {
+                    s.note_scheduled(0, true);
+                }
+                prop_assert_eq!(
+                    s.choose_lane(&lanes, &open_rows),
+                    reference_pick(&s, &lanes, &open_rows),
+                    "cap {}, streak {}, lanes {:?}, open rows {:?}",
+                    cap,
+                    streak,
+                    lanes,
+                    open_rows
                 );
             }
         }

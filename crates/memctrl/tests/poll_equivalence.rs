@@ -2,9 +2,12 @@
 //! [`MemoryController::tick_into`] followed by
 //! [`MemoryController::next_event_at`].
 //!
-//! `poll` reuses the tick's FR-FCFS choice for its wake-up and skips the
-//! completion walk until an in-flight request is due, so it must be
-//! indistinguishable from the two-call path it replaces.  Two races check
+//! `poll` reads a cached FR-FCFS choice (picked over the controller's compact
+//! scan lanes) for both its tick and its wake-up, and skips the completion
+//! walk until an in-flight request is due.  The oracle keeps none of that:
+//! `tick_into` drops the cache before it ticks, and `next_event_at` scans
+//! the queue afresh with `FrFcfsScheduler::choose_from`.  So the two must be
+//! indistinguishable.  Two races check
 //! that under every mitigation setup, hammering and mixed traffic:
 //!
 //! * **lock-step** — a controller and its clone see the same requests on
@@ -314,8 +317,17 @@ fn sweep(device: &DramDeviceConfig, nbo: u32, traffic: Traffic, seed: u64, ticks
             "{label}: too little traffic completed: {:?}",
             polled.stats()
         );
-        // Every poll scans at most twice, and most reuse the tick's scan.
-        assert!(polled.demand_scans() < 2 * polled.polls(), "{label}");
+        // The cached choice is rescanned at most once per change of what it
+        // depends on: an enqueue, an accepted command or a completion.
+        let stats = polled.stats();
+        let completions = stats.reads_completed + stats.writes_completed;
+        let enqueues = completions + polled.pending_requests() as u64;
+        let commands = polled.device().stats().total_commands();
+        assert!(
+            polled.demand_scans() <= 1 + commands + enqueues + completions,
+            "{label}: {} scans",
+            polled.demand_scans()
+        );
         if matches!(traffic, Traffic::Hammer) {
             assert!(polled.stats().total_rfms() > 0, "{label}: no RFMs issued");
         }

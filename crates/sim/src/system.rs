@@ -673,9 +673,10 @@ mod tests {
         assert!(!ticked.rfm_log.is_empty() || ticked.controller_stats.total_rfms() == 0);
     }
 
-    /// The event engine ticks only the cores that are due and lets most
-    /// controller polls reuse their tick's FR-FCFS scan; the tick engine
-    /// ticks every core on every cycle.  Both still agree bit for bit.
+    /// The event engine ticks only the cores that are due, and the
+    /// controller rescans its FR-FCFS choice only after an enqueue, an
+    /// accepted DRAM command or a completion; the tick engine ticks every
+    /// core on every cycle.  Both still agree bit for bit.
     #[test]
     fn event_engine_skips_idle_cores_and_repeat_scans() {
         let traces = || {
@@ -696,17 +697,22 @@ mod tests {
             let sim = paused.simulation();
             let cycles: u64 = sim.cluster().core_stats().iter().map(|s| s.cycles).sum();
             let controller = sim.memory().controller(0);
+            let stats = controller.stats();
+            let completions = stats.reads_completed + stats.writes_completed;
+            let enqueues = completions + controller.pending_requests() as u64;
+            let commands = controller.device().stats().total_commands();
             let counts = (
                 sim.visited_steps(),
                 sim.cluster().core_ticks(),
                 cycles,
                 controller.polls(),
                 controller.demand_scans(),
+                1 + commands + enqueues + completions,
             );
             (counts, paused.resume())
         };
 
-        let ((steps, core_ticks, cycles, _, _), result) = counters(EngineKind::Tick);
+        let ((steps, core_ticks, cycles, _, _, _), result) = counters(EngineKind::Tick);
         assert_eq!(result, ticked);
         assert_eq!(steps, last);
         assert_eq!(
@@ -714,7 +720,8 @@ mod tests {
             "the tick engine ticks every core every cycle"
         );
 
-        let ((steps, core_ticks, cycles, polls, scans), result) = counters(EngineKind::Event);
+        let ((steps, core_ticks, cycles, polls, scans, state_changes), result) =
+            counters(EngineKind::Event);
         assert_eq!(result, ticked, "engines must be cycle-exact");
         assert!(steps < last);
         assert!(
@@ -722,9 +729,11 @@ mod tests {
             "{core_ticks} core ticks over {steps} visited steps"
         );
         assert!(core_ticks < cycles);
+        // One scan at most per change of what the choice depends on.
+        assert!(polls > 0, "the controller was never polled");
         assert!(
-            polls > 0 && scans < 2 * polls,
-            "{scans} scans over {polls} polls"
+            scans <= state_changes,
+            "{scans} scans over {polls} polls but only {state_changes} state changes"
         );
     }
 
