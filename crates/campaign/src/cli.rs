@@ -36,7 +36,6 @@ struct Options {
     attack: Option<AttackKind>,
     workers: Option<usize>,
     engine: EngineKind,
-    fork_prefix: bool,
     sim_threads: usize,
     no_cache: bool,
     out_dir: Option<PathBuf>,
@@ -115,11 +114,6 @@ OPTIONS:
     --engine <E>      Simulation engine: `event` (default) jumps between
                       component wake-ups; `tick` is the legacy per-cycle
                       loop.  Results are bit-identical either way.
-    --fork-prefix <M> `on` (default) groups performance cells that differ
-                      only in their mitigation setup, simulates their shared
-                      traces/baseline/prefix once and forks per cell; `off`
-                      runs every cell cold.  Results are bit-identical
-                      either way.
     --sim-threads <N> Worker threads stepping due memory channels of one
                       event round in parallel inside each simulation
                       (default 1: sequential).  Multiplies with --workers.
@@ -153,7 +147,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         attack: None,
         workers: None,
         engine: EngineKind::default(),
-        fork_prefix: true,
         sim_threads: 1,
         no_cache: false,
         out_dir: None,
@@ -241,20 +234,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     return Err("--sim-threads must be at least 1".to_string());
                 }
                 options.sim_threads = sim_threads;
-            }
-            "--fork-prefix" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--fork-prefix requires `on` or `off`".to_string())?;
-                options.fork_prefix = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(format!(
-                            "unknown --fork-prefix value `{other}` (use `on` or `off`)"
-                        ))
-                    }
-                };
             }
             "--out" => {
                 options.out_dir = Some(
@@ -517,7 +496,6 @@ fn run_command(options: &Options) -> i32 {
         let mut runner = CampaignRunner::new()
             .with_progress(true)
             .with_engine(options.engine)
-            .with_fork_prefix(options.fork_prefix)
             .with_sim_threads(options.sim_threads)
             .with_artifacts(ArtifactStore::new(&artifact_root));
         if let Some(workers) = options.workers {

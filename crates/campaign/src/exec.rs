@@ -8,6 +8,7 @@
 use dram_sim::device::DramDeviceConfig;
 use dram_sim::DeviceProfile;
 use prac_core::config::MitigationPolicy;
+use prac_core::error::ConfigError;
 use prac_core::overhead::{rfm_interval_register_bits, StorageModel};
 use prac_core::security::{figure7_windows, CounterResetPolicy, SecurityAnalysis};
 use prac_core::timing::DramTimingSummary;
@@ -20,8 +21,8 @@ use pracleak::setup::AttackSetup;
 use pracleak::side_channel::SideChannelExperiment;
 use serde_json::{Map, Value};
 use system_sim::{
-    energy_overhead_for, run_workload_normalized, AttackKind, EngineKind, ExperimentConfig,
-    MitigationSetup,
+    energy_overhead_for, workload_traces, AttackKind, EngineKind, ExperimentConfig,
+    MitigationSetup, SystemConfig, SystemResult, SystemSimulation,
 };
 use workloads::MemoryIntensity;
 
@@ -30,35 +31,27 @@ use crate::scenario::ScenarioSpec;
 /// Banks blocked by one all-bank RFM in the energy model (one DDR5 channel).
 const BANKS_PER_RFM: u32 = 128;
 
-/// Runs a scenario with the default (event-driven) engine and returns its
-/// metrics as a flat JSON object.
+/// Runs a scenario with the default (event-driven) engine on one thread and
+/// returns its metrics as a flat JSON object.
 #[must_use]
 pub fn execute(spec: &ScenarioSpec) -> Map {
-    execute_with(spec, EngineKind::default())
+    execute_with(spec, EngineKind::default(), 1)
 }
 
-/// Runs a scenario under an explicit simulation engine.
+/// Runs a scenario under an explicit simulation engine and worker-thread
+/// count for parallel channel stepping.
 ///
-/// The engine is an execution knob, not part of the scenario's identity: the
-/// two engines produce bit-identical results (enforced by the differential
-/// suite), so cached metrics remain valid across engines and the engine is
-/// deliberately excluded from the cache key.
+/// Both are execution knobs, not part of the scenario's identity: every
+/// engine and thread count produces bit-identical metrics (enforced by the
+/// differential suite's engine and thread-count races), so cached results
+/// remain valid across them and both are deliberately excluded from the
+/// cache key.
 #[must_use]
-pub fn execute_with(spec: &ScenarioSpec, engine: EngineKind) -> Map {
-    execute_sharded(spec, engine, 1)
-}
-
-/// [`execute_with`] with an explicit worker-thread count for parallel
-/// channel stepping.
-///
-/// Like the engine, the thread count is an execution knob: every value
-/// produces bit-identical metrics (enforced by the thread-count race in the
-/// differential suite), so cached results remain valid across thread counts
-/// and `sim_threads` is deliberately excluded from the cache key.
-#[must_use]
-pub fn execute_sharded(spec: &ScenarioSpec, engine: EngineKind, sim_threads: usize) -> Map {
+pub fn execute_with(spec: &ScenarioSpec, engine: EngineKind, sim_threads: usize) -> Map {
     match spec {
-        ScenarioSpec::Perf(perf) => execute_perf(perf, engine, sim_threads),
+        ScenarioSpec::Perf(perf) => execute_perf_group(&[perf.as_ref()], engine, sim_threads)
+            .pop()
+            .expect("a group of one yields one result"),
         ScenarioSpec::AboLatency {
             prac_level,
             nbo,
@@ -97,7 +90,7 @@ pub fn execute_sharded(spec: &ScenarioSpec, engine: EngineKind, sim_threads: usi
 }
 
 /// The [`ExperimentConfig`] a perf cell resolves to, optionally with its
-/// setup swapped (the prefix-group executor derives the baseline and each
+/// setup swapped (the group executor derives the baseline and each
 /// protected leg from the same cell template).
 fn perf_experiment_config(
     perf: &crate::scenario::PerfScenario,
@@ -124,10 +117,7 @@ fn perf_experiment_config(
 /// specified (e.g. no safe TB-Window for the threshold): the failure is
 /// recorded as the cell's result instead of silently running a different
 /// configuration.
-fn perf_config_error(
-    perf: &crate::scenario::PerfScenario,
-    error: &prac_core::error::ConfigError,
-) -> Map {
+fn perf_config_error(perf: &crate::scenario::PerfScenario, error: &ConfigError) -> Map {
     let mut m = Map::new();
     m.insert("setup".into(), perf.setup.label().into());
     m.insert("nrh".into(), perf.rowhammer_threshold.into());
@@ -136,30 +126,18 @@ fn perf_config_error(
     m
 }
 
-fn execute_perf(
-    perf: &crate::scenario::PerfScenario,
-    engine: EngineKind,
-    sim_threads: usize,
-) -> Map {
-    let config = perf_experiment_config(perf, perf.setup.clone(), engine, sim_threads);
-    let (normalized, protected, baseline) =
-        match run_workload_normalized(&config, &perf.workload.workload, perf.seed) {
-            Ok(outcome) => outcome,
-            Err(error) => return perf_config_error(perf, &error),
-        };
-    perf_metrics(perf, normalized, &protected, &baseline)
-}
-
 /// Renders one perf cell's flat metric map from its protected and baseline
-/// runs.  Both the cold path ([`execute_perf`]) and the prefix-group path
-/// ([`execute_perf_group`]) feed this exact function, so grouped execution
-/// cannot drift from the per-cell schema.
+/// runs.
 fn perf_metrics(
     perf: &crate::scenario::PerfScenario,
-    normalized: f64,
-    protected: &system_sim::SystemResult,
-    baseline: &system_sim::SystemResult,
+    protected: &SystemResult,
+    baseline: &SystemResult,
 ) -> Map {
+    let normalized = if baseline.total_ipc() > 0.0 {
+        protected.total_ipc() / baseline.total_ipc()
+    } else {
+        0.0
+    };
     let energy = energy_overhead_for(baseline, protected, BANKS_PER_RFM);
 
     // Metric fields here are additive-only without a SIM_REVISION bump:
@@ -283,65 +261,58 @@ fn perf_metrics(
 }
 
 /// Executes a group of perf cells that differ only in their mitigation
-/// setup, sharing as much simulation work as bit-identity allows.  Returns
-/// one metric map per input cell, in input order, each byte-identical to
-/// what [`execute`] would have produced cold.
+/// setup, returning one metric map per input cell, in input order.  A lone
+/// cell is a group of one.
 ///
-/// Shared work, from cheapest to most aggressive:
+/// The group shares what does not depend on the setup: the **traces** are
+/// generated once, and **the baseline leg** (the normalisation denominator
+/// every cell needs) runs once instead of once per cell.  Every protected
+/// leg then runs cold from the shared traces, so each cell's metrics are
+/// exactly those of its own baseline and protected runs.
 ///
-/// 1. **Traces** are generated once — they depend on every sweep parameter
-///    *except* the setup.
-/// 2. **The baseline leg** (the normalisation denominator every cell needs)
-///    runs once instead of once per cell.
-/// 3. **The common prefix** of the protected legs is simulated once under
-///    the mitigation-free baseline configuration, paused at the group's
-///    minimum [`system_sim::fork_horizon`], and forked per cell: each fork
-///    is refitted to its cell's mitigation configuration and resumed.
-///
-/// Cells whose horizon is zero (PARA can mitigate on the very first
-/// activation) run their protected leg cold from the shared traces, and any
-/// fork whose prefix turns out not to be mitigation-free falls back to a
-/// cold run — sharing is a pure wall-clock optimisation, never a semantic
-/// one.
+/// A cell whose configuration cannot be built (e.g. no safe TB-Window for
+/// its threshold) records the error deterministically instead of running a
+/// different configuration; when the shared baseline cannot be built,
+/// every cell records its own error, or the baseline's.
 #[must_use]
 pub fn execute_perf_group(
     perfs: &[&crate::scenario::PerfScenario],
     engine: EngineKind,
-) -> Vec<Map> {
-    execute_perf_group_sharded(perfs, engine, 1)
-}
-
-/// [`execute_perf_group`] with an explicit worker-thread count for parallel
-/// channel stepping (an execution knob like the engine — every value yields
-/// byte-identical metric maps).
-#[must_use]
-pub fn execute_perf_group_sharded(
-    perfs: &[&crate::scenario::PerfScenario],
-    engine: EngineKind,
     sim_threads: usize,
 ) -> Vec<Map> {
-    use system_sim::{fork_horizon, workload_traces, PrefixOutcome, SystemSimulation};
-
-    if perfs.len() <= 1 {
-        return perfs
-            .iter()
-            .map(|perf| execute_perf(perf, engine, sim_threads))
-            .collect();
-    }
-    let template = perfs[0];
+    let Some(template) = perfs.first() else {
+        return Vec::new();
+    };
     let baseline_config = perf_experiment_config(
         template,
         MitigationSetup::BaselineNoAbo,
         engine,
         sim_threads,
     );
-    let Ok(baseline_system) = baseline_config.build_system_config() else {
-        // The baseline itself cannot be configured (e.g. an invalid channel
-        // count): every cell fails identically, so record each cold.
-        return perfs
-            .iter()
-            .map(|perf| execute_perf(perf, engine, sim_threads))
-            .collect();
+    // Each cell's protected system, or `None` when its setup is the
+    // baseline and the baseline leg doubles as its protected run.
+    let legs: Vec<Result<Option<SystemConfig>, ConfigError>> = perfs
+        .iter()
+        .map(|perf| {
+            if perf.setup == MitigationSetup::BaselineNoAbo {
+                return Ok(None);
+            }
+            perf_experiment_config(perf, perf.setup.clone(), engine, sim_threads)
+                .build_system_config()
+                .map(Some)
+        })
+        .collect();
+    let baseline_system = match baseline_config.build_system_config() {
+        Ok(system) => system,
+        Err(baseline_error) => {
+            return perfs
+                .iter()
+                .zip(legs)
+                .map(|(perf, leg)| {
+                    perf_config_error(perf, leg.as_ref().err().unwrap_or(&baseline_error))
+                })
+                .collect();
+        }
     };
     let traces = workload_traces(
         &baseline_config,
@@ -349,94 +320,18 @@ pub fn execute_perf_group_sharded(
         &template.workload.workload,
         template.seed,
     );
-
-    // Resolve every cell up front: its protected system configuration (or
-    // the deterministic config-error result) and its fork horizon.
-    let mut results: Vec<Option<Map>> = vec![None; perfs.len()];
-    let mut legs: Vec<(usize, system_sim::SystemConfig, u64)> = Vec::new();
-    for (slot, perf) in perfs.iter().enumerate() {
-        if perf.setup == MitigationSetup::BaselineNoAbo {
-            // Handled below: the baseline leg doubles as this cell's
-            // protected run.
-            continue;
-        }
-        let config = perf_experiment_config(perf, perf.setup.clone(), engine, sim_threads);
-        match config.build_system_config() {
-            Ok(system) => {
-                let horizon = fork_horizon(&system.device);
-                legs.push((slot, system, horizon));
-            }
-            Err(error) => results[slot] = Some(perf_config_error(perf, &error)),
-        }
-    }
-
-    // Run the shared baseline leg, pausing at the shortest fork horizon so
-    // the paused state can seed every forkable protected leg.
-    let pause_at = legs
+    let baseline = SystemSimulation::new(baseline_system, traces.clone()).run();
+    perfs
         .iter()
-        .filter(|(_, _, horizon)| *horizon > 0)
-        .map(|(_, _, horizon)| *horizon)
-        .min();
-    let (baseline, prefix) = match pause_at {
-        Some(pause) => {
-            match SystemSimulation::new(baseline_system.clone(), traces.clone()).run_until(pause) {
-                PrefixOutcome::Paused(prefix) if prefix.is_mitigation_free() => {
-                    // The baseline leg itself resumes from the prefix (it
-                    // *is* the prefix's configuration, so no refit needed).
-                    (prefix.fork().resume(), Some(prefix))
-                }
-                PrefixOutcome::Paused(prefix) => {
-                    // A mitigation fired under the disabled policy — should
-                    // be impossible, but sharing must fail safe: finish the
-                    // baseline from the prefix and run everything else cold.
-                    (prefix.resume(), None)
-                }
-                // The run ended before the first horizon: the completed
-                // result is exactly the cold baseline run.
-                PrefixOutcome::Finished(result) => (result, None),
+        .zip(legs)
+        .map(|(perf, leg)| match leg {
+            Err(error) => perf_config_error(perf, &error),
+            Ok(None) => perf_metrics(perf, &baseline, &baseline),
+            Ok(Some(system)) => {
+                let protected = SystemSimulation::new(system, traces.clone()).run();
+                perf_metrics(perf, &protected, &baseline)
             }
-        }
-        None => (
-            SystemSimulation::new(baseline_system, traces.clone()).run(),
-            None,
-        ),
-    };
-
-    // Protected legs: fork the prefix where the horizon allows, cold
-    // otherwise.
-    for (slot, system, horizon) in legs {
-        let forked = prefix
-            .as_ref()
-            .filter(|prefix| horizon >= prefix.now() && prefix.now() > 0)
-            .map(|prefix| {
-                let mut fork = prefix.fork();
-                fork.refit_mitigation(&system.device.prac, system.device.tref_every_n_refreshes);
-                fork.resume()
-            });
-        let protected =
-            forked.unwrap_or_else(|| SystemSimulation::new(system, traces.clone()).run());
-        let normalized = if baseline.total_ipc() > 0.0 {
-            protected.total_ipc() / baseline.total_ipc()
-        } else {
-            0.0
-        };
-        results[slot] = Some(perf_metrics(perfs[slot], normalized, &protected, &baseline));
-    }
-
-    // Baseline cells: the shared baseline run is both of their legs.
-    for (slot, perf) in perfs.iter().enumerate() {
-        if results[slot].is_none() {
-            let normalized = if baseline.total_ipc() > 0.0 {
-                baseline.total_ipc() / baseline.total_ipc()
-            } else {
-                0.0
-            };
-            results[slot] = Some(perf_metrics(perf, normalized, &baseline, &baseline));
-        }
-    }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every cell produced a result"))
+        })
         .collect()
 }
 
@@ -588,12 +483,21 @@ fn execute_side_channel(
     defended: bool,
     seed: u64,
 ) -> Map {
+    let mut m = Map::new();
+    m.insert("k0".into(), u64::from(k0).into());
+    m.insert("defended".into(), defended.into());
     let policy = if defended {
         let timing = DramTimingSummary::ddr5_8000b();
-        let tprac =
-            TpracConfig::solve_for_threshold(nbo, &timing, CounterResetPolicy::ResetEveryTrefw)
-                .expect("TB-Window solvable for the attack NBO");
-        MitigationPolicy::Tprac(tprac)
+        match TpracConfig::solve_for_threshold(nbo, &timing, CounterResetPolicy::ResetEveryTrefw) {
+            Ok(tprac) => MitigationPolicy::Tprac(tprac),
+            Err(error) => {
+                // Same contract as perf and attack cells: a defense that
+                // cannot be configured records the failure deterministically.
+                m.insert("completed".into(), false.into());
+                m.insert("config_error".into(), error.to_string().into());
+                return m;
+            }
+        }
     } else {
         MitigationPolicy::AboOnly
     };
@@ -606,9 +510,6 @@ fn execute_side_channel(
     let outcome = experiment.run_for_key_byte(k0, p0);
     let detector = SpikeDetector::default();
 
-    let mut m = Map::new();
-    m.insert("k0".into(), u64::from(k0).into());
-    m.insert("defended".into(), defended.into());
     m.insert("true_nibble".into(), u64::from(outcome.true_nibble).into());
     m.insert(
         "leaked_row".into(),
@@ -943,6 +844,27 @@ mod tests {
     }
 
     #[test]
+    fn unconfigurable_side_channel_cells_record_the_error() {
+        // NBO = 1 has no safe TB-Window, so the defended cell cannot build
+        // its TPRAC policy: it must record the failure, not panic.
+        let spec = ScenarioSpec::SideChannel {
+            nbo: 1,
+            encryptions: 1,
+            k0: 0,
+            p0: 0,
+            defended: true,
+            seed: 0,
+        };
+        let metrics = execute(&spec);
+        assert_eq!(metrics.get("completed"), Some(&Value::Bool(false)));
+        assert!(metrics
+            .get("config_error")
+            .and_then(Value::as_str)
+            .is_some_and(|m| m.contains("no safe TB-Window")));
+        assert_eq!(execute(&spec), metrics, "error cells are deterministic");
+    }
+
+    #[test]
     fn attacked_perf_cells_add_the_security_headline() {
         let cell = |attack| {
             ScenarioSpec::Perf(Box::new(crate::scenario::PerfScenario {
@@ -971,12 +893,21 @@ mod tests {
         assert!(attacked.contains_key("nrh_breached"));
     }
 
+    /// The per-cell oracle the group executor must reproduce: the cell's
+    /// own protected and baseline runs, each with freshly generated traces.
+    fn cold_metrics(perf: &crate::scenario::PerfScenario, engine: EngineKind) -> Map {
+        let config = perf_experiment_config(perf, perf.setup.clone(), engine, 1);
+        match system_sim::run_workload_normalized(&config, &perf.workload.workload, perf.seed) {
+            Ok((_, protected, baseline)) => perf_metrics(perf, &protected, &baseline),
+            Err(error) => perf_config_error(perf, &error),
+        }
+    }
+
     #[test]
     fn grouped_execution_is_bit_identical_to_cold_cells() {
-        // The fork/prefix group executor must reproduce the per-cell path
-        // byte for byte for every kind of member: the shared baseline, an
-        // ABO cell (forked), a PARA cell (zero horizon, runs cold inside
-        // the group), and an unconfigurable TPRAC cell (config error).
+        // The group executor must reproduce the per-cell path byte for byte
+        // for every kind of member: the shared baseline, ABO, ACB, TPRAC
+        // and PARA cells, alone and grouped.
         let cell = |setup: MitigationSetup, nrh: u32| crate::scenario::PerfScenario {
             setup,
             rowhammer_threshold: nrh,
@@ -1011,13 +942,19 @@ mod tests {
         ];
         for engine in [EngineKind::Tick, EngineKind::Event] {
             let refs: Vec<&crate::scenario::PerfScenario> = cells.iter().collect();
-            let grouped = execute_perf_group(&refs, engine);
+            let grouped = execute_perf_group(&refs, engine, 1);
             for (perf, grouped_metrics) in cells.iter().zip(&grouped) {
-                let cold = execute_perf(perf, engine, 1);
+                let cold = cold_metrics(perf, engine);
                 assert_eq!(
                     grouped_metrics,
                     &cold,
                     "{engine:?}/{}: grouped result diverged from the cold run",
+                    perf.setup.slug()
+                );
+                assert_eq!(
+                    execute_perf_group(&[perf], engine, 1),
+                    [cold],
+                    "{engine:?}/{}: a group of one diverged from the cold run",
                     perf.setup.slug()
                 );
             }
@@ -1047,17 +984,40 @@ mod tests {
             cell(MitigationSetup::AboOnly),
         ];
         let refs: Vec<&crate::scenario::PerfScenario> = cells.iter().collect();
-        let grouped = execute_perf_group(&refs, EngineKind::default());
+        let grouped = execute_perf_group(&refs, EngineKind::default(), 1);
         assert_eq!(grouped[0].get("completed"), Some(&Value::Bool(false)));
         assert!(grouped[0].contains_key("config_error"));
-        assert_eq!(
-            grouped[0],
-            execute_perf(&cells[0], EngineKind::default(), 1)
-        );
-        assert_eq!(
-            grouped[1],
-            execute_perf(&cells[1], EngineKind::default(), 1)
-        );
+        assert_eq!(grouped[0], cold_metrics(&cells[0], EngineKind::default()));
+        assert_eq!(grouped[1], cold_metrics(&cells[1], EngineKind::default()));
+    }
+
+    #[test]
+    fn unbuildable_baselines_record_each_cells_error() {
+        // Three channels is not a power of two, so no leg of the group,
+        // the shared baseline included, can be configured.
+        let cell = |setup: MitigationSetup| crate::scenario::PerfScenario {
+            setup,
+            rowhammer_threshold: 1024,
+            prac_level: prac_core::config::PracLevel::One,
+            workload: workloads::quick_suite().remove(0),
+            instructions_per_core: 1_000,
+            cores: 1,
+            channels: 3,
+            ranks: 0,
+            profile: dram_sim::DeviceProfile::JedecBaseline,
+            attack: None,
+            seed: 3,
+        };
+        let cells = [
+            cell(MitigationSetup::BaselineNoAbo),
+            cell(MitigationSetup::AboOnly),
+        ];
+        let refs: Vec<&crate::scenario::PerfScenario> = cells.iter().collect();
+        let grouped = execute_perf_group(&refs, EngineKind::default(), 1);
+        for (perf, metrics) in cells.iter().zip(&grouped) {
+            assert!(metrics.contains_key("config_error"));
+            assert_eq!(metrics, &cold_metrics(perf, EngineKind::default()));
+        }
     }
 
     #[test]
@@ -1076,8 +1036,8 @@ mod tests {
             seed: 41,
         }));
         assert_eq!(
-            execute_with(&spec, EngineKind::Tick),
-            execute_with(&spec, EngineKind::Event),
+            execute_with(&spec, EngineKind::Tick, 1),
+            execute_with(&spec, EngineKind::Event, 1),
             "cached metrics must stay valid across engines"
         );
     }

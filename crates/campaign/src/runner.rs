@@ -4,6 +4,11 @@
 //! misses out over [`system_sim::parallel_map`]'s scoped threads with
 //! per-scenario timing and live progress lines, stores fresh results back
 //! into the cache, and writes the JSON/CSV artifacts.
+//!
+//! Misses travel as work units.  Perf cells that differ only in their
+//! mitigation setup always form one group, which
+//! [`crate::exec::execute_perf_group`] runs on one shared trace set and one
+//! shared baseline leg; every other cell is a unit of its own.
 
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,18 +19,18 @@ use system_sim::{parallel_map, EngineKind};
 
 use crate::artifact::{ArtifactPaths, ArtifactStore};
 use crate::cache::{CachedResult, ResultCache};
-use crate::exec::{execute_perf_group_sharded, execute_sharded};
+use crate::exec::{execute_perf_group, execute_with};
 use crate::scenario::{Campaign, Scenario, ScenarioSpec};
 
-/// One unit of parallel work: a lone scenario, or a group of perf cells
-/// sharing everything but their mitigation setup (executed together so the
-/// common prefix is simulated once).
+/// One unit of parallel work: a lone non-perf scenario, or a group of perf
+/// cells sharing everything but their mitigation setup (executed together
+/// so their traces and baseline leg are built once).
 #[derive(Debug)]
 enum WorkUnit {
     /// A scenario executed on its own, with its campaign index.
     Single(usize, Scenario),
     /// Perf cells with identical sweep parameters, as `(index, scenario)`.
-    PrefixGroup(Vec<(usize, Scenario)>),
+    Group(Vec<(usize, Scenario)>),
 }
 
 impl WorkUnit {
@@ -33,7 +38,7 @@ impl WorkUnit {
     fn scenario_at(&self, index: usize) -> &Scenario {
         match self {
             WorkUnit::Single(_, scenario) => scenario,
-            WorkUnit::PrefixGroup(cells) => {
+            WorkUnit::Group(cells) => {
                 &cells
                     .iter()
                     .find(|(cell_index, _)| *cell_index == index)
@@ -45,9 +50,9 @@ impl WorkUnit {
 }
 
 /// The grouping key of a perf cell: its canonical spec JSON with the
-/// `setup` field removed.  Cells with equal keys share traces, baseline leg
-/// and fork prefix; non-perf cells never group.
-fn prefix_group_key(spec: &ScenarioSpec) -> Option<String> {
+/// `setup` field removed.  Cells with equal keys share traces and the
+/// baseline leg; non-perf cells never group.
+fn group_key(spec: &ScenarioSpec) -> Option<String> {
     if !matches!(spec, ScenarioSpec::Perf(_)) {
         return None;
     }
@@ -61,27 +66,20 @@ fn prefix_group_key(spec: &ScenarioSpec) -> Option<String> {
 }
 
 /// Splits the pending cells into work units, preserving campaign order of
-/// first appearance.  With `fork_prefix` off (or for groups of one) every
-/// cell becomes its own unit.
-fn plan_work_units(pending: Vec<(usize, Scenario)>, fork_prefix: bool) -> Vec<WorkUnit> {
-    if !fork_prefix {
-        return pending
-            .into_iter()
-            .map(|(index, scenario)| WorkUnit::Single(index, scenario))
-            .collect();
-    }
+/// first appearance.  A perf cell with no partner is a group of one.
+fn plan_work_units(pending: Vec<(usize, Scenario)>) -> Vec<WorkUnit> {
     let mut units: Vec<WorkUnit> = Vec::new();
     let mut group_of: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
     for (index, scenario) in pending {
-        match prefix_group_key(&scenario.spec) {
+        match group_key(&scenario.spec) {
             Some(key) => match group_of.get(&key) {
                 Some(&unit) => match &mut units[unit] {
-                    WorkUnit::PrefixGroup(cells) => cells.push((index, scenario)),
-                    WorkUnit::Single(..) => unreachable!("grouped units are PrefixGroup"),
+                    WorkUnit::Group(cells) => cells.push((index, scenario)),
+                    WorkUnit::Single(..) => unreachable!("grouped units are `Group`s"),
                 },
                 None => {
                     group_of.insert(key, units.len());
-                    units.push(WorkUnit::PrefixGroup(vec![(index, scenario)]));
+                    units.push(WorkUnit::Group(vec![(index, scenario)]));
                 }
             },
             None => units.push(WorkUnit::Single(index, scenario)),
@@ -126,7 +124,6 @@ pub struct CampaignRunner {
     artifacts: Option<ArtifactStore>,
     progress: bool,
     engine: EngineKind,
-    fork_prefix: bool,
     sim_threads: usize,
 }
 
@@ -138,7 +135,6 @@ impl Default for CampaignRunner {
             artifacts: None,
             progress: false,
             engine: EngineKind::default(),
-            fork_prefix: true,
             sim_threads: 1,
         }
     }
@@ -185,21 +181,6 @@ impl CampaignRunner {
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Enables or disables checkpoint/fork prefix sharing (default: on).
-    ///
-    /// When on, performance cells that differ only in their mitigation setup
-    /// are grouped: the group's traces and baseline leg run once, and the
-    /// shared mitigation-free prefix of the protected legs is simulated once
-    /// and forked per cell ([`crate::exec::execute_perf_group`]).  Results
-    /// are bit-identical either way — this knob only trades memory (the
-    /// paused prefix state) for wall-clock time, and exists as an escape
-    /// hatch and for benchmarking the speedup itself.
-    #[must_use]
-    pub fn with_fork_prefix(mut self, fork_prefix: bool) -> Self {
-        self.fork_prefix = fork_prefix;
         self
     }
 
@@ -253,12 +234,12 @@ impl CampaignRunner {
             );
         }
 
-        // Phase 2: fan the misses out over the worker threads.  With
-        // prefix sharing on, perf cells that differ only in their mitigation
-        // setup travel as one work unit so the group executor can simulate
-        // their common prefix once; everything else stays per-cell.
+        // Phase 2: fan the misses out over the worker threads.  Perf cells
+        // that differ only in their mitigation setup travel as one work
+        // unit so the group executor builds their traces and baseline leg
+        // once; everything else stays per-cell.
         let executed = pending.len();
-        let units = plan_work_units(pending, self.fork_prefix);
+        let units = plan_work_units(pending);
         let done = AtomicUsize::new(0);
         let campaign_name = campaign.name.as_str();
         let progress = self.progress;
@@ -268,17 +249,17 @@ impl CampaignRunner {
             let unit_started = Instant::now();
             let results: Vec<(usize, Map)> = match unit {
                 WorkUnit::Single(index, scenario) => {
-                    vec![(*index, execute_sharded(&scenario.spec, engine, sim_threads))]
+                    vec![(*index, execute_with(&scenario.spec, engine, sim_threads))]
                 }
-                WorkUnit::PrefixGroup(cells) => {
+                WorkUnit::Group(cells) => {
                     let perfs: Vec<&crate::scenario::PerfScenario> = cells
                         .iter()
                         .map(|(_, scenario)| match &scenario.spec {
                             ScenarioSpec::Perf(perf) => perf.as_ref(),
-                            _ => unreachable!("prefix groups contain only perf cells"),
+                            _ => unreachable!("groups contain only perf cells"),
                         })
                         .collect();
-                    let metrics = execute_perf_group_sharded(&perfs, engine, sim_threads);
+                    let metrics = execute_perf_group(&perfs, engine, sim_threads);
                     cells.iter().map(|(index, _)| *index).zip(metrics).collect()
                 }
             };

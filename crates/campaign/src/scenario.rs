@@ -380,16 +380,16 @@ impl ScenarioSpec {
         match kind {
             "perf" => Ok(ScenarioSpec::Perf(Box::new(PerfScenario {
                 setup: setup_from_json(field(value, "setup")?)?,
-                rowhammer_threshold: u64_field(value, "nrh")? as u32,
+                rowhammer_threshold: int_field(value, "nrh")?,
                 prac_level: prac_level_from_rfms(u64_field(value, "prac_level")?)?,
                 workload: workload_spec_from_json(field(value, "workload")?)?,
                 instructions_per_core: u64_field(value, "instructions_per_core")?,
-                cores: u64_field(value, "cores")? as u32,
+                cores: int_field(value, "cores")?,
                 // Omitted in canonical JSON when 1 (key stability).
-                channels: value.get("channels").and_then(Value::as_u64).unwrap_or(1) as u32,
+                channels: optional_int_field(value, "channels")?.unwrap_or(1),
                 // Omitted in canonical JSON when 0 / baseline (key
                 // stability).
-                ranks: value.get("ranks").and_then(Value::as_u64).unwrap_or(0) as u32,
+                ranks: optional_int_field(value, "ranks")?.unwrap_or(0),
                 profile: profile_from_json(value)?,
                 // Omitted in canonical JSON when benign (key stability).
                 attack: match value.get("attack") {
@@ -405,23 +405,23 @@ impl ScenarioSpec {
                         rfms.as_u64().ok_or("non-integer `prac_level`")?,
                     )?),
                 },
-                nbo: u64_field(value, "nbo")? as u32,
+                nbo: int_field(value, "nbo")?,
                 window_ns: f64_field(value, "window_ns")?,
             }),
             "side_channel" => Ok(ScenarioSpec::SideChannel {
-                nbo: u64_field(value, "nbo")? as u32,
-                encryptions: u64_field(value, "encryptions")? as u32,
-                k0: u64_field(value, "k0")? as u8,
-                p0: u64_field(value, "p0")? as u8,
+                nbo: int_field(value, "nbo")?,
+                encryptions: int_field(value, "encryptions")?,
+                k0: int_field(value, "k0")?,
+                p0: int_field(value, "p0")?,
                 defended: bool_field(value, "defended")?,
                 seed: u64_field(value, "seed")?,
             }),
             "tmax_series" => Ok(ScenarioSpec::TmaxSeries {
-                nbo: u64_field(value, "nbo")? as u32,
+                nbo: int_field(value, "nbo")?,
                 counter_reset: bool_field(value, "counter_reset")?,
             }),
             "solve_window" => Ok(ScenarioSpec::SolveWindow {
-                nrh: u64_field(value, "nrh")? as u32,
+                nrh: int_field(value, "nrh")?,
                 counter_reset: bool_field(value, "counter_reset")?,
             }),
             "covert" => Ok(ScenarioSpec::Covert {
@@ -430,18 +430,18 @@ impl ScenarioSpec {
                     "activation_count" => CovertChannelKind::ActivationCountBased,
                     other => return Err(format!("unknown covert channel `{other}`")),
                 },
-                nbo: u64_field(value, "nbo")? as u32,
-                symbols: u64_field(value, "symbols")? as usize,
+                nbo: int_field(value, "nbo")?,
+                symbols: int_field(value, "symbols")?,
                 seed: u64_field(value, "seed")?,
             }),
             "storage" => Ok(ScenarioSpec::Storage {
                 queue: queue_kind_from_json(str_field(value, "queue")?)?,
-                banks: u64_field(value, "banks")? as u32,
+                banks: int_field(value, "banks")?,
             }),
             "attack" => Ok(ScenarioSpec::Attack {
                 attack: attack_from_json(field(value, "attack")?)?,
                 setup: setup_from_json(field(value, "setup")?)?,
-                nrh: u64_field(value, "nrh")? as u32,
+                nrh: int_field(value, "nrh")?,
                 accesses: u64_field(value, "accesses")?,
                 profile: profile_from_json(value)?,
                 seed: u64_field(value, "seed")?,
@@ -459,6 +459,25 @@ fn u64_field(value: &Value, name: &str) -> Result<u64, String> {
     field(value, name)?
         .as_u64()
         .ok_or_else(|| format!("missing or non-integer `{name}`"))
+}
+
+/// An integer field narrowed to the width of its target: a value that does
+/// not fit is an error, never a silently different spec (and cache key).
+fn int_field<T: TryFrom<u64>>(value: &Value, name: &str) -> Result<T, String> {
+    narrow(u64_field(value, name)?, name)
+}
+
+/// An integer field omitted from canonical JSON when it holds its default:
+/// absent is `None`, present must be an integer that fits.
+fn optional_int_field<T: TryFrom<u64>>(value: &Value, name: &str) -> Result<Option<T>, String> {
+    match value.get(name) {
+        None => Ok(None),
+        Some(_) => int_field(value, name).map(Some),
+    }
+}
+
+fn narrow<T: TryFrom<u64>>(raw: u64, name: &str) -> Result<T, String> {
+    T::try_from(raw).map_err(|_| format!("out of range `{name}`: {raw}"))
 }
 
 fn f64_field(value: &Value, name: &str) -> Result<f64, String> {
@@ -508,15 +527,18 @@ fn setup_from_json(value: &Value) -> Result<MitigationSetup, String> {
         "tprac" => Ok(MitigationSetup::Tprac {
             tref_rate: match field(value, "tref_per_trefi")? {
                 Value::Null => TrefRate::None,
-                n => TrefRate::EveryTrefi(n.as_u64().ok_or("non-integer `tref_per_trefi`")? as u32),
+                n => TrefRate::EveryTrefi(narrow(
+                    n.as_u64().ok_or("non-integer `tref_per_trefi`")?,
+                    "tref_per_trefi",
+                )?),
             },
             counter_reset: bool_field(value, "counter_reset")?,
         }),
         "prfm" => Ok(MitigationSetup::Prfm {
-            every_trefi: u64_field(value, "every_trefi")? as u32,
+            every_trefi: int_field(value, "every_trefi")?,
         }),
         "para" => Ok(MitigationSetup::Para {
-            one_in: u64_field(value, "one_in")? as u32,
+            one_in: int_field(value, "one_in")?,
             seed: u64_field(value, "para_seed")?,
         }),
         other => Err(format!("unknown mitigation policy `{other}`")),
@@ -528,15 +550,15 @@ fn attack_from_json(value: &Value) -> Result<AttackKind, String> {
         "single_sided" => Ok(AttackKind::SingleSided),
         "double_sided" => Ok(AttackKind::DoubleSided),
         "many_sided" => Ok(AttackKind::ManySided {
-            sides: u64_field(value, "sides")? as u32,
+            sides: int_field(value, "sides")?,
         }),
         "half_double" => Ok(AttackKind::HalfDouble),
         "decoy_blast" => Ok(AttackKind::DecoyBlast {
-            decoys: u64_field(value, "decoys")? as u32,
+            decoys: int_field(value, "decoys")?,
             seed: u64_field(value, "decoy_seed")?,
         }),
         "rfm_pressure" => Ok(AttackKind::RfmPressure {
-            duty_percent: u64_field(value, "duty_percent")? as u32,
+            duty_percent: int_field(value, "duty_percent")?,
         }),
         other => Err(format!("unknown attack pattern `{other}`")),
     }
@@ -546,7 +568,7 @@ fn workload_spec_from_json(value: &Value) -> Result<WorkloadSpec, String> {
     Ok(WorkloadSpec {
         workload: workloads::SyntheticWorkload {
             name: str_field(value, "name")?.to_string(),
-            mem_ops_per_kilo_instr: u64_field(value, "mem_ops_per_kilo_instr")? as u32,
+            mem_ops_per_kilo_instr: int_field(value, "mem_ops_per_kilo_instr")?,
             store_fraction: f64_field(value, "store_fraction")?,
             pattern: match str_field(value, "pattern")? {
                 "streaming" => workloads::AccessPattern::Streaming,
@@ -962,6 +984,54 @@ mod tests {
             .contains("counter_reset"));
         let not_an_object = serde_json::from_str("42").unwrap();
         assert!(ScenarioSpec::from_json(&not_an_object).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_values_that_do_not_fit_their_field() {
+        let error = |text: &str| {
+            ScenarioSpec::from_json(&serde_json::from_str(text).unwrap())
+                .expect_err("an out-of-range value must not parse")
+        };
+        // u32: 2^32 + 1024 must not wrap to NRH 1024 and alias its key.
+        assert!(
+            error(r#"{"kind":"solve_window","nrh":4294968320,"counter_reset":true}"#)
+                .contains("out of range `nrh`")
+        );
+        // u8: a key byte of 256 must not wrap to 0.
+        assert!(error(
+            r#"{"kind":"side_channel","nbo":256,"encryptions":1,"k0":256,"p0":0,"defended":false,"seed":0}"#
+        )
+        .contains("out of range `k0`"));
+        // Nested fields narrow the same way.
+        assert!(error(
+            r#"{"kind":"attack","attack":{"pattern":"many_sided","sides":4294967300},"setup":{"policy":"abo_only"},"nrh":1024,"accesses":1,"seed":0}"#
+        )
+        .contains("out of range `sides`"));
+        // usize (`symbols`) is as wide as u64 on 64-bit targets, so the
+        // parser's own "non-integer" check is its only bound there.
+    }
+
+    #[test]
+    fn from_json_rejects_present_but_malformed_topology_fields() {
+        let with = |name: &str, raw: &str| {
+            let mut text = perf_scenario(1024).spec.to_json().to_string();
+            text.insert_str(text.len() - 1, &format!(r#","{name}":{raw}"#));
+            ScenarioSpec::from_json(&serde_json::from_str(&text).unwrap())
+        };
+        assert!(with("channels", r#""4""#)
+            .unwrap_err()
+            .contains("`channels`"));
+        assert!(with("ranks", "1.5").unwrap_err().contains("`ranks`"));
+        assert!(with("channels", "4294967298")
+            .unwrap_err()
+            .contains("out of range `channels`"));
+        // Absent fields keep their canonical defaults.
+        let ScenarioSpec::Perf(perf) = ScenarioSpec::from_json(&perf_scenario(1024).spec.to_json())
+            .expect("canonical JSON parses")
+        else {
+            panic!("a perf spec parses as perf");
+        };
+        assert_eq!((perf.channels, perf.ranks), (1, 0));
     }
 
     #[test]

@@ -298,7 +298,7 @@ impl Server {
             std::thread::sleep(delay);
         }
         let started = Instant::now();
-        let metrics = execute_with(&scenario.spec, self.engine);
+        let metrics = execute_with(&scenario.spec, self.engine, 1);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let result = CachedResult {
             metrics: metrics.clone(),

@@ -1,14 +1,15 @@
-//! Fork-equivalence sweep for the checkpoint/fork execution subsystem.
+//! Fork-equivalence sweep for the pause/fork layer (`system_sim::snapshot`).
 //!
 //! Pausing a run on an arbitrary tick boundary, forking the paused state
 //! and resuming must be bit-identical to the uninterrupted run.  The sweep
-//! here exercises the full snapshot/restore surface: every registered
-//! mitigation engine (with its internal scheduler state), every registered
-//! attack pattern (with its address-stream state), multiple channel
-//! counts, and both execution engines.  A final runner-level test asserts
-//! that prefix-grouped campaign execution produces records identical to
-//! cell-by-cell execution.
+//! exercises every deep copy a fork takes: every registered mitigation
+//! engine (with its internal scheduler state), every registered attack
+//! pattern (with its address-stream state), multiple channel counts, and
+//! both execution engines.  A final runner-level test asserts that grouped
+//! campaign execution produces records identical to cell-by-cell
+//! execution.
 
+use campaign::exec::execute;
 use campaign::{Campaign, CampaignRunner, PerfScenario, Scenario, ScenarioSpec};
 use prac_core::config::PracLevel;
 use system_sim::{
@@ -169,9 +170,8 @@ fn fork_equivalence_on_a_two_rank_device() {
     }
 }
 
-/// A perf campaign whose cells share a workload prefix must produce
-/// byte-identical records whether the runner forks the shared prefix or
-/// executes every cell cold.
+/// A perf campaign whose cells share traces and a baseline leg must
+/// produce the records that executing every cell on its own produces.
 #[test]
 fn prefix_grouped_campaign_matches_cell_by_cell_execution() {
     let cell = |name: &str, setup: MitigationSetup, seed: u64| {
@@ -193,7 +193,7 @@ fn prefix_grouped_campaign_matches_cell_by_cell_execution() {
         )
     };
     let mut campaign = Campaign::new("fork-eq", "Fork equivalence", "test");
-    // Four cells sharing one prefix group (same everything but the setup) …
+    // Four cells sharing one group (same everything but the setup) …
     campaign.push(cell("baseline", MitigationSetup::BaselineNoAbo, 9));
     campaign.push(cell("abo", MitigationSetup::AboOnly, 9));
     campaign.push(cell("acb", MitigationSetup::AboPlusAcbRfm, 9));
@@ -208,23 +208,19 @@ fn prefix_grouped_campaign_matches_cell_by_cell_execution() {
     // … plus a cell in its own group (different seed → different traces).
     campaign.push(cell("abo-lone", MitigationSetup::AboOnly, 10));
 
-    let run = |fork_prefix: bool| {
-        CampaignRunner::new()
-            .with_workers(2)
-            .with_fork_prefix(fork_prefix)
-            .run(&campaign)
-            .expect("campaign runs")
-    };
-    let forked = run(true);
-    let cold = run(false);
-    assert_eq!(forked.records.len(), cold.records.len());
-    for (forked, cold) in forked.records.iter().zip(&cold.records) {
-        assert_eq!(forked.scenario.name, cold.scenario.name);
+    let grouped = CampaignRunner::new()
+        .with_workers(2)
+        .run(&campaign)
+        .expect("campaign runs");
+    assert_eq!(grouped.records.len(), campaign.scenarios.len());
+    for (record, scenario) in grouped.records.iter().zip(&campaign.scenarios) {
+        assert_eq!(record.scenario.name, scenario.name);
         assert_eq!(
-            forked.metrics, cold.metrics,
+            record.metrics,
+            execute(&scenario.spec),
             "metrics diverged for {}",
-            cold.scenario.name
+            scenario.name
         );
-        assert_eq!(forked.cached, cold.cached);
+        assert!(!record.cached);
     }
 }

@@ -25,10 +25,6 @@
 //!   the explicit no-mitigation baseline).
 //! * [`tprac`] — the TPRAC policy: Timing-Based RFMs issued every `TB-Window`,
 //!   Targeted-Refresh co-design, counter-reset handling.
-//! * [`snapshot`] — the checkpoint/fork state-capture contract
-//!   ([`snapshot::StateSnapshot`] / [`snapshot::Restorable`]) that lets the
-//!   simulator capture a shared execution prefix once and fork a faithful
-//!   copy per campaign cell.
 //! * [`security`] — the Feinting/Wave worst-case analysis (Equations 1–5 of
 //!   the paper) that computes the maximum activations an adversary can land on
 //!   a single row (`TMAX`) and solves for the largest safe `TB-Window`.
@@ -67,7 +63,6 @@ pub mod obfuscation;
 pub mod overhead;
 pub mod queue;
 pub mod security;
-pub mod snapshot;
 pub mod timing;
 pub mod tprac;
 
@@ -76,6 +71,5 @@ pub use error::{ConfigError, Result};
 pub use mitigation::{BankActivationView, MitigationDecision, MitigationEngine, ProactiveRfmKind};
 pub use queue::{FifoQueue, MitigationQueue, PriorityQueue, QueueKind, SingleEntryQueue};
 pub use security::{CounterResetPolicy, SecurityAnalysis, TbWindowSolution};
-pub use snapshot::{Restorable, StateSnapshot};
 pub use timing::DramTimingSummary;
 pub use tprac::{TpracConfig, TpracScheduler, TrefRate};

@@ -136,14 +136,9 @@ impl MitigationDecision {
 /// determinism contract.  Implementations must be `Send` so simulations can
 /// run on the campaign runner's worker threads.
 pub trait MitigationEngine: std::fmt::Debug + Send {
-    /// Deep-copies the engine behind its trait object (checkpoint/fork).
+    /// Deep-copies the engine behind its trait object, complete with its
+    /// scheduler state and any random stream (the fork primitive).
     fn clone_box(&self) -> Box<dyn MitigationEngine>;
-
-    /// Captures the engine's complete state — see [`crate::snapshot`].
-    fn snapshot(&self) -> crate::snapshot::StateSnapshot;
-
-    /// Restores state previously captured from the same engine type.
-    fn restore(&mut self, snapshot: &crate::snapshot::StateSnapshot);
 
     /// Short human-readable label (reports, logs).
     fn label(&self) -> &'static str;
@@ -208,7 +203,9 @@ impl Clone for Box<dyn MitigationEngine> {
 }
 
 impl MitigationEngine for AboOnlyEngine {
-    crate::snapshot_methods!(dyn MitigationEngine);
+    fn clone_box(&self) -> Box<dyn MitigationEngine> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "ABO-Only"
@@ -236,7 +233,9 @@ impl MitigationEngine for AboOnlyEngine {
 pub struct DisabledEngine;
 
 impl MitigationEngine for DisabledEngine {
-    crate::snapshot_methods!(dyn MitigationEngine);
+    fn clone_box(&self) -> Box<dyn MitigationEngine> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "Disabled"
@@ -298,7 +297,9 @@ impl AcbEngine {
 }
 
 impl MitigationEngine for AcbEngine {
-    crate::snapshot_methods!(dyn MitigationEngine);
+    fn clone_box(&self) -> Box<dyn MitigationEngine> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "ABO+ACB-RFM"
@@ -363,7 +364,9 @@ impl TpracEngine {
 }
 
 impl MitigationEngine for TpracEngine {
-    crate::snapshot_methods!(dyn MitigationEngine);
+    fn clone_box(&self) -> Box<dyn MitigationEngine> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "TPRAC"
@@ -468,7 +471,9 @@ impl PrfmEngine {
 }
 
 impl MitigationEngine for PrfmEngine {
-    crate::snapshot_methods!(dyn MitigationEngine);
+    fn clone_box(&self) -> Box<dyn MitigationEngine> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "PRFM"
@@ -571,7 +576,9 @@ impl ParaEngine {
 }
 
 impl MitigationEngine for ParaEngine {
-    crate::snapshot_methods!(dyn MitigationEngine);
+    fn clone_box(&self) -> Box<dyn MitigationEngine> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "PARA"
@@ -661,14 +668,13 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_snapshot_restores_to_identical_behaviour() {
-        // Drive each engine for a while, snapshot it, keep driving the
-        // original, restore a fresh clone from the snapshot, and check the
-        // restored engine replays the exact same decisions the original made
-        // after the capture point.  The seeded PARA engine is the sharpest
-        // check: its future random draws must survive the round trip.
-        for prototype in all_engines() {
-            let mut original = prototype.clone_box();
+    fn every_engine_clone_replays_the_original_decisions() {
+        // Drive each engine for a while, clone it mid-run, then drive both
+        // and check the clone makes the exact decisions the original makes
+        // after the clone point — the property a forked simulation relies
+        // on.  The seeded PARA engine is the sharpest check: its future
+        // random draws must carry over into the clone.
+        for mut original in all_engines() {
             let view = TestView {
                 per_bank: vec![64; 2],
                 total: 1024,
@@ -678,21 +684,19 @@ mod tests {
                     original.rfm_issued(now, now + 10);
                 }
             }
-            let snap = original.snapshot();
-            let mut restored = prototype.clone_box();
-            restored.restore(&snap);
+            let mut clone = original.clone_box();
             for now in 5_000..20_000u64 {
                 let a = original.poll(now, &view);
-                let b = restored.poll(now, &view);
+                let b = clone.poll(now, &view);
                 assert_eq!(
                     a.issue,
                     b.issue,
-                    "{} diverged after restore at tick {now}",
+                    "{} clone diverged at tick {now}",
                     original.label()
                 );
                 if a.issue.is_some() {
                     original.rfm_issued(now, now + 10);
-                    restored.rfm_issued(now, now + 10);
+                    clone.rfm_issued(now, now + 10);
                 }
             }
         }

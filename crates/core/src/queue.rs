@@ -55,14 +55,8 @@ impl QueueKind {
 /// PRAC counter value) and, when the bank receives an RFM or Targeted
 /// Refresh, nominates the row to mitigate.
 pub trait MitigationQueue: std::fmt::Debug + Send {
-    /// Deep-copies the queue behind its trait object (checkpoint/fork).
+    /// Deep-copies the queue behind its trait object (the fork primitive).
     fn clone_box(&self) -> Box<dyn MitigationQueue>;
-
-    /// Captures the queue's complete state — see [`crate::snapshot`].
-    fn snapshot(&self) -> crate::snapshot::StateSnapshot;
-
-    /// Restores state previously captured from the same queue type.
-    fn restore(&mut self, snapshot: &crate::snapshot::StateSnapshot);
 
     /// Records that `row` was activated and now has `activation_count`
     /// accumulated activations.
@@ -122,7 +116,9 @@ impl Clone for Box<dyn MitigationQueue> {
 }
 
 impl MitigationQueue for SingleEntryQueue {
-    crate::snapshot_methods!(dyn MitigationQueue);
+    fn clone_box(&self) -> Box<dyn MitigationQueue> {
+        Box::new(self.clone())
+    }
 
     fn observe_activation(&mut self, row: RowIndex, activation_count: u32) {
         match self.entry {
@@ -210,7 +206,9 @@ impl FifoQueue {
 }
 
 impl MitigationQueue for FifoQueue {
-    crate::snapshot_methods!(dyn MitigationQueue);
+    fn clone_box(&self) -> Box<dyn MitigationQueue> {
+        Box::new(self.clone())
+    }
 
     fn observe_activation(&mut self, row: RowIndex, activation_count: u32) {
         if activation_count >= self.admission_threshold
@@ -275,7 +273,9 @@ impl PriorityQueue {
 }
 
 impl MitigationQueue for PriorityQueue {
-    crate::snapshot_methods!(dyn MitigationQueue);
+    fn clone_box(&self) -> Box<dyn MitigationQueue> {
+        Box::new(self.clone())
+    }
 
     fn observe_activation(&mut self, row: RowIndex, activation_count: u32) {
         let entry = self.counts.entry(row).or_insert(0);

@@ -144,12 +144,12 @@ impl DramDevice {
     }
 
     /// Re-targets a forked device at a different PRAC configuration without
-    /// disturbing the accumulated bank state (checkpoint/fork divergence
-    /// point — see `prac_core::snapshot`).
+    /// disturbing the accumulated bank state (the divergence point of a
+    /// `system_sim::PausedSimulation` fork).
     ///
-    /// Only valid while no counter reset has fired yet (the campaign fork
-    /// point is always before the first tREFW boundary; the caller's purity
-    /// guard enforces this): a cold device in that regime has its first
+    /// Only valid while no counter reset has fired yet (a fork point within
+    /// `system_sim::fork_horizon` is always before the first tREFW
+    /// boundary; the caller's purity guard enforces this): a cold device in that regime has its first
     /// reset still scheduled at `tREFW`, so re-deriving the schedule from
     /// the new configuration is exactly what a cold run would hold.
     pub fn refit_prac(&mut self, prac: PracConfig, tref_every_n_refreshes: Option<u32>) {

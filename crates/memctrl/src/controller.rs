@@ -236,7 +236,7 @@ impl MemoryController {
     }
 
     /// Re-targets a forked controller at a different mitigation
-    /// configuration (the checkpoint/fork divergence point).
+    /// configuration (the divergence point of a pause/fork).
     ///
     /// Rebuilds exactly the policy-dependent pieces
     /// [`MemoryController::with_mitigation_engine`] derives from the PRAC

@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 pub trait AddressMapping: std::fmt::Debug + Send + Sync {
     /// Deep-copies the mapping behind its trait object.  Mappings are
     /// immutable configuration, so the copy exists purely to make the
-    /// controller clonable for checkpoint/fork execution.
+    /// controller clonable (a forked simulation deep-copies it).
     fn clone_box(&self) -> Box<dyn AddressMapping>;
 
     /// Decodes a physical byte address into DRAM coordinates (including the

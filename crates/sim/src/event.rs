@@ -1,14 +1,14 @@
 //! The event-driven simulation engine and its event wheel.
 //!
-//! The legacy [`TickEngine`] advances the whole system one DRAM clock per
-//! iteration, even when every core is stalled on memory and every bank is
-//! waiting out a timing constraint.  The [`EventEngine`] eliminates those
-//! dead cycles: after settling a tick it asks each component for the next
-//! tick at which it could possibly act — the CPU cluster reports the
-//! earliest retire/issue opportunity, each channel's memory controller the
-//! earliest completion, refresh, RFM-engine or demand-scheduling
-//! opportunity — and registers those wake-ups with a slab-backed
-//! [`EventWheel`], then jumps straight to the earliest one.
+//! The legacy [`EngineKind::Tick`] engine advances the whole system one DRAM
+//! clock per iteration, even when every core is stalled on memory and every
+//! bank is waiting out a timing constraint.  The [`EngineKind::Event`]
+//! engine eliminates those dead cycles: after settling a tick it asks each
+//! component for the next tick at which it could possibly act — the CPU
+//! cluster reports the earliest retire/issue opportunity, each channel's
+//! memory controller the earliest completion, refresh, RFM-engine or
+//! demand-scheduling opportunity — and registers those wake-ups with a
+//! slab-backed [`EventWheel`], then jumps straight to the earliest one.
 //!
 //! Wake-ups are keyed by **(tick, source slot)**, with one slot per channel
 //! controller: a 4-channel wheel holds the cluster, the forwarding glue and
@@ -42,8 +42,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::system::{SystemResult, SystemSimulation};
-
 /// A monotonic slab-backed event wheel holding one pending wake-up per
 /// slot.
 ///
@@ -56,10 +54,9 @@ use crate::system::{SystemResult, SystemSimulation};
 /// Time never moves backwards: the wheel panics in debug builds if a
 /// wake-up is registered at or before the last tick it handed out.
 ///
-/// The wheel is `Clone` for the checkpoint/fork contract, but note that it
-/// is *derived* state: a forked run rebuilds its wheel from component
-/// wake-ups on the first loop iteration, so carrying one across a fork is
-/// never required for correctness.
+/// The wheel is *derived* state: a resumed or forked run rebuilds its
+/// wheel from component wake-ups on the first loop iteration, so carrying
+/// one across a fork is never required for correctness.
 #[derive(Debug, Clone)]
 pub struct EventWheel {
     /// The slab: current wake-up per slot (`None` when disarmed).
@@ -138,68 +135,22 @@ impl EventWheel {
     }
 }
 
-/// A strategy for driving a [`SystemSimulation`] to completion.
-///
-/// Both implementations execute the identical per-tick step; they differ
-/// only in which ticks they bother to visit.  That is what makes them safe
-/// to swap behind a configuration flag and to diff against each other.
-pub trait SimulationEngine: std::fmt::Debug {
-    /// Short engine name (`"tick"` / `"event"`), used in logs and the CLI.
-    fn name(&self) -> &'static str;
-
-    /// Consumes the simulation and runs it to completion (or the tick cap).
-    fn run(&self, sim: SystemSimulation) -> SystemResult;
-}
-
-/// The legacy engine: one DRAM clock per loop iteration.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TickEngine;
-
-impl SimulationEngine for TickEngine {
-    fn name(&self) -> &'static str {
-        "tick"
-    }
-
-    fn run(&self, sim: SystemSimulation) -> SystemResult {
-        sim.run_ticked()
-    }
-}
-
-/// The event-driven engine: jumps straight to the earliest pending event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EventEngine;
-
-impl SimulationEngine for EventEngine {
-    fn name(&self) -> &'static str {
-        "event"
-    }
-
-    fn run(&self, sim: SystemSimulation) -> SystemResult {
-        sim.run_event_driven()
-    }
-}
-
 /// Which engine a [`crate::system::SystemConfig`] selects.
+///
+/// Both engines execute the identical per-tick step; they differ only in
+/// which ticks they bother to visit.  That is what makes them safe to swap
+/// behind a configuration flag and to diff against each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum EngineKind {
-    /// The legacy per-tick main loop.
+    /// The legacy per-tick main loop: one DRAM clock per iteration.
     Tick,
-    /// The event-driven engine (default; bit-identical results, fewer
-    /// visited ticks).
+    /// The event-driven engine (default): jumps straight to the earliest
+    /// pending wake-up, with bit-identical results and fewer visited ticks.
     #[default]
     Event,
 }
 
 impl EngineKind {
-    /// The engine implementation this kind selects.
-    #[must_use]
-    pub fn instance(self) -> &'static dyn SimulationEngine {
-        match self {
-            EngineKind::Tick => &TickEngine,
-            EngineKind::Event => &EventEngine,
-        }
-    }
-
     /// Parses a CLI spelling (`"tick"` / `"event"`).
     #[must_use]
     pub fn parse(text: &str) -> Option<Self> {
@@ -213,7 +164,10 @@ impl EngineKind {
     /// The CLI spelling of this kind.
     #[must_use]
     pub fn label(self) -> &'static str {
-        self.instance().name()
+        match self {
+            EngineKind::Tick => "tick",
+            EngineKind::Event => "event",
+        }
     }
 }
 

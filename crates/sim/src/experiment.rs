@@ -585,8 +585,8 @@ pub fn run_workload(
 ///
 /// The traces depend only on the sweep parameters (cores, instruction
 /// budget, channels, attack, seed) — never on the mitigation setup — so the
-/// campaign runner generates them once per shared-prefix group and reuses
-/// them across every mitigation leg.
+/// campaign runner generates them once per group of cells that differ only
+/// in their setup and reuses them across every mitigation leg.
 #[must_use]
 pub fn workload_traces(
     config: &ExperimentConfig,

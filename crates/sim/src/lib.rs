@@ -12,11 +12,11 @@
 //!   memory controller (with its own PRAC device and mitigation engine) per
 //!   channel behind a channel-bit address router; one channel reproduces
 //!   the paper's single-channel system bit-identically.
-//! * [`event`] — the two interchangeable execution engines behind one trait:
-//!   the legacy per-tick loop ([`event::TickEngine`]) and the event-driven
-//!   engine ([`event::EventEngine`]) whose slab-backed [`event::EventWheel`]
-//!   jumps straight to each component's next wake-up while producing
-//!   bit-identical results (asserted by `tests/engine_equivalence.rs`).
+//! * [`event`] — the two interchangeable execution engines, selected by
+//!   [`event::EngineKind`]: the legacy per-tick loop and the event-driven
+//!   engine whose slab-backed [`event::EventWheel`] jumps straight to each
+//!   component's next wake-up while producing bit-identical results
+//!   (asserted by `tests/engine_equivalence.rs`).
 //! * [`experiment`] — the mitigation-descriptor layer of the pluggable
 //!   defense API: declarative [`experiment::MitigationSetup`]s (baseline,
 //!   ABO-Only, ABO+ACB-RFM, TPRAC with/without TREF and counter reset, and
@@ -29,12 +29,13 @@
 //!   registered `workloads::attack` pattern next to the benign workload.
 //! * [`energy`] — converts run results into the Table 5 energy-overhead rows
 //!   via the `prac-core` energy model.
-//! * [`snapshot`] — the checkpoint/fork execution layer:
+//! * [`snapshot`] — pause and fork:
 //!   [`system::SystemSimulation::run_until`] pauses a run on a tick boundary
 //!   as a [`snapshot::PausedSimulation`] that can be forked (deep-copied),
 //!   refitted to a different mitigation configuration, and resumed
-//!   bit-identically to an uninterrupted run — the campaign runner uses it
-//!   to simulate shared scenario prefixes once and fork per cell.
+//!   bit-identically to an uninterrupted run.  The campaign executor does
+//!   not fork (see `campaign::exec::execute_perf_group`); the layer is
+//!   kept for `fork_equivalence` and the benchmark's traced re-drive.
 //! * [`parallel`] — the scoped thread pool the campaign runner uses to
 //!   sweep workloads and configurations concurrently, and the channel-shard
 //!   fan-out behind `--sim-threads`.
@@ -52,7 +53,7 @@ pub mod subsystem;
 pub mod system;
 
 pub use energy::energy_overhead_for;
-pub use event::{EngineKind, EventEngine, SimulationEngine, TickEngine};
+pub use event::EngineKind;
 pub use experiment::{
     mitigation_registry, run_workload, run_workload_normalized, workload_traces, ExperimentConfig,
     MitigationDescriptor, MitigationSetup, ResolvedMitigation, PARA_DEFAULT_SEED,

@@ -1,10 +1,9 @@
-//! Checkpoint/fork execution: pause a simulation mid-run, fork the complete
-//! system state, and resume each fork independently.
+//! Pause and fork: pause a simulation mid-run, fork the complete system
+//! state, and resume each fork independently.
 //!
-//! Most cells of a paper-scale campaign differ only in the mitigation knobs
-//! while the trace, the cache warm-up and the DRAM settle phase are
-//! identical.  This module lets the campaign layer simulate that shared
-//! prefix **once** and fork per cell:
+//! Cells of a paper-scale campaign that differ only in the mitigation knobs
+//! share a mitigation-free prefix, and this module can simulate that prefix
+//! once and fork it per cell:
 //!
 //! ```text
 //!   SystemSimulation::run_until(P) ──▶ PrefixOutcome::Paused(prefix)
@@ -29,9 +28,20 @@
 //! ([`PausedSimulation::is_mitigation_free`]): every built-in engine derives
 //! its schedule from absolute deadlines anchored at tick 0, so a freshly
 //! built engine at `P` equals a cold engine that has idled through `[0, P)`
-//! — but only while no RFM, Alert or counter reset has fired yet.  The
-//! campaign layer computes a static per-policy divergence horizon and backs
-//! it with this runtime guard, falling back to a cold run on violation.
+//! — but only while no RFM, Alert or counter reset has fired yet.  A caller
+//! computes the static per-policy divergence horizon ([`fork_horizon`]) and
+//! backs it with this runtime guard, falling back to a cold run on
+//! violation.
+//!
+//! # Who forks
+//!
+//! The campaign executor does not: at paper scale the shared prefix is
+//! 1–3% of the simulated cycles, and the fork costs more wall time than
+//! the cycles it skips (see the README's grouped-execution section).
+//! `campaign::exec::execute_perf_group` shares traces and the baseline leg
+//! instead and runs every protected leg cold.  This layer stays, guarded by
+//! `tests/fork_equivalence.rs`, because the benchmark's traced pass
+//! re-drives it.
 
 use dram_sim::device::DramDeviceConfig;
 use prac_core::config::{MitigationPolicy, PracConfig};
@@ -213,18 +223,9 @@ impl PausedSimulation {
     /// the uninterrupted run.
     #[must_use]
     pub fn resume(self) -> SystemResult {
-        self.resume_until(None)
+        self.sim
+            .run_from(self.now, self.backlog, None)
             .expect_finished("resume without a pause bound")
-    }
-
-    /// Resumes and pauses again at `pause_at` (when given) — supports
-    /// multi-level prefix sharing.
-    pub fn resume_until(self, pause_at: Option<u64>) -> PrefixOutcome {
-        use crate::event::EngineKind;
-        match self.sim.engine() {
-            EngineKind::Tick => self.sim.run_ticked_from(self.now, self.backlog, pause_at),
-            EngineKind::Event => self.sim.run_event_from(self.now, self.backlog, pause_at),
-        }
     }
 }
 
@@ -305,20 +306,6 @@ mod tests {
         let b = paused.fork().resume();
         assert_eq!(a, cold);
         assert_eq!(b, cold);
-    }
-
-    #[test]
-    fn nested_pauses_compose() {
-        let cold = tiny_system(EngineKind::Event, benign_prac()).run();
-        let first = tiny_system(EngineKind::Event, benign_prac())
-            .run_until(cold.elapsed_ticks / 3)
-            .paused()
-            .expect("outlives its first third");
-        let second = first
-            .resume_until(Some(2 * cold.elapsed_ticks / 3))
-            .paused()
-            .expect("outlives its second third");
-        assert_eq!(second.resume(), cold);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl MemorySubsystem {
     }
 
     /// Re-targets a forked subsystem at a different mitigation
-    /// configuration (the checkpoint/fork divergence point), mirroring the
+    /// configuration (the divergence point of a pause/fork), mirroring the
     /// per-channel derivations [`MemorySubsystem::new`] performs: PARA
     /// seeds are re-mixed with the channel index so every channel keeps an
     /// independent decision stream, and each controller refits its engine,

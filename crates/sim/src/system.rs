@@ -1,10 +1,10 @@
 //! The full-system simulation: CPU cluster ⇄ memory subsystem ⇄ PRAC DRAM.
 //!
-//! [`SystemSimulation`] owns the wiring and the per-tick step; *how* the
-//! ticks are visited is delegated to a [`SimulationEngine`] — the legacy
-//! [`crate::event::TickEngine`] that walks every DRAM clock, or the
-//! event-driven [`crate::event::EventEngine`] that jumps between component
-//! wake-ups.  Both produce bit-identical [`SystemResult`]s.
+//! [`SystemSimulation`] owns the wiring and the per-tick step; *which*
+//! ticks are visited is up to the configured [`EngineKind`] — the legacy
+//! tick engine that walks every DRAM clock, or the event-driven engine that
+//! jumps between component wake-ups.  Both produce bit-identical
+//! [`SystemResult`]s.
 //!
 //! The memory side is a [`MemorySubsystem`]: one controller (and device, and
 //! mitigation engine) per channel of the configured
@@ -26,7 +26,7 @@ use memctrl::rfm::RfmKind;
 use memctrl::stats::ControllerStats;
 use serde::{Deserialize, Serialize};
 
-use crate::event::{EngineKind, EventWheel, SimulationEngine};
+use crate::event::{EngineKind, EventWheel};
 use crate::snapshot::{PausedSimulation, PrefixOutcome};
 use crate::subsystem::{ChannelStats, MemorySubsystem};
 
@@ -202,7 +202,7 @@ pub fn simulations_built() -> u64 {
 ///
 /// Cloning deep-copies the complete system state (cores, caches,
 /// controllers, devices, mitigation engines) — this is the fork primitive
-/// of the checkpoint/fork subsystem ([`crate::snapshot`]).  A clone does
+/// of the pause/fork layer ([`crate::snapshot`]).  A clone does
 /// **not** count as a newly *built* simulation for
 /// [`simulations_built`]: that counter exists to prove cache hits avoid
 /// simulating, and forks are exactly the mechanism that avoids re-running
@@ -276,7 +276,7 @@ impl SystemSimulation {
         &self.memory
     }
 
-    /// The memory subsystem (mutable) — only the checkpoint/fork layer
+    /// The memory subsystem (mutable) — only the pause/fork layer
     /// needs this, to refit the mitigation configuration at a fork point.
     pub(crate) fn memory_mut(&mut self) -> &mut MemorySubsystem {
         &mut self.memory
@@ -291,13 +291,24 @@ impl SystemSimulation {
     /// Runs the simulation to completion (or the tick cap) with the engine
     /// selected in the configuration and returns the collected statistics.
     pub fn run(self) -> SystemResult {
-        self.engine.instance().run(self)
+        self.run_from(0, Vec::new(), None)
+            .expect_finished("run without a pause bound")
     }
 
-    /// Runs the simulation under an explicit engine (used by the
-    /// differential test harness to race the two engines head-to-head).
-    pub fn run_with(self, engine: &dyn SimulationEngine) -> SystemResult {
-        engine.run(self)
+    /// The configured engine's main loop from a resume point (`now`, with
+    /// its un-forwarded `backlog`) to completion, the tick cap or the
+    /// optional pause bound — the one entry point behind [`Self::run`],
+    /// [`Self::run_until`] and [`PausedSimulation::resume`].
+    pub(crate) fn run_from(
+        self,
+        now: u64,
+        backlog: Vec<BacklogEntry>,
+        pause_at: Option<u64>,
+    ) -> PrefixOutcome {
+        match self.engine {
+            EngineKind::Tick => self.run_ticked_from(now, backlog, pause_at),
+            EngineKind::Event => self.run_event_from(now, backlog, pause_at),
+        }
     }
 
     /// Settles one tick: CPU cluster first, then request fan-out to the
@@ -406,20 +417,14 @@ impl SystemSimulation {
         }
     }
 
-    /// The legacy main loop: one tick per iteration.
-    pub(crate) fn run_ticked(self) -> SystemResult {
-        self.run_ticked_from(0, Vec::new(), None)
-            .expect_finished("tick run without a pause bound")
-    }
-
-    /// The tick-engine main loop, generalised over a resume point and an
-    /// optional pause bound (the checkpoint/fork entry point).
+    /// The legacy main loop: one tick per iteration, from a resume point
+    /// to an optional pause bound.
     ///
     /// Processes ticks `[now, min(pause_at, max_ticks))` — pausing at `P`
     /// leaves the system in exactly the state an uninterrupted run has
     /// after settling ticks `[0, P)`, so resuming from the returned
     /// [`PausedSimulation`] replays the cold run bit for bit.
-    pub(crate) fn run_ticked_from(
+    fn run_ticked_from(
         mut self,
         mut now: u64,
         mut backlog: Vec<BacklogEntry>,
@@ -443,20 +448,14 @@ impl SystemSimulation {
     }
 
     /// The event-driven main loop: settle a tick, re-arm the wake-ups of the
-    /// components it touched, jump to the earliest one.
+    /// components it touched, jump to the earliest one — from a resume
+    /// point to an optional pause bound.
     ///
     /// Skipped ticks are exactly the ticks the tick engine would process as
     /// no-ops, except that each of them would have aged every unfinished
     /// core by one cycle — which [`CpuCluster::credit_stalled_cycles`]
     /// accounts for in bulk, keeping the per-core cycle counts (and thus
     /// IPC, slowdown and energy inputs) bit-identical.
-    pub(crate) fn run_event_driven(self) -> SystemResult {
-        self.run_event_from(0, Vec::new(), None)
-            .expect_finished("event run without a pause bound")
-    }
-
-    /// The event-engine main loop, generalised over a resume point and an
-    /// optional pause bound (the checkpoint/fork entry point).
     ///
     /// Each visited tick polls only the channels whose wheel slot fired
     /// there (plus those a request was fanned out to), and ticks the CPU
@@ -478,7 +477,7 @@ impl SystemSimulation {
     /// cluster and polls every channel, which over-polls harmlessly
     /// (polling ahead of a wake-up is a no-op) and converges to the exact
     /// fired set after one jump.
-    pub(crate) fn run_event_from(
+    fn run_event_from(
         mut self,
         mut now: u64,
         mut backlog: Vec<BacklogEntry>,
@@ -569,10 +568,7 @@ impl SystemSimulation {
     /// [`PausedSimulation::resume`] continues from there and produces a
     /// result bit-identical to an uninterrupted [`SystemSimulation::run`].
     pub fn run_until(self, pause_at: u64) -> PrefixOutcome {
-        match self.engine {
-            EngineKind::Tick => self.run_ticked_from(0, Vec::new(), Some(pause_at)),
-            EngineKind::Event => self.run_event_from(0, Vec::new(), Some(pause_at)),
-        }
+        self.run_from(0, Vec::new(), Some(pause_at))
     }
 }
 
@@ -659,15 +655,14 @@ mod tests {
 
     #[test]
     fn engines_agree_on_a_memory_bound_system() {
-        use crate::event::{EventEngine, TickEngine};
         let traces = || {
             vec![
                 memory_trace(0x1_0000_0000, 2048),
                 memory_trace(0x2_0000_0000, 2048),
             ]
         };
-        let ticked = tiny_system(3_000, traces()).run_with(&TickEngine);
-        let evented = tiny_system(3_000, traces()).run_with(&EventEngine);
+        let ticked = tiny_system_on(EngineKind::Tick, 3_000, traces()).run();
+        let evented = tiny_system_on(EngineKind::Event, 3_000, traces()).run();
         assert_eq!(ticked, evented, "engines must be cycle-exact");
         assert!(ticked.completed);
         assert!(!ticked.rfm_log.is_empty() || ticked.controller_stats.total_rfms() == 0);

@@ -129,14 +129,9 @@ impl AttackAccess {
 /// Implementations must be `Send` so attack cells can run on the campaign
 /// runner's worker threads.
 pub trait AttackPattern: std::fmt::Debug + Send {
-    /// Deep-copies the pattern behind its trait object (checkpoint/fork).
+    /// Deep-copies the pattern behind its trait object, complete with its
+    /// stream position (the fork primitive).
     fn clone_box(&self) -> Box<dyn AttackPattern>;
-
-    /// Captures the pattern's complete state — see [`prac_core::snapshot`].
-    fn snapshot(&self) -> prac_core::StateSnapshot;
-
-    /// Restores state previously captured from the same pattern type.
-    fn restore(&mut self, snapshot: &prac_core::StateSnapshot);
 
     /// Short human-readable label (reports, logs).
     fn label(&self) -> &'static str;
@@ -214,7 +209,9 @@ impl Clone for Box<dyn AttackPattern> {
 }
 
 impl AttackPattern for SingleSidedPattern {
-    prac_core::snapshot_methods!(dyn AttackPattern);
+    fn clone_box(&self) -> Box<dyn AttackPattern> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "single-sided"
@@ -258,7 +255,9 @@ impl DoubleSidedPattern {
 }
 
 impl AttackPattern for DoubleSidedPattern {
-    prac_core::snapshot_methods!(dyn AttackPattern);
+    fn clone_box(&self) -> Box<dyn AttackPattern> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "double-sided"
@@ -309,7 +308,9 @@ impl ManySidedPattern {
 }
 
 impl AttackPattern for ManySidedPattern {
-    prac_core::snapshot_methods!(dyn AttackPattern);
+    fn clone_box(&self) -> Box<dyn AttackPattern> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "many-sided"
@@ -366,7 +367,9 @@ impl HalfDoublePattern {
 }
 
 impl AttackPattern for HalfDoublePattern {
-    prac_core::snapshot_methods!(dyn AttackPattern);
+    fn clone_box(&self) -> Box<dyn AttackPattern> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "half-double"
@@ -443,7 +446,9 @@ impl DecoyBlastPattern {
 }
 
 impl AttackPattern for DecoyBlastPattern {
-    prac_core::snapshot_methods!(dyn AttackPattern);
+    fn clone_box(&self) -> Box<dyn AttackPattern> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "decoy-blast"
@@ -515,7 +520,9 @@ impl RfmPressurePattern {
 }
 
 impl AttackPattern for RfmPressurePattern {
-    prac_core::snapshot_methods!(dyn AttackPattern);
+    fn clone_box(&self) -> Box<dyn AttackPattern> {
+        Box::new(self.clone())
+    }
 
     fn label(&self) -> &'static str {
         "rfm-pressure"

@@ -188,10 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_state_snapshot_roundtrips() {
-        // The random stream carries an RNG; a snapshot must capture it so a
-        // restored stream replays the exact same tail (checkpoint/fork).
-        use prac_core::Restorable;
+    fn stream_clone_replays_the_original_tail() {
+        // The random stream carries an RNG; a clone taken mid-stream must
+        // carry it too, so the clone replays the original's exact tail.
         let p = AddressPattern::Random {
             base: 0x8000,
             footprint: 1 << 20,
@@ -201,10 +200,9 @@ mod tests {
         for _ in 0..37 {
             stream.next_address();
         }
-        let snap = stream.snapshot();
+        let mut clone = stream.clone();
         let tail: Vec<u64> = (0..50).map(|_| stream.next_address()).collect();
-        stream.restore(&snap);
-        let replay: Vec<u64> = (0..50).map(|_| stream.next_address()).collect();
+        let replay: Vec<u64> = (0..50).map(|_| clone.next_address()).collect();
         assert_eq!(tail, replay);
     }
 }

@@ -158,9 +158,8 @@ pub mod prelude {
         Aes128TTable, AttackSetup, CovertChannelKind, SideChannelExperiment, SpikeDetector,
     };
     pub use system_sim::{
-        mitigation_registry, ChannelStats, EngineKind, EventEngine, ExperimentConfig,
-        MemorySubsystem, MitigationDescriptor, MitigationSetup, SimulationEngine, SystemResult,
-        TickEngine,
+        mitigation_registry, ChannelStats, EngineKind, ExperimentConfig, MemorySubsystem,
+        MitigationDescriptor, MitigationSetup, SystemResult,
     };
     pub use workloads::{
         attack_registry, AccessPattern, AttackAccess, AttackDescriptor, AttackKind, AttackPattern,

@@ -14,7 +14,7 @@
 use system_sim::{
     mitigation_registry, run_workload, EngineKind, ExperimentConfig, MitigationSetup, SystemResult,
 };
-use system_sim::{EventEngine, SystemConfig, SystemSimulation, TickEngine};
+use system_sim::{SystemConfig, SystemSimulation};
 use workloads::{quick_suite, MemoryIntensity, WorkloadSpec};
 
 /// Every registered mitigation configuration.  Iterating the registry (not a
@@ -228,7 +228,7 @@ fn engines_agree_under_adversarial_hammering() {
             .collect();
         Trace::new("hammer", ops)
     };
-    let build = |obfuscated: bool| {
+    let build = |obfuscated: bool, engine: EngineKind| {
         let prac = PracConfig::builder()
             .rowhammer_threshold(24)
             .back_off_threshold(24)
@@ -253,7 +253,7 @@ fn engines_agree_under_adversarial_hammering() {
             },
             instructions_per_core: 6_000,
             max_ticks: 50_000_000,
-            engine: EngineKind::default(),
+            engine,
             sim_threads: 1,
         };
         let traces = vec![hammer_trace(0x100_0000), hammer_trace(0x200_0000)];
@@ -261,8 +261,8 @@ fn engines_agree_under_adversarial_hammering() {
     };
 
     for obfuscated in [false, true] {
-        let ticked = build(obfuscated).run_with(&TickEngine);
-        let evented = build(obfuscated).run_with(&EventEngine);
+        let ticked = build(obfuscated, EngineKind::Tick).run();
+        let evented = build(obfuscated, EngineKind::Event).run();
         assert_eq!(
             ticked, evented,
             "engines diverged under hammering (obfuscated: {obfuscated})"
@@ -302,7 +302,7 @@ fn engines_agree_when_hitting_the_tick_cap() {
     use memctrl::controller::ControllerConfig;
     use prac_core::config::PracConfig;
 
-    let build = |max_ticks: u64| {
+    let build = |max_ticks: u64, engine: EngineKind| {
         let prac = PracConfig::builder().rowhammer_threshold(1024).build();
         let mut cpu = CpuConfig::tiny_for_tests();
         cpu.cores = 2;
@@ -318,7 +318,7 @@ fn engines_agree_when_hitting_the_tick_cap() {
             controller: ControllerConfig::default(),
             instructions_per_core: 1_000_000,
             max_ticks,
-            engine: EngineKind::default(),
+            engine,
             sim_threads: 1,
         };
         let traces = vec![memory_trace(0x1_0000_0000), memory_trace(0x2_0000_0000)];
@@ -328,8 +328,8 @@ fn engines_agree_when_hitting_the_tick_cap() {
     // A cap far below what the instruction budget needs, plus a degenerate
     // zero-tick cap exercising the empty-run path.
     for max_ticks in [0, 40_000] {
-        let ticked = build(max_ticks).run_with(&TickEngine);
-        let evented = build(max_ticks).run_with(&EventEngine);
+        let ticked = build(max_ticks, EngineKind::Tick).run();
+        let evented = build(max_ticks, EngineKind::Event).run();
         assert_eq!(
             ticked, evented,
             "engines diverged at the tick cap (max_ticks: {max_ticks})"
@@ -341,7 +341,7 @@ fn engines_agree_when_hitting_the_tick_cap() {
 
 /// Runs a workload under the default (event) engine with an explicit
 /// `--sim-threads` value.
-fn run_with_threads(
+fn run_on_threads(
     setup: &MitigationSetup,
     workload: &WorkloadSpec,
     instructions: u64,
@@ -370,10 +370,10 @@ fn results_are_thread_count_independent() {
     for setup in all_setups() {
         for channels in [2u32, 4] {
             let seed = 0xD1FF ^ u64::from(channels);
-            let sequential = run_with_threads(&setup, memory_bound, 4_000, channels, 1, seed);
+            let sequential = run_on_threads(&setup, memory_bound, 4_000, channels, 1, seed);
             for sim_threads in [2usize, 4] {
                 let sharded =
-                    run_with_threads(&setup, memory_bound, 4_000, channels, sim_threads, seed);
+                    run_on_threads(&setup, memory_bound, 4_000, channels, sim_threads, seed);
                 assert_eq!(
                     sequential,
                     sharded,
@@ -506,11 +506,11 @@ fn engines_agree_on_the_full_quick_suite() {
 fn thread_count_race_on_the_full_quick_suite() {
     for setup in all_setups() {
         for workload in quick_suite() {
-            let sequential = run_with_threads(&setup, &workload, 20_000, 4, 1, 0xD1FF);
+            let sequential = run_on_threads(&setup, &workload, 20_000, 4, 1, 0xD1FF);
             for sim_threads in [2usize, 4] {
                 assert_eq!(
                     sequential,
-                    run_with_threads(&setup, &workload, 20_000, 4, sim_threads, 0xD1FF),
+                    run_on_threads(&setup, &workload, 20_000, 4, sim_threads, 0xD1FF),
                     "sim-threads {sim_threads} diverged: setup {:?} workload {}",
                     setup.label(),
                     workload.workload.name
