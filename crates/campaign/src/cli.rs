@@ -36,7 +36,6 @@ struct Options {
     attack: Option<AttackKind>,
     workers: Option<usize>,
     engine: EngineKind,
-    sim_threads: usize,
     no_cache: bool,
     out_dir: Option<PathBuf>,
     cache_dir: Option<PathBuf>,
@@ -114,10 +113,6 @@ OPTIONS:
     --engine <E>      Simulation engine: `event` (default) jumps between
                       component wake-ups; `tick` is the legacy per-cycle
                       loop.  Results are bit-identical either way.
-    --sim-threads <N> Worker threads stepping due memory channels of one
-                      event round in parallel inside each simulation
-                      (default 1: sequential).  Multiplies with --workers.
-                      Results are bit-identical for every value.
     --no-cache        Ignore and do not update the incremental result cache
     --out <DIR>       Artifact root (default: target/campaigns)
     --cache-dir <DIR> Result store root (default: target/campaigns/cache)
@@ -147,7 +142,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         attack: None,
         workers: None,
         engine: EngineKind::default(),
-        sim_threads: 1,
         no_cache: false,
         out_dir: None,
         cache_dir: None,
@@ -227,13 +221,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| "--engine requires `tick` or `event`".to_string())?;
                 options.engine = EngineKind::parse(value)
                     .ok_or_else(|| format!("unknown engine `{value}` (use `tick` or `event`)"))?;
-            }
-            "--sim-threads" => {
-                let sim_threads = numeric("--sim-threads")? as usize;
-                if sim_threads == 0 {
-                    return Err("--sim-threads must be at least 1".to_string());
-                }
-                options.sim_threads = sim_threads;
             }
             "--out" => {
                 options.out_dir = Some(
@@ -496,7 +483,6 @@ fn run_command(options: &Options) -> i32 {
         let mut runner = CampaignRunner::new()
             .with_progress(true)
             .with_engine(options.engine)
-            .with_sim_threads(options.sim_threads)
             .with_artifacts(ArtifactStore::new(&artifact_root));
         if let Some(workers) = options.workers {
             runner = runner.with_workers(workers);
@@ -960,16 +946,6 @@ mod tests {
         );
         assert!(parse(&args(&["run", "fig10", "--engine", "warp"])).is_err());
         assert!(parse(&args(&["run", "fig10", "--engine"])).is_err());
-    }
-
-    #[test]
-    fn parses_and_validates_sim_threads() {
-        let options = parse(&args(&["run", "scaling", "--sim-threads", "4"])).unwrap();
-        assert_eq!(options.sim_threads, 4);
-        assert_eq!(parse(&args(&["run", "scaling"])).unwrap().sim_threads, 1);
-        assert!(parse(&args(&["run", "scaling", "--sim-threads", "0"])).is_err());
-        assert!(parse(&args(&["run", "scaling", "--sim-threads", "two"])).is_err());
-        assert!(parse(&args(&["run", "scaling", "--sim-threads"])).is_err());
     }
 
     #[test]

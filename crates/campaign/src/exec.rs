@@ -31,25 +31,24 @@ use crate::scenario::ScenarioSpec;
 /// Banks blocked by one all-bank RFM in the energy model (one DDR5 channel).
 const BANKS_PER_RFM: u32 = 128;
 
-/// Runs a scenario with the default (event-driven) engine on one thread and
-/// returns its metrics as a flat JSON object.
+/// Runs a scenario with the default (event-driven) engine and returns its
+/// metrics as a flat JSON object.
 #[must_use]
 pub fn execute(spec: &ScenarioSpec) -> Map {
-    execute_with(spec, EngineKind::default(), 1)
+    execute_with(spec, EngineKind::default())
 }
 
-/// Runs a scenario under an explicit simulation engine and worker-thread
-/// count for parallel channel stepping.
+/// Runs a scenario under an explicit simulation engine.
 ///
-/// Both are execution knobs, not part of the scenario's identity: every
-/// engine and thread count produces bit-identical metrics (enforced by the
-/// differential suite's engine and thread-count races), so cached results
-/// remain valid across them and both are deliberately excluded from the
-/// cache key.
+/// The engine is an execution knob, not part of the scenario's identity:
+/// every engine produces bit-identical metrics (enforced by the
+/// differential suite's engine race), so cached results remain valid
+/// across engines and the engine is deliberately excluded from the cache
+/// key.
 #[must_use]
-pub fn execute_with(spec: &ScenarioSpec, engine: EngineKind, sim_threads: usize) -> Map {
+pub fn execute_with(spec: &ScenarioSpec, engine: EngineKind) -> Map {
     match spec {
-        ScenarioSpec::Perf(perf) => execute_perf_group(&[perf.as_ref()], engine, sim_threads)
+        ScenarioSpec::Perf(perf) => execute_perf_group(&[perf.as_ref()], engine)
             .pop()
             .expect("a group of one yields one result"),
         ScenarioSpec::AboLatency {
@@ -96,20 +95,17 @@ fn perf_experiment_config(
     perf: &crate::scenario::PerfScenario,
     setup: MitigationSetup,
     engine: EngineKind,
-    sim_threads: usize,
 ) -> ExperimentConfig {
     ExperimentConfig {
         rowhammer_threshold: perf.rowhammer_threshold,
         prac_level: perf.prac_level,
-        setup,
-        instructions_per_core: perf.instructions_per_core,
         cores: perf.cores,
         channels: perf.channels.max(1),
         ranks: perf.ranks,
         profile: perf.profile,
         attack: perf.attack,
         engine,
-        sim_threads,
+        ..ExperimentConfig::new(setup, perf.instructions_per_core)
     }
 }
 
@@ -278,17 +274,11 @@ fn perf_metrics(
 pub fn execute_perf_group(
     perfs: &[&crate::scenario::PerfScenario],
     engine: EngineKind,
-    sim_threads: usize,
 ) -> Vec<Map> {
     let Some(template) = perfs.first() else {
         return Vec::new();
     };
-    let baseline_config = perf_experiment_config(
-        template,
-        MitigationSetup::BaselineNoAbo,
-        engine,
-        sim_threads,
-    );
+    let baseline_config = perf_experiment_config(template, MitigationSetup::BaselineNoAbo, engine);
     // Each cell's protected system, or `None` when its setup is the
     // baseline and the baseline leg doubles as its protected run.
     let legs: Vec<Result<Option<SystemConfig>, ConfigError>> = perfs
@@ -297,7 +287,7 @@ pub fn execute_perf_group(
             if perf.setup == MitigationSetup::BaselineNoAbo {
                 return Ok(None);
             }
-            perf_experiment_config(perf, perf.setup.clone(), engine, sim_threads)
+            perf_experiment_config(perf, perf.setup.clone(), engine)
                 .build_system_config()
                 .map(Some)
         })
@@ -896,7 +886,7 @@ mod tests {
     /// The per-cell oracle the group executor must reproduce: the cell's
     /// own protected and baseline runs, each with freshly generated traces.
     fn cold_metrics(perf: &crate::scenario::PerfScenario, engine: EngineKind) -> Map {
-        let config = perf_experiment_config(perf, perf.setup.clone(), engine, 1);
+        let config = perf_experiment_config(perf, perf.setup.clone(), engine);
         match system_sim::run_workload_normalized(&config, &perf.workload.workload, perf.seed) {
             Ok((_, protected, baseline)) => perf_metrics(perf, &protected, &baseline),
             Err(error) => perf_config_error(perf, &error),
@@ -942,7 +932,7 @@ mod tests {
         ];
         for engine in [EngineKind::Tick, EngineKind::Event] {
             let refs: Vec<&crate::scenario::PerfScenario> = cells.iter().collect();
-            let grouped = execute_perf_group(&refs, engine, 1);
+            let grouped = execute_perf_group(&refs, engine);
             for (perf, grouped_metrics) in cells.iter().zip(&grouped) {
                 let cold = cold_metrics(perf, engine);
                 assert_eq!(
@@ -952,7 +942,7 @@ mod tests {
                     perf.setup.slug()
                 );
                 assert_eq!(
-                    execute_perf_group(&[perf], engine, 1),
+                    execute_perf_group(&[perf], engine),
                     [cold],
                     "{engine:?}/{}: a group of one diverged from the cold run",
                     perf.setup.slug()
@@ -984,7 +974,7 @@ mod tests {
             cell(MitigationSetup::AboOnly),
         ];
         let refs: Vec<&crate::scenario::PerfScenario> = cells.iter().collect();
-        let grouped = execute_perf_group(&refs, EngineKind::default(), 1);
+        let grouped = execute_perf_group(&refs, EngineKind::default());
         assert_eq!(grouped[0].get("completed"), Some(&Value::Bool(false)));
         assert!(grouped[0].contains_key("config_error"));
         assert_eq!(grouped[0], cold_metrics(&cells[0], EngineKind::default()));
@@ -1013,7 +1003,7 @@ mod tests {
             cell(MitigationSetup::AboOnly),
         ];
         let refs: Vec<&crate::scenario::PerfScenario> = cells.iter().collect();
-        let grouped = execute_perf_group(&refs, EngineKind::default(), 1);
+        let grouped = execute_perf_group(&refs, EngineKind::default());
         for (perf, metrics) in cells.iter().zip(&grouped) {
             assert!(metrics.contains_key("config_error"));
             assert_eq!(metrics, &cold_metrics(perf, EngineKind::default()));
@@ -1036,8 +1026,8 @@ mod tests {
             seed: 41,
         }));
         assert_eq!(
-            execute_with(&spec, EngineKind::Tick, 1),
-            execute_with(&spec, EngineKind::Event, 1),
+            execute_with(&spec, EngineKind::Tick),
+            execute_with(&spec, EngineKind::Event),
             "cached metrics must stay valid across engines"
         );
     }

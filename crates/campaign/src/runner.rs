@@ -124,7 +124,6 @@ pub struct CampaignRunner {
     artifacts: Option<ArtifactStore>,
     progress: bool,
     engine: EngineKind,
-    sim_threads: usize,
 }
 
 impl Default for CampaignRunner {
@@ -135,7 +134,6 @@ impl Default for CampaignRunner {
             artifacts: None,
             progress: false,
             engine: EngineKind::default(),
-            sim_threads: 1,
         }
     }
 }
@@ -181,19 +179,6 @@ impl CampaignRunner {
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the worker-thread count each simulation uses to step due
-    /// channels of one event round in parallel (default 1: sequential).
-    /// Results and cache entries are thread-count-independent — like
-    /// [`CampaignRunner::with_engine`], this only changes how fast the
-    /// misses run.  Note this parallelism *multiplies* with
-    /// [`CampaignRunner::with_workers`]: `workers` runs scenarios
-    /// concurrently, `sim_threads` parallelises channels inside each one.
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads.max(1);
         self
     }
 
@@ -244,12 +229,11 @@ impl CampaignRunner {
         let campaign_name = campaign.name.as_str();
         let progress = self.progress;
         let engine = self.engine;
-        let sim_threads = self.sim_threads;
         let fresh: Vec<(usize, ScenarioRecord)> = parallel_map(units, self.workers, |unit| {
             let unit_started = Instant::now();
             let results: Vec<(usize, Map)> = match unit {
                 WorkUnit::Single(index, scenario) => {
-                    vec![(*index, execute_with(&scenario.spec, engine, sim_threads))]
+                    vec![(*index, execute_with(&scenario.spec, engine))]
                 }
                 WorkUnit::Group(cells) => {
                     let perfs: Vec<&crate::scenario::PerfScenario> = cells
@@ -259,7 +243,7 @@ impl CampaignRunner {
                             _ => unreachable!("groups contain only perf cells"),
                         })
                         .collect();
-                    let metrics = execute_perf_group(&perfs, engine, sim_threads);
+                    let metrics = execute_perf_group(&perfs, engine);
                     cells.iter().map(|(index, _)| *index).zip(metrics).collect()
                 }
             };

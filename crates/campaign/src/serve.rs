@@ -21,8 +21,12 @@
 //! campaign exec path and persist), and `shutdown` (clean stop: the accept
 //! loop drains and the store index is flushed).  Hits never construct a
 //! simulation — the reply is an index probe plus one segment read.
+//!
+//! A request line, newline included, may be at most [`MAX_REQUEST_BYTES`]
+//! long.  A longer line is answered with an `ok:false` error, and the
+//! connection closes once the rest of that line has been read and dropped.
 
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,6 +47,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// check the shutdown flag, so joining in-flight handlers at shutdown never
 /// blocks on a silent client.
 const READ_POLL: Duration = Duration::from_millis(50);
+
+/// Longest request line the server buffers, newline included.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// The query service: a [`ResultCache`] plus the engine used to run misses.
 ///
@@ -173,15 +180,13 @@ impl Server {
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
         loop {
-            match reader.read_line(&mut line) {
+            // At most one byte past the limit is ever buffered: enough to
+            // tell an over-limit line from one that fits.
+            let budget = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+            match reader.by_ref().take(budget).read_line(&mut line) {
                 Ok(0) => return Ok(()), // client hung up
                 Ok(_) => {}
-                Err(error)
-                    if matches!(
-                        error.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(error) if is_timeout(&error) => {
                     // Read timed out.  Any bytes already received stay
                     // appended to `line` and the next read continues the
                     // same request, so a slow writer is never corrupted —
@@ -194,19 +199,43 @@ impl Server {
                 }
                 Err(error) => return Err(error),
             }
+            if line.len() > MAX_REQUEST_BYTES {
+                let error = format!("request exceeds {MAX_REQUEST_BYTES} bytes");
+                write_reply(reader.get_mut(), &error_reply(&error))?;
+                if line.ends_with('\n') {
+                    return Ok(());
+                }
+                // Drop the rest of the line before closing: closing over
+                // unread input resets the connection, which can discard
+                // the reply before the client reads it.
+                return self.skip_line(&mut reader);
+            }
             if line.trim().is_empty() {
                 line.clear();
                 continue;
             }
             let (response, stop) = self.respond(line.trim());
             line.clear();
-            let mut text = response.to_string();
-            text.push('\n');
-            reader.get_mut().write_all(text.as_bytes())?;
-            reader.get_mut().flush()?;
+            write_reply(reader.get_mut(), &response)?;
             if stop {
                 self.shutdown.store(true, Ordering::SeqCst);
                 return Ok(());
+            }
+        }
+    }
+
+    /// Reads and drops input up to the next newline or end of stream,
+    /// without buffering it.
+    fn skip_line(&self, reader: &mut impl BufRead) -> io::Result<()> {
+        loop {
+            match reader.skip_until(b'\n') {
+                Ok(_) => return Ok(()),
+                Err(error) if is_timeout(&error) => {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        return Ok(());
+                    }
+                }
+                Err(error) => return Err(error),
             }
         }
     }
@@ -298,7 +327,7 @@ impl Server {
             std::thread::sleep(delay);
         }
         let started = Instant::now();
-        let metrics = execute_with(&scenario.spec, self.engine, 1);
+        let metrics = execute_with(&scenario.spec, self.engine);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let result = CachedResult {
             metrics: metrics.clone(),
@@ -312,6 +341,22 @@ impl Server {
         reply.insert("wall_ms".into(), wall_ms.into());
         Value::Object(reply)
     }
+}
+
+/// Whether a read failed only because the stream's read timeout elapsed.
+fn is_timeout(error: &io::Error) -> bool {
+    matches!(
+        error.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// Writes one reply line and flushes it.
+fn write_reply(stream: &mut impl io::Write, reply: &Value) -> io::Result<()> {
+    let mut text = reply.to_string();
+    text.push('\n');
+    stream.write_all(text.as_bytes())?;
+    stream.flush()
 }
 
 fn ok_reply() -> Map {

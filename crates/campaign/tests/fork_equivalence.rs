@@ -101,54 +101,6 @@ fn fork_equivalence_across_channel_counts() {
     }
 }
 
-/// Pause/fork/resume with channel sharding on: a sequential cold run, a
-/// sharded cold run, and a sharded fork resume must all be bit-identical.
-/// This pins the derived-state contract of the paused snapshot — the
-/// per-channel wheel slots and due mask are rebuilt on resume, so a fork
-/// resumed under `--sim-threads 4` replays the sequential cold run exactly.
-#[test]
-fn fork_equivalence_with_channel_sharding() {
-    for mitigation in mitigation_registry() {
-        for channels in [2, 4] {
-            let context = format!("sharded / {} / {channels}ch", mitigation.slug);
-            let sequential = config_for(
-                mitigation.setup.clone(),
-                Some(AttackKind::DoubleSided),
-                channels,
-                EngineKind::Event,
-            );
-            let sharded = sequential.clone().with_sim_threads(4);
-            let system = sharded
-                .build_system_config()
-                .unwrap_or_else(|error| panic!("{context}: unbuildable config: {error}"));
-            let workload = quick_suite().remove(0).workload;
-            let traces = workload_traces(&sharded, &system, &workload, 42);
-            let cold = {
-                let system = sequential
-                    .build_system_config()
-                    .expect("sequential twin builds");
-                SystemSimulation::new(system, traces.clone()).run()
-            };
-            let sharded_cold = SystemSimulation::new(system.clone(), traces.clone()).run();
-            assert_eq!(
-                sharded_cold, cold,
-                "{context}: sharded cold run diverged from sequential"
-            );
-            let pause = (3 * cold.elapsed_ticks / 4).max(1);
-            match SystemSimulation::new(system, traces).run_until(pause) {
-                PrefixOutcome::Paused(prefix) => {
-                    let fork = prefix.fork();
-                    assert_eq!(fork.resume(), cold, "{context}: forked resume diverged");
-                    assert_eq!(prefix.resume(), cold, "{context}: original resume diverged");
-                }
-                PrefixOutcome::Finished(result) => {
-                    assert_eq!(result, cold, "{context}: early finish diverged");
-                }
-            }
-        }
-    }
-}
-
 /// Pause/fork/resume on a 2-rank device: the paused snapshot must carry
 /// the per-rank tFAW activation rings and the staggered refresh windows,
 /// so a fork taken mid-run replays the cold run exactly.  Every mitigation

@@ -5,9 +5,7 @@
 //! lives in a struct-of-arrays [`BankTimingTable`] so the device can scan
 //! and min-reduce across every bank of a channel without striding over the
 //! cold per-bank state (PRAC counter maps and mitigation queues), which
-//! stays in [`BankMeta`].  [`Bank`] composes a one-entry table with one
-//! meta record to preserve the original single-bank API for unit and
-//! property tests, and [`BankRef`] is the read-only per-bank view the
+//! stays in [`BankMeta`].  [`BankRef`] is the read-only per-bank view the
 //! device hands out.
 
 use std::collections::HashMap;
@@ -545,189 +543,6 @@ impl<'a> BankRef<'a> {
     }
 }
 
-/// State of a single DRAM bank: a one-entry [`BankTimingTable`] composed
-/// with one [`BankMeta`].
-///
-/// The device keeps its banks in the shared table directly; this composite
-/// preserves the original mutating single-bank API so unit and property
-/// tests exercise exactly the code the device runs.
-#[derive(Debug, Clone)]
-pub struct Bank {
-    timings: BankTimingTable,
-    meta: BankMeta,
-}
-
-impl Bank {
-    /// Creates an idle, fully-precharged bank with the chosen queue design.
-    #[must_use]
-    pub fn new(queue_kind: QueueKind) -> Self {
-        Self {
-            timings: BankTimingTable::new(1),
-            meta: BankMeta::new(queue_kind),
-        }
-    }
-
-    /// The currently open row, if the bank is active.
-    #[must_use]
-    pub fn open_row(&self) -> Option<u32> {
-        self.timings.open_row(0)
-    }
-
-    /// The PRAC counter value of `row`.
-    #[must_use]
-    pub fn counter(&self, row: RowIndex) -> u32 {
-        self.meta.counter(row)
-    }
-
-    /// The maximum PRAC counter value across all rows of this bank.
-    #[must_use]
-    pub fn max_counter(&self) -> u32 {
-        self.meta.max_counter()
-    }
-
-    /// Row currently nominated by the mitigation queue, if any.
-    #[must_use]
-    pub fn queue_head(&self) -> Option<RowIndex> {
-        self.meta.queue_head()
-    }
-
-    /// Activations performed since the last RFM that reached this bank.
-    #[must_use]
-    pub fn activations_since_rfm(&self) -> u32 {
-        self.meta.activations_since_rfm()
-    }
-
-    /// Lifetime activation count.
-    #[must_use]
-    pub fn total_activations(&self) -> u64 {
-        self.meta.total_activations()
-    }
-
-    /// Earliest tick at which an ACT to this bank is legal.
-    #[must_use]
-    pub fn act_ready_at(&self) -> u64 {
-        self.timings.act_ready_at(0)
-    }
-
-    /// Earliest tick at which *any* command to this bank can change its
-    /// state (see [`BankTimingTable::next_transition_at`]).
-    #[must_use]
-    pub fn next_transition_at(&self) -> u64 {
-        self.timings.next_transition_at(0)
-    }
-
-    /// Checks whether activating `row` at `now` is legal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IssueError::IllegalState`] when a row is already open and
-    /// [`IssueError::TooEarly`] when tRC/tRP have not elapsed.
-    pub fn can_activate(&self, now: u64) -> Result<(), IssueError> {
-        self.timings.can_activate(0, now)
-    }
-
-    /// Activates `row` at `now`, incrementing its PRAC counter and updating
-    /// the mitigation queue.  Returns the row's new counter value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the legality checks of [`Bank::can_activate`].
-    pub fn activate(
-        &mut self,
-        row: RowIndex,
-        now: u64,
-        timing: &DramTimingParams,
-    ) -> Result<u32, IssueError> {
-        self.timings.activate(0, row, now, timing)?;
-        Ok(self.meta.note_activation(row))
-    }
-
-    /// Checks whether a precharge at `now` is legal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IssueError::TooEarly`] when tRAS (or read/write recovery)
-    /// has not elapsed. Precharging an already-closed bank is a no-op and is
-    /// allowed.
-    pub fn can_precharge(&self, now: u64) -> Result<(), IssueError> {
-        self.timings.can_precharge(0, now)
-    }
-
-    /// Precharges (closes) the bank at `now`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Bank::can_precharge`].
-    pub fn precharge(&mut self, now: u64, timing: &DramTimingParams) -> Result<(), IssueError> {
-        self.timings.precharge(0, now, timing)
-    }
-
-    /// Checks whether a column read/write of `row` at `now` is legal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IssueError::IllegalState`] when the addressed row is not the
-    /// open row, and [`IssueError::TooEarly`] before tRCD/tCCD elapse.
-    pub fn can_access_column(&self, row: RowIndex, now: u64) -> Result<(), IssueError> {
-        self.timings.can_access_column(0, row, now)
-    }
-
-    /// Performs a column read at `now`; returns the tick at which data has
-    /// fully returned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Bank::can_access_column`].
-    pub fn read(
-        &mut self,
-        row: RowIndex,
-        now: u64,
-        timing: &DramTimingParams,
-    ) -> Result<u64, IssueError> {
-        self.timings.read(0, row, now, timing)
-    }
-
-    /// Performs a column write at `now`; returns the tick at which the write
-    /// has been accepted (write data fully transferred).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Bank::can_access_column`].
-    pub fn write(
-        &mut self,
-        row: RowIndex,
-        now: u64,
-        timing: &DramTimingParams,
-    ) -> Result<u64, IssueError> {
-        self.timings.write(0, row, now, timing)
-    }
-
-    /// Mitigates the row nominated by the mitigation queue (if any),
-    /// resetting its PRAC counter.  Returns the mitigated row.
-    pub fn mitigate_queue_head(&mut self) -> Option<RowIndex> {
-        self.meta.mitigate_queue_head()
-    }
-
-    /// Resets all PRAC counters and the mitigation queue (counter reset at
-    /// tREFW).
-    pub fn reset_counters(&mut self) {
-        self.meta.reset_counters()
-    }
-
-    /// Applies a channel-wide blocking command (refresh or RFM): the bank is
-    /// precharged immediately and no command may be issued before
-    /// `now + duration`.
-    pub fn block_until(&mut self, now: u64, duration: u64) {
-        self.timings.block_until(0, now, duration);
-    }
-
-    /// Number of distinct rows with a non-zero PRAC counter.
-    #[must_use]
-    pub fn tracked_rows(&self) -> usize {
-        self.meta.tracked_rows()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,71 +551,89 @@ mod tests {
         DramTimingParams::ddr5_8000b()
     }
 
-    fn bank() -> Bank {
-        Bank::new(QueueKind::SingleEntryFrequency)
+    /// One bank as the device runs it: slot 0 of a one-entry timing table
+    /// plus its cold state.
+    fn bank() -> (BankTimingTable, BankMeta) {
+        (
+            BankTimingTable::new(1),
+            BankMeta::new(QueueKind::SingleEntryFrequency),
+        )
+    }
+
+    /// Activates `row` the way the device does: the timing check and update
+    /// first, then the PRAC side.  Returns the row's new counter value.
+    fn activate(
+        table: &mut BankTimingTable,
+        meta: &mut BankMeta,
+        row: RowIndex,
+        now: u64,
+        t: &DramTimingParams,
+    ) -> Result<u32, IssueError> {
+        table.activate(0, row, now, t)?;
+        Ok(meta.note_activation(row))
     }
 
     #[test]
     fn activate_opens_row_and_increments_counter() {
-        let mut b = bank();
-        let count = b.activate(5, 0, &timing()).unwrap();
+        let (mut table, mut meta) = bank();
+        let count = activate(&mut table, &mut meta, 5, 0, &timing()).unwrap();
         assert_eq!(count, 1);
-        assert_eq!(b.open_row(), Some(5));
-        assert_eq!(b.counter(5), 1);
-        assert_eq!(b.queue_head(), Some(5));
+        assert_eq!(table.open_row(0), Some(5));
+        assert_eq!(meta.counter(5), 1);
+        assert_eq!(meta.queue_head(), Some(5));
     }
 
     #[test]
     fn double_activate_is_illegal() {
-        let mut b = bank();
-        b.activate(5, 0, &timing()).unwrap();
-        let err = b.activate(6, 1_000, &timing()).unwrap_err();
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, 5, 0, &timing()).unwrap();
+        let err = activate(&mut table, &mut meta, 6, 1_000, &timing()).unwrap_err();
         assert!(matches!(err, IssueError::IllegalState { .. }));
     }
 
     #[test]
     fn activate_respects_trc() {
         let t = timing();
-        let mut b = bank();
-        b.activate(1, 0, &t).unwrap();
-        b.precharge(t.t_ras, &t).unwrap();
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, 1, 0, &t).unwrap();
+        table.precharge(0, t.t_ras, &t).unwrap();
         // tRC (208 ticks) not yet elapsed at tRAS + tRP = 64 + 144 = 208... it
         // is exactly equal, so issuing just before must fail.
-        let err = b.activate(2, t.t_ras + t.t_rp - 1, &t).unwrap_err();
+        let err = activate(&mut table, &mut meta, 2, t.t_ras + t.t_rp - 1, &t).unwrap_err();
         assert!(matches!(err, IssueError::TooEarly { .. }));
-        assert!(b.activate(2, t.t_rc, &t).is_ok());
+        assert!(activate(&mut table, &mut meta, 2, t.t_rc, &t).is_ok());
     }
 
     #[test]
     fn precharge_respects_tras() {
         let t = timing();
-        let mut b = bank();
-        b.activate(1, 100, &t).unwrap();
-        let err = b.precharge(100 + t.t_ras - 1, &t).unwrap_err();
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, 1, 100, &t).unwrap();
+        let err = table.precharge(0, 100 + t.t_ras - 1, &t).unwrap_err();
         assert!(matches!(err, IssueError::TooEarly { ready_at } if ready_at == 100 + t.t_ras));
-        assert!(b.precharge(100 + t.t_ras, &t).is_ok());
-        assert_eq!(b.open_row(), None);
+        assert!(table.precharge(0, 100 + t.t_ras, &t).is_ok());
+        assert_eq!(table.open_row(0), None);
     }
 
     #[test]
     fn precharging_closed_bank_is_noop() {
         let t = timing();
-        let mut b = bank();
-        assert!(b.precharge(0, &t).is_ok());
-        assert_eq!(b.open_row(), None);
+        let (mut table, _) = bank();
+        assert!(table.precharge(0, 0, &t).is_ok());
+        assert_eq!(table.open_row(0), None);
     }
 
     #[test]
     fn read_requires_matching_open_row() {
         let t = timing();
-        let mut b = bank();
+        let (mut table, mut meta) = bank();
         assert!(matches!(
-            b.read(3, 0, &t).unwrap_err(),
+            table.read(0, 3, 0, &t).unwrap_err(),
             IssueError::IllegalState { .. }
         ));
-        b.activate(3, 0, &t).unwrap();
+        activate(&mut table, &mut meta, 3, 0, &t).unwrap();
         assert!(matches!(
-            b.read(4, t.t_rcd, &t).unwrap_err(),
+            table.read(0, 4, t.t_rcd, &t).unwrap_err(),
             IssueError::IllegalState { .. }
         ));
     }
@@ -808,103 +641,103 @@ mod tests {
     #[test]
     fn read_respects_trcd_and_returns_data_time() {
         let t = timing();
-        let mut b = bank();
-        b.activate(3, 0, &t).unwrap();
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, 3, 0, &t).unwrap();
         assert!(matches!(
-            b.read(3, t.t_rcd - 1, &t).unwrap_err(),
+            table.read(0, 3, t.t_rcd - 1, &t).unwrap_err(),
             IssueError::TooEarly { .. }
         ));
-        let done = b.read(3, t.t_rcd, &t).unwrap();
+        let done = table.read(0, 3, t.t_rcd, &t).unwrap();
         assert_eq!(done, t.t_rcd + t.read_latency());
     }
 
     #[test]
     fn write_extends_precharge_window() {
         let t = timing();
-        let mut b = bank();
-        b.activate(3, 0, &t).unwrap();
-        b.write(3, t.t_rcd, &t).unwrap();
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, 3, 0, &t).unwrap();
+        table.write(0, 3, t.t_rcd, &t).unwrap();
         // Precharge must wait for write recovery: tRCD + tCL + tBL + tWR.
         let earliest = t.t_rcd + t.t_cl + t.t_bl + t.t_wr;
         assert!(matches!(
-            b.precharge(earliest - 1, &t).unwrap_err(),
+            table.precharge(0, earliest - 1, &t).unwrap_err(),
             IssueError::TooEarly { .. }
         ));
-        assert!(b.precharge(earliest, &t).is_ok());
+        assert!(table.precharge(0, earliest, &t).is_ok());
     }
 
     #[test]
     fn consecutive_column_accesses_respect_tccd() {
         let t = timing();
-        let mut b = bank();
-        b.activate(3, 0, &t).unwrap();
-        b.read(3, t.t_rcd, &t).unwrap();
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, 3, 0, &t).unwrap();
+        table.read(0, 3, t.t_rcd, &t).unwrap();
         assert!(matches!(
-            b.read(3, t.t_rcd + 1, &t).unwrap_err(),
+            table.read(0, 3, t.t_rcd + 1, &t).unwrap_err(),
             IssueError::TooEarly { .. }
         ));
-        assert!(b.read(3, t.t_rcd + t.t_ccd, &t).is_ok());
+        assert!(table.read(0, 3, t.t_rcd + t.t_ccd, &t).is_ok());
     }
 
     #[test]
     fn counters_accumulate_across_activations() {
         let t = timing();
-        let mut b = bank();
+        let (mut table, mut meta) = bank();
         let mut now = 0;
         for i in 0..10 {
-            let count = b.activate(7, now, &t).unwrap();
+            let count = activate(&mut table, &mut meta, 7, now, &t).unwrap();
             assert_eq!(count, i + 1);
             now += t.t_ras;
-            b.precharge(now, &t).unwrap();
+            table.precharge(0, now, &t).unwrap();
             now += t.t_rp.max(t.t_rc - t.t_ras);
         }
-        assert_eq!(b.counter(7), 10);
-        assert_eq!(b.total_activations(), 10);
+        assert_eq!(meta.counter(7), 10);
+        assert_eq!(meta.total_activations(), 10);
     }
 
     #[test]
     fn mitigation_resets_counter_of_queue_head() {
         let t = timing();
-        let mut b = bank();
+        let (mut table, mut meta) = bank();
         let mut now = 0;
         for row in [1u32, 1, 1, 2] {
-            b.activate(row, now, &t).unwrap();
+            activate(&mut table, &mut meta, row, now, &t).unwrap();
             now += t.t_ras;
-            b.precharge(now, &t).unwrap();
+            table.precharge(0, now, &t).unwrap();
             now += t.t_rc;
         }
         // Row 1 has 3 activations and is the queue head.
-        assert_eq!(b.queue_head(), Some(1));
-        let mitigated = b.mitigate_queue_head();
+        assert_eq!(meta.queue_head(), Some(1));
+        let mitigated = meta.mitigate_queue_head();
         assert_eq!(mitigated, Some(1));
-        assert_eq!(b.counter(1), 0);
-        assert_eq!(b.counter(2), 1);
-        assert_eq!(b.activations_since_rfm(), 0);
+        assert_eq!(meta.counter(1), 0);
+        assert_eq!(meta.counter(2), 1);
+        assert_eq!(meta.activations_since_rfm(), 0);
     }
 
     #[test]
     fn reset_clears_counters_and_queue() {
         let t = timing();
-        let mut b = bank();
-        b.activate(9, 0, &t).unwrap();
-        b.reset_counters();
-        assert_eq!(b.counter(9), 0);
-        assert_eq!(b.queue_head(), None);
-        assert_eq!(b.tracked_rows(), 0);
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, 9, 0, &t).unwrap();
+        meta.reset_counters();
+        assert_eq!(meta.counter(9), 0);
+        assert_eq!(meta.queue_head(), None);
+        assert_eq!(meta.tracked_rows(), 0);
     }
 
     #[test]
     fn block_until_closes_row_and_defers_commands() {
         let t = timing();
-        let mut b = bank();
-        b.activate(1, 0, &t).unwrap();
-        b.block_until(10, 1_400);
-        assert_eq!(b.open_row(), None);
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, 1, 0, &t).unwrap();
+        table.block_until(0, 10, 1_400);
+        assert_eq!(table.open_row(0), None);
         assert!(matches!(
-            b.activate(2, 1_000, &t).unwrap_err(),
+            activate(&mut table, &mut meta, 2, 1_000, &t).unwrap_err(),
             IssueError::TooEarly { ready_at } if ready_at >= 1_410
         ));
-        assert!(b.activate(2, 1_410, &t).is_ok());
+        assert!(activate(&mut table, &mut meta, 2, 1_410, &t).is_ok());
     }
 
     #[test]

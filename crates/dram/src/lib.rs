@@ -37,7 +37,6 @@ pub mod profile;
 pub mod stats;
 pub mod timing;
 
-pub use bank::Bank;
 pub use command::DramCommand;
 pub use device::{DramDevice, DramDeviceConfig};
 pub use org::{DramAddress, DramOrganization};

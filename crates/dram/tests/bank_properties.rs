@@ -1,8 +1,10 @@
 //! Property tests for the per-bank DRAM state machine.
 //!
 //! Random command sequences — activates, precharges, reads and writes at
-//! randomly spaced ticks — are replayed against a [`Bank`] while a shadow
-//! model records when each successful command happened.  The properties:
+//! randomly spaced ticks — are replayed against one bank, held as the device
+//! holds it (slot 0 of a one-entry [`BankTimingTable`] plus its
+//! [`BankMeta`]), while a shadow model records when each successful command
+//! happened.  The properties:
 //!
 //! 1. **Timing ordering is never violated.**  Whenever the bank *accepts* a
 //!    command, the mandated gap to the commands that precede it has elapsed:
@@ -24,7 +26,7 @@
 //! The proptest shim replays a fixed number of deterministically seeded
 //! cases, so failures reproduce bit-for-bit across runs and machines.
 
-use dram_sim::bank::Bank;
+use dram_sim::bank::{BankMeta, BankTimingTable};
 use dram_sim::command::{DramCommand, IssueError};
 use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
@@ -46,15 +48,36 @@ struct Shadow {
 /// One randomised step: command selector, target row, tick delta.
 type Step = (u8, u32, u64);
 
+/// One idle, precharged bank: the timing table's only slot (index 0) plus
+/// its cold state.
+fn bank() -> (BankTimingTable, BankMeta) {
+    (
+        BankTimingTable::new(1),
+        BankMeta::new(QueueKind::SingleEntryFrequency),
+    )
+}
+
+/// Activates `row` as the device does: timing first, then the PRAC side.
+fn activate(
+    table: &mut BankTimingTable,
+    meta: &mut BankMeta,
+    row: u32,
+    now: u64,
+    timing: &DramTimingParams,
+) -> Result<u32, IssueError> {
+    table.activate(0, row, now, timing)?;
+    Ok(meta.note_activation(row))
+}
+
 fn drive(timing: &DramTimingParams, steps: &[Step]) {
-    let mut bank = Bank::new(QueueKind::SingleEntryFrequency);
+    let (mut table, mut meta) = bank();
     let mut shadow = Shadow::default();
     let mut now = 0u64;
     for &(cmd, row, delta) in steps {
         now += delta;
-        let before_open = bank.open_row();
+        let before_open = table.open_row(0);
         match cmd % 4 {
-            0 => match bank.activate(row, now, timing) {
+            0 => match activate(&mut table, &mut meta, row, now, timing) {
                 Ok(_) => {
                     assert_eq!(before_open, None, "ACT accepted while a row was open");
                     if let Some(act) = shadow.last_act {
@@ -64,7 +87,7 @@ fn drive(timing: &DramTimingParams, steps: &[Step]) {
                         assert!(now >= pre + timing.t_rp, "tRP violated: {pre} -> {now}");
                     }
                     shadow.last_act = Some(now);
-                    assert!(bank.next_transition_at() > now);
+                    assert!(table.next_transition_at(0) > now);
                 }
                 Err(IssueError::TooEarly { ready_at }) => {
                     assert!(ready_at > now, "TooEarly must name a future tick");
@@ -73,7 +96,7 @@ fn drive(timing: &DramTimingParams, steps: &[Step]) {
                     assert!(before_open.is_some(), "ACT is only illegal on an open bank");
                 }
             },
-            1 => match bank.precharge(now, timing) {
+            1 => match table.precharge(0, now, timing) {
                 Ok(()) => {
                     if before_open.is_some() {
                         let act = shadow.last_act.expect("open row implies an ACT");
@@ -88,9 +111,9 @@ fn drive(timing: &DramTimingParams, steps: &[Step]) {
                         shadow.last_precharge = Some(now);
                         shadow.last_column = None;
                         shadow.last_write = None;
-                        assert!(bank.next_transition_at() > now);
+                        assert!(table.next_transition_at(0) > now);
                     }
-                    assert_eq!(bank.open_row(), None);
+                    assert_eq!(table.open_row(0), None);
                 }
                 Err(IssueError::TooEarly { ready_at }) => assert!(ready_at > now),
                 Err(IssueError::IllegalState { reason }) => {
@@ -99,9 +122,9 @@ fn drive(timing: &DramTimingParams, steps: &[Step]) {
             },
             col => {
                 let result = if col == 2 {
-                    bank.read(row, now, timing)
+                    table.read(0, row, now, timing)
                 } else {
-                    bank.write(row, now, timing)
+                    table.write(0, row, now, timing)
                 };
                 match result {
                     Ok(done) => {
@@ -116,7 +139,7 @@ fn drive(timing: &DramTimingParams, steps: &[Step]) {
                         if col != 2 {
                             shadow.last_write = Some(now);
                         }
-                        assert!(bank.next_transition_at() > now);
+                        assert!(table.next_transition_at(0) > now);
                     }
                     Err(IssueError::TooEarly { ready_at }) => assert!(ready_at > now),
                     Err(IssueError::IllegalState { .. }) => {
@@ -395,18 +418,18 @@ proptest! {
         delta in 0u64..32,
     ) {
         let timing = DramTimingParams::ddr5_8000b();
-        let mut bank = Bank::new(QueueKind::SingleEntryFrequency);
+        let (mut table, mut meta) = bank();
         let start = 10 + delta;
-        bank.activate(row, start, &timing).unwrap();
+        activate(&mut table, &mut meta, row, start, &timing).unwrap();
 
         // Column access strictly inside tRCD must be rejected with the exact
         // release tick; the same for a precharge inside tRAS.
         prop_assume!(timing.t_rcd > 0 && timing.t_ras > 0);
-        let too_early = bank.read(row, start + timing.t_rcd - 1, &timing).unwrap_err();
+        let too_early = table.read(0, row, start + timing.t_rcd - 1, &timing).unwrap_err();
         prop_assert!(
             matches!(too_early, IssueError::TooEarly { ready_at } if ready_at == start + timing.t_rcd)
         );
-        let too_early = bank.precharge(start + timing.t_ras - 1, &timing).unwrap_err();
+        let too_early = table.precharge(0, start + timing.t_ras - 1, &timing).unwrap_err();
         prop_assert!(
             matches!(too_early, IssueError::TooEarly { ready_at } if ready_at == start + timing.t_ras)
         );
@@ -414,7 +437,7 @@ proptest! {
         // And the bank's advertised next transition matches the earlier of
         // the two windows.
         prop_assert_eq!(
-            bank.next_transition_at(),
+            table.next_transition_at(0),
             (start + timing.t_rcd).min(start + timing.t_ras)
         );
     }
@@ -425,13 +448,13 @@ proptest! {
         duration in 1u64..5_000,
     ) {
         let timing = DramTimingParams::ddr5_8000b();
-        let mut bank = Bank::new(QueueKind::SingleEntryFrequency);
-        bank.activate(row, 0, &timing).unwrap();
-        bank.block_until(10, duration);
-        prop_assert_eq!(bank.open_row(), None, "blocking closes the row");
-        prop_assert!(bank.next_transition_at() >= 10 + duration);
+        let (mut table, mut meta) = bank();
+        activate(&mut table, &mut meta, row, 0, &timing).unwrap();
+        table.block_until(0, 10, duration);
+        prop_assert_eq!(table.open_row(0), None, "blocking closes the row");
+        prop_assert!(table.next_transition_at(0) >= 10 + duration);
         prop_assert!(matches!(
-            bank.activate(row, 10 + duration - 1, &timing),
+            activate(&mut table, &mut meta, row, 10 + duration - 1, &timing),
             Err(IssueError::TooEarly { .. })
         ));
     }

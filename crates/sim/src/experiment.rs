@@ -364,16 +364,16 @@ pub struct ExperimentConfig {
     /// by the differential suite), so this is an execution knob, not part of
     /// the experiment's identity.
     pub engine: EngineKind,
-    /// Worker threads stepping due channels of one event round in parallel
-    /// (values ≤ 1 step sequentially).  Results are bit-identical for every
-    /// value (asserted by the thread-count race in the differential suite),
-    /// so like `engine` this is an execution knob excluded from the
-    /// experiment's identity and the campaign cache keys.
+    /// Has no effect: channels always step sequentially.  Parallel channel
+    /// stepping gave bit-identical results for every thread count and was
+    /// removed as slower, so ignoring this value cannot change a result.
+    /// The field stays only because `perfbench` names it in a struct
+    /// literal; set it through [`ExperimentConfig::new`].
     #[serde(default = "default_sim_threads")]
     pub sim_threads: usize,
 }
 
-/// Serde default for [`ExperimentConfig::sim_threads`]: sequential stepping.
+/// Serde default for [`ExperimentConfig::sim_threads`].
 // Referenced by the `#[serde(default = "...")]` attribute above; the offline
 // serde-derive shim does not expand it, so the compiler cannot see the use.
 #[allow(dead_code)]
@@ -405,14 +405,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the worker-thread count for parallel channel stepping (values
-    /// ≤ 1 step sequentially; results are identical either way).
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads;
         self
     }
 
@@ -545,7 +537,6 @@ impl ExperimentConfig {
                 .saturating_mul(600)
                 .max(20_000_000),
             engine: self.engine,
-            sim_threads: self.sim_threads,
         })
     }
 }

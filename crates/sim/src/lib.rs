@@ -10,8 +10,9 @@
 //!   per-channel statistics).
 //! * [`subsystem`] — the multi-channel [`subsystem::MemorySubsystem`]: one
 //!   memory controller (with its own PRAC device and mitigation engine) per
-//!   channel behind a channel-bit address router; one channel reproduces
-//!   the paper's single-channel system bit-identically.
+//!   channel behind a channel-bit address router, stepped sequentially in
+//!   channel order; one channel reproduces the paper's single-channel
+//!   system bit-identically.
 //! * [`event`] — the two interchangeable execution engines, selected by
 //!   [`event::EngineKind`]: the legacy per-tick loop and the event-driven
 //!   engine whose slab-backed [`event::EventWheel`] jumps straight to each
@@ -37,8 +38,8 @@
 //!   not fork (see `campaign::exec::execute_perf_group`); the layer is
 //!   kept for `fork_equivalence` and the benchmark's traced re-drive.
 //! * [`parallel`] — the scoped thread pool the campaign runner uses to
-//!   sweep workloads and configurations concurrently, and the channel-shard
-//!   fan-out behind `--sim-threads`.
+//!   sweep workloads and configurations concurrently.  One simulation
+//!   always runs on one thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

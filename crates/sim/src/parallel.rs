@@ -10,26 +10,9 @@
 //! the calling thread (not a generic "a scoped thread panicked" message),
 //! and the remaining workers stop claiming new inputs.
 
-use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-
-/// Records the first panic payload of a run; later ones are dropped.  The
-/// slot is one `Option` written in a single step, so a poisoned lock still
-/// guards a valid value.
-fn record_panic(slot: &Mutex<Option<Box<dyn Any + Send>>>, payload: Box<dyn Any + Send>) {
-    slot.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get_or_insert(payload);
-}
-
-/// Re-raises the recorded panic, if any, on the calling thread.
-fn reraise(slot: Mutex<Option<Box<dyn Any + Send>>>) {
-    if let Some(payload) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        resume_unwind(payload);
-    }
-}
 
 /// Applies `f` to every item of `inputs` using up to `workers` threads and
 /// returns the results in input order.
@@ -69,7 +52,13 @@ where
                         match catch_unwind(AssertUnwindSafe(|| f(input))) {
                             Ok(output) => done.push((index, output)),
                             Err(payload) => {
-                                record_panic(&panic_payload, payload);
+                                // The slot is one `Option` written in a single
+                                // step, so a poisoned lock still guards a
+                                // valid value; later payloads are dropped.
+                                panic_payload
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .get_or_insert(payload);
                                 aborted.store(true, Ordering::Relaxed);
                             }
                         }
@@ -83,7 +72,12 @@ where
             .map(|handle| handle.join().expect("worker panics are caught in the loop"))
             .collect()
     });
-    reraise(panic_payload);
+    if let Some(payload) = panic_payload
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for (index, output) in claimed.into_iter().flatten() {
@@ -93,55 +87,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("every input produced a result"))
         .collect()
-}
-
-/// Applies `f` to every item of `items` in place, fanning contiguous chunks
-/// out over up to `threads` scoped threads.  With one thread (or fewer than
-/// two items) this degenerates to a plain sequential loop with no thread
-/// machinery at all.
-///
-/// This is the channel-sharding primitive: the items are per-channel shards
-/// that share no state, each is mutated independently, and the caller
-/// merges any outputs in item order afterwards — so the observable result
-/// is identical for every thread count.  Unlike [`parallel_map`] there is
-/// no shared counter: one event round's shards are few and similarly
-/// sized, and the per-round latency of chunked scoped spawns is what
-/// matters, not imbalance resilience.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic with its **original payload**, matching
-/// [`parallel_map`].
-pub fn parallel_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Send + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 {
-        for item in items.iter_mut() {
-            f(item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    let panic_payload = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for shard in items.chunks_mut(chunk) {
-            let f = &f;
-            let panic_payload = &panic_payload;
-            scope.spawn(move || {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                    for item in shard {
-                        f(item);
-                    }
-                })) {
-                    record_panic(panic_payload, payload);
-                }
-            });
-        }
-    });
-    reraise(panic_payload);
 }
 
 #[cfg(test)]
@@ -218,35 +163,5 @@ mod tests {
         for (i, count) in calls.iter().enumerate() {
             assert_eq!(count.load(Ordering::Relaxed), 1, "input {i}");
         }
-    }
-
-    #[test]
-    fn for_each_mut_mutates_every_item_at_any_thread_count() {
-        for threads in [1usize, 2, 3, 8, 64] {
-            let mut items: Vec<u64> = (0..37).collect();
-            parallel_for_each_mut(&mut items, threads, |x| *x *= 2);
-            assert_eq!(
-                items,
-                (0..37).map(|x| x * 2).collect::<Vec<_>>(),
-                "threads = {threads}"
-            );
-        }
-        let mut empty: Vec<u64> = Vec::new();
-        parallel_for_each_mut(&mut empty, 4, |_| unreachable!());
-    }
-
-    #[test]
-    fn for_each_mut_propagates_the_original_panic_payload() {
-        let caught = std::panic::catch_unwind(|| {
-            let mut items: Vec<u32> = (0..16).collect();
-            parallel_for_each_mut(&mut items, 4, |x| {
-                assert!(*x != 7, "shard payload {x}");
-            });
-        })
-        .expect_err("a shard panic must propagate");
-        let message = caught
-            .downcast_ref::<String>()
-            .expect("payload should be the original formatted message");
-        assert_eq!(message, "shard payload 7");
     }
 }

@@ -268,7 +268,6 @@ mod tests {
             instructions_per_core: 3_000,
             max_ticks: 50_000_000,
             engine,
-            sim_threads: 1,
         };
         SystemSimulation::new(config, traces)
     }

@@ -24,6 +24,10 @@
 //! With one channel the subsystem degenerates to the original
 //! single-controller wiring and is **bit-identical** to it (pinned by
 //! `tests/single_channel_snapshot.rs`).
+//!
+//! [`MemorySubsystem::tick_due`] polls the due channels one after another
+//! in channel index order on the calling thread; that order fixes the
+//! completion order and so every downstream request id and statistic.
 
 use dram_sim::device::DramDeviceConfig;
 use dram_sim::stats::DramStats;
@@ -53,11 +57,6 @@ pub struct MemorySubsystem {
     /// Subsystem-level copy of the address mapping, used only to route
     /// requests to channels (each controller re-decodes internally).
     router: Box<dyn AddressMapping>,
-    /// One reusable completion buffer per channel for the parallel stepping
-    /// path of [`MemorySubsystem::tick_due`].  Always drained back to empty
-    /// before the call returns, so this is scratch space, not state — a
-    /// forked clone carrying empty buffers is correct by construction.
-    scratch: Vec<Vec<CompletedRequest>>,
 }
 
 /// Splay constant mixed into per-channel seeds (the golden-ratio mixer);
@@ -103,7 +102,6 @@ impl MemorySubsystem {
         Self {
             controllers,
             router,
-            scratch: (0..channels).map(|_| Vec::new()).collect(),
         }
     }
 
@@ -189,15 +187,6 @@ impl MemorySubsystem {
     /// channel before its registered wake-up is a pure no-op, and an
     /// unpolled channel's state (hence its armed wake-up) cannot change.
     ///
-    /// When `sim_threads > 1` and at least two channels are due, the due
-    /// channels step concurrently on scoped threads — channels share no
-    /// state between the request-fanout and completion-merge barriers.
-    /// Each channel fills its own scratch buffer and the buffers are
-    /// drained into `completed` in channel index order, which is exactly
-    /// the sequential iteration order, so the output (request completion
-    /// order, and therefore every downstream id, statistic and log) is
-    /// byte-identical for every thread count.
-    ///
     /// # Panics
     ///
     /// Panics in debug builds when `due.len()` or `wakes.len()` differs
@@ -206,34 +195,11 @@ impl MemorySubsystem {
         &mut self,
         now: u64,
         due: &[bool],
-        sim_threads: usize,
         completed: &mut Vec<CompletedRequest>,
         wakes: &mut [Option<u64>],
     ) {
         debug_assert_eq!(due.len(), self.controllers.len());
         debug_assert_eq!(wakes.len(), self.controllers.len());
-        let due_count = due.iter().filter(|&&is_due| is_due).count();
-        if sim_threads > 1 && due_count > 1 {
-            let mut shards: Vec<_> = self
-                .controllers
-                .iter_mut()
-                .zip(self.scratch.iter_mut())
-                .zip(wakes.iter_mut())
-                .enumerate()
-                .filter(|&(channel, _)| due[channel])
-                .map(|(_, shard)| shard)
-                .collect();
-            crate::parallel::parallel_for_each_mut(&mut shards, sim_threads, |shard| {
-                let ((controller, buffer), wake) = shard;
-                **wake = controller.poll(now, buffer);
-            });
-            // Completion-merge barrier: drain the per-channel buffers in
-            // channel index order — the sequential order exactly.
-            for ((_, buffer), _) in shards {
-                completed.append(buffer);
-            }
-            return;
-        }
         for ((controller, wake), &is_due) in self.controllers.iter_mut().zip(wakes).zip(due) {
             if is_due {
                 *wake = controller.poll(now, completed);
@@ -338,7 +304,7 @@ mod tests {
         let due = vec![true; channels];
         let mut wakes = vec![None; channels];
         for now in ticks {
-            sub.tick_due(now, &due, 1, completed, &mut wakes);
+            sub.tick_due(now, &due, completed, &mut wakes);
         }
         wakes
     }
@@ -454,44 +420,6 @@ mod tests {
         assert_eq!(unique.len(), 4, "per-channel injection seeds must differ");
     }
 
-    /// The sharded stepping path must be byte-identical to the sequential
-    /// walk: same completion order, same per-channel statistics, for every
-    /// thread count — the core determinism contract of `--sim-threads`.
-    #[test]
-    fn tick_due_is_thread_count_independent() {
-        let run = |sim_threads: usize| {
-            let mut sub = subsystem(4);
-            let mut id = 0u64;
-            for line in 0..32u64 {
-                let pa = line * 64;
-                let channel = sub.route(pa);
-                if sub.can_accept(channel) {
-                    assert!(sub.enqueue(channel, MemoryRequest::read(id, pa, 0, 0)));
-                    id += 1;
-                }
-            }
-            let due = vec![true; 4];
-            let mut wakes = vec![None; 4];
-            let mut completed = Vec::new();
-            let mut wake_log = Vec::new();
-            for now in 0..4_000 {
-                sub.tick_due(now, &due, sim_threads, &mut completed, &mut wakes);
-                wake_log.push(wakes.clone());
-            }
-            (
-                completed,
-                wake_log,
-                sub.channel_stats(),
-                sub.merged_rfm_log(),
-            )
-        };
-        let sequential = run(1);
-        assert!(!sequential.0.is_empty(), "the workload must complete reads");
-        for sim_threads in [2usize, 4, 8] {
-            assert_eq!(run(sim_threads), sequential, "threads = {sim_threads}");
-        }
-    }
-
     /// Only due channels may be polled — and polling a channel before its
     /// registered wake-up must be a no-op (the purity contract per-channel
     /// scheduling rests on).
@@ -508,14 +436,14 @@ mod tests {
         // unpolled channel's wake-up entry is left alone.
         let mut wakes = vec![Some(7), Some(7)];
         for now in 0..2_000 {
-            sub.tick_due(now, &[true, false], 1, &mut completed, &mut wakes);
+            sub.tick_due(now, &[true, false], &mut completed, &mut wakes);
         }
         assert!(completed.is_empty());
         assert_eq!(sub.aggregated_controller_stats().reads_completed, 0);
         assert_eq!(wakes, [None, Some(7)]);
         // Now poll channel 1 as well: the read completes.
         for now in 2_000..4_000 {
-            sub.tick_due(now, &[true, true], 1, &mut completed, &mut wakes);
+            sub.tick_due(now, &[true, true], &mut completed, &mut wakes);
         }
         assert_eq!(completed.len(), 1);
     }

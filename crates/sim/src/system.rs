@@ -52,12 +52,6 @@ pub struct SystemConfig {
     pub max_ticks: u64,
     /// Which engine visits the ticks (results are engine-independent).
     pub engine: EngineKind,
-    /// Worker threads for stepping independent channels of one event round
-    /// concurrently (values ≤ 1 step sequentially).  Results are
-    /// bit-identical for every value — like `engine`, this is an execution
-    /// knob, not part of what is simulated, and is excluded from campaign
-    /// cache keys.
-    pub sim_threads: usize,
 }
 
 impl SystemConfig {
@@ -90,7 +84,6 @@ impl SystemConfig {
             instructions_per_core,
             max_ticks: instructions_per_core.saturating_mul(400).max(10_000_000),
             engine: EngineKind::default(),
-            sim_threads: 1,
         }
     }
 
@@ -205,8 +198,8 @@ pub fn simulations_built() -> u64 {
 /// of the pause/fork layer ([`crate::snapshot`]).  A clone does
 /// **not** count as a newly *built* simulation for
 /// [`simulations_built`]: that counter exists to prove cache hits avoid
-/// simulating, and forks are exactly the mechanism that avoids re-running
-/// prefixes.
+/// simulating, and a fork copies a prefix that was already simulated.
+/// Campaigns never fork; tests and the benchmark's traced pass do.
 #[derive(Debug, Clone)]
 pub struct SystemSimulation {
     cluster: CpuCluster,
@@ -220,7 +213,6 @@ pub struct SystemSimulation {
     /// is far from the critical path.
     inflight: std::collections::HashMap<u64, (u32, u64)>,
     next_controller_id: u64,
-    sim_threads: usize,
     /// Steps settled so far (telemetry only, never part of results).
     visited_steps: u64,
 }
@@ -245,7 +237,6 @@ impl SystemSimulation {
             engine: config.engine,
             inflight: std::collections::HashMap::new(),
             next_controller_id: 0,
-            sim_threads: config.sim_threads.max(1),
             visited_steps: 0,
         }
     }
@@ -388,7 +379,6 @@ impl SystemSimulation {
         self.memory.tick_due(
             now,
             &scratch.due,
-            self.sim_threads,
             &mut scratch.completions,
             &mut scratch.wakes,
         );
@@ -601,7 +591,6 @@ mod tests {
             instructions_per_core: instr,
             max_ticks: 50_000_000,
             engine,
-            sim_threads: 1,
         };
         SystemSimulation::new(config, traces)
     }
@@ -777,7 +766,6 @@ mod tests {
                 instructions_per_core: instr,
                 max_ticks: 50_000_000,
                 engine: EngineKind::default(),
-                sim_threads: 1,
             }
         };
         sim_config.cpu.cores = traces.len() as u32;
@@ -850,7 +838,6 @@ mod tests {
             instructions_per_core: 4_000,
             max_ticks: 50_000_000,
             engine: EngineKind::default(),
-            sim_threads: 1,
         };
         SystemSimulation::new(config, traces)
     }

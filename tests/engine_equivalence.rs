@@ -254,7 +254,6 @@ fn engines_agree_under_adversarial_hammering() {
             instructions_per_core: 6_000,
             max_ticks: 50_000_000,
             engine,
-            sim_threads: 1,
         };
         let traces = vec![hammer_trace(0x100_0000), hammer_trace(0x200_0000)];
         SystemSimulation::new(config, traces)
@@ -319,7 +318,6 @@ fn engines_agree_when_hitting_the_tick_cap() {
             instructions_per_core: 1_000_000,
             max_ticks,
             engine,
-            sim_threads: 1,
         };
         let traces = vec![memory_trace(0x1_0000_0000), memory_trace(0x2_0000_0000)];
         SystemSimulation::new(config, traces)
@@ -339,112 +337,10 @@ fn engines_agree_when_hitting_the_tick_cap() {
     }
 }
 
-/// Runs a workload under the default (event) engine with an explicit
-/// `--sim-threads` value.
-fn run_on_threads(
-    setup: &MitigationSetup,
-    workload: &WorkloadSpec,
-    instructions: u64,
-    channels: u32,
-    sim_threads: usize,
-    seed: u64,
-) -> SystemResult {
-    let config = ExperimentConfig::new(setup.clone(), instructions)
-        .with_cores(2)
-        .with_channels(channels)
-        .with_sim_threads(sim_threads);
-    run_workload(&config, &workload.workload, seed).expect("registered setups resolve at NRH 1024")
-}
-
-/// The thread-count race: parallel channel stepping is an execution knob
-/// like the engine itself, so every registered mitigation on a multi-channel
-/// subsystem must produce **bit-for-bit identical** results across
-/// `--sim-threads {1, 2, 4}` — same request ids, same RFM issue cycles, same
-/// per-channel statistics blocks.  The memory-bound workload keeps every
-/// channel busy so the parallel branch actually runs.
-#[test]
-fn results_are_thread_count_independent() {
-    let workloads = representative_workloads();
-    let memory_bound = &workloads[0];
-    assert_eq!(memory_bound.intensity, workloads::MemoryIntensity::High);
-    for setup in all_setups() {
-        for channels in [2u32, 4] {
-            let seed = 0xD1FF ^ u64::from(channels);
-            let sequential = run_on_threads(&setup, memory_bound, 4_000, channels, 1, seed);
-            for sim_threads in [2usize, 4] {
-                let sharded =
-                    run_on_threads(&setup, memory_bound, 4_000, channels, sim_threads, seed);
-                assert_eq!(
-                    sequential,
-                    sharded,
-                    "sim-threads {sim_threads} diverged from sequential: setup {:?} channels {channels}",
-                    setup.label()
-                );
-            }
-            assert!(sequential.completed, "race run hit the tick cap");
-        }
-    }
-}
-
-/// The thread-count race under the tick engine: its all-channels-due mask
-/// drives the parallel branch on every tick, so one representative
-/// configuration pins the tick engine's sharded path too.
-#[test]
-fn tick_engine_results_are_thread_count_independent() {
-    let workloads = representative_workloads();
-    let memory_bound = &workloads[0];
-    let run = |sim_threads: usize| {
-        let config = ExperimentConfig::new(MitigationSetup::AboOnly, 4_000)
-            .with_cores(2)
-            .with_channels(4)
-            .with_engine(EngineKind::Tick)
-            .with_sim_threads(sim_threads);
-        run_workload(&config, &memory_bound.workload, 0x71C2).expect("ABO-only resolves")
-    };
-    let sequential = run(1);
-    assert_eq!(sequential, run(4), "tick engine diverged at sim-threads 4");
-    assert!(sequential.completed, "tick race run hit the tick cap");
-}
-
-/// The adversarial co-runner under the thread-count race: every registered
-/// attack pattern hammering one channel-sharded subsystem must stay
-/// cycle-exact across `--sim-threads {1, 2, 4}` — Alert assertion and
-/// mitigation wake-ups land on specific channels, so this pins the merge
-/// barriers under the least uniform traffic we can generate.
-#[test]
-fn thread_count_race_survives_an_adversarial_corunner() {
-    let workloads = representative_workloads();
-    let low_intensity = &workloads[workloads.len() - 1];
-    for descriptor in workloads::attack_registry() {
-        for channels in [2u32, 4] {
-            let run = |sim_threads: usize| {
-                let config = ExperimentConfig::new(MitigationSetup::AboOnly, 1_500)
-                    .with_cores(1)
-                    .with_channels(channels)
-                    .with_attack(Some(descriptor.kind))
-                    .with_sim_threads(sim_threads);
-                run_workload(&config, &low_intensity.workload, 0xA77)
-                    .expect("ABO-only resolves at NRH 1024")
-            };
-            let sequential = run(1);
-            for sim_threads in [2usize, 4] {
-                assert_eq!(
-                    sequential,
-                    run(sim_threads),
-                    "attack {} diverged at sim-threads {sim_threads} on {channels} channels",
-                    descriptor.slug
-                );
-            }
-        }
-    }
-}
-
 /// The rank race: a multi-rank device adds per-rank tFAW windows and
 /// staggered refresh to both engines' timing paths, so every registered
 /// mitigation on a 1- and 2-rank subsystem must stay **bit-for-bit
-/// identical** tick-vs-event AND across `--sim-threads {1, 4}` — rank bits
-/// land inside each channel, so the sharded merge must not reorder
-/// rank-interleaved traffic.
+/// identical** tick-vs-event.
 #[test]
 fn engines_agree_across_rank_counts() {
     let workloads = representative_workloads();
@@ -453,29 +349,21 @@ fn engines_agree_across_rank_counts() {
     for setup in all_setups() {
         for ranks in [1u32, 2] {
             let seed = 0xD1FF ^ u64::from(ranks);
-            let run = |engine: EngineKind, sim_threads: usize| {
+            let run = |engine: EngineKind| {
                 let config = ExperimentConfig::new(setup.clone(), 4_000)
                     .with_cores(2)
                     .with_channels(2)
                     .with_ranks(ranks)
-                    .with_engine(engine)
-                    .with_sim_threads(sim_threads);
+                    .with_engine(engine);
                 run_workload(&config, &memory_bound.workload, seed)
                     .expect("registered setups resolve at NRH 1024")
             };
-            let ticked = run(EngineKind::Tick, 1);
-            let evented = run(EngineKind::Event, 1);
+            let ticked = run(EngineKind::Tick);
+            let evented = run(EngineKind::Event);
             assert_eq!(
                 ticked,
                 evented,
                 "engines diverged at {ranks} rank(s): setup {:?}",
-                setup.label()
-            );
-            let sharded = run(EngineKind::Event, 4);
-            assert_eq!(
-                evented,
-                sharded,
-                "sim-threads 4 diverged at {ranks} rank(s): setup {:?}",
                 setup.label()
             );
             assert!(ticked.completed, "rank race run hit the tick cap");
@@ -494,27 +382,6 @@ fn engines_agree_on_the_full_quick_suite() {
         for workload in quick_suite() {
             for channels in [1u32, 4] {
                 assert_engines_agree_on_channels(&setup, &workload, 20_000, channels);
-            }
-        }
-    }
-}
-
-/// The full quick suite raced across thread counts on a four-channel
-/// subsystem.  Heavy: meant for the release-mode CI job.
-#[test]
-#[ignore = "heavy sweep; run in release via the CI engine-equivalence job"]
-fn thread_count_race_on_the_full_quick_suite() {
-    for setup in all_setups() {
-        for workload in quick_suite() {
-            let sequential = run_on_threads(&setup, &workload, 20_000, 4, 1, 0xD1FF);
-            for sim_threads in [2usize, 4] {
-                assert_eq!(
-                    sequential,
-                    run_on_threads(&setup, &workload, 20_000, 4, sim_threads, 0xD1FF),
-                    "sim-threads {sim_threads} diverged: setup {:?} workload {}",
-                    setup.label(),
-                    workload.workload.name
-                );
             }
         }
     }
