@@ -19,6 +19,7 @@
 //! no-mitigation baseline run of the same pattern, for the slowdown the
 //! defense imposes on the attacker) is the per-cell security metric set.
 
+use memctrl::mapping::AddressMap;
 use workloads::attack::AttackKind;
 
 use crate::agents::{MultiAgentRunner, PatternAgent};
@@ -87,7 +88,7 @@ pub fn run_adversary(
     let org = controller.device().config().organization;
     let t_refi = controller.device().config().timing.t_refi;
     let pattern = attack.build(&org, t_refi, seed);
-    let mapping = setup.mapping.instantiate(org);
+    let mapping = AddressMap::new(setup.mapping, org);
     let mut agent = PatternAgent::new(pattern, mapping, accesses);
     let mut runner = MultiAgentRunner::new(controller);
     let elapsed_ticks = runner.run(&mut [&mut agent], max_ticks);

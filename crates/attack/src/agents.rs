@@ -28,7 +28,7 @@
 //! always safe.
 
 use memctrl::controller::MemoryController;
-use memctrl::mapping::AddressMapping;
+use memctrl::mapping::AddressMap;
 use memctrl::request::MemoryRequest;
 use serde::{Deserialize, Serialize};
 use workloads::attack::{AttackAccess, AttackPattern};
@@ -189,7 +189,7 @@ impl MemoryAgent for SerializedAccessAgent {
 #[derive(Debug)]
 pub struct PatternAgent {
     pattern: Box<dyn AttackPattern>,
-    mapping: Box<dyn AddressMapping>,
+    mapping: AddressMap,
     remaining_accesses: u64,
     /// An access pulled from the pattern but gated into the future.
     pending: Option<AttackAccess>,
@@ -212,11 +212,7 @@ impl PatternAgent {
     /// Creates an agent performing `total_accesses` accesses of `pattern`,
     /// encoded through `mapping`.
     #[must_use]
-    pub fn new(
-        pattern: Box<dyn AttackPattern>,
-        mapping: Box<dyn AddressMapping>,
-        total_accesses: u64,
-    ) -> Self {
+    pub fn new(pattern: Box<dyn AttackPattern>, mapping: AddressMap, total_accesses: u64) -> Self {
         let hot_rows = pattern.hot_rows().iter().map(row_key).collect();
         Self {
             pattern,

@@ -17,6 +17,7 @@
 
 use dram_sim::stats::DramStats;
 use memctrl::controller::MemoryController;
+use memctrl::mapping::AddressMap;
 use memctrl::request::MemoryRequest;
 use memctrl::rfm::RfmKind;
 use memctrl::stats::ControllerStats;
@@ -190,7 +191,7 @@ fn pattern_agent(
     let pattern = attack.build(&org, t_refi, seed);
     Recorder::new(PatternAgent::new(
         pattern,
-        setup.mapping.instantiate(org),
+        AddressMap::new(setup.mapping, org),
         accesses,
     ))
 }

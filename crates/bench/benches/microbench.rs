@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_sim::command::DramCommand;
 use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
-use memctrl::mapping::{AddressMapping, BankStripedMapping, MopMapping};
+use memctrl::mapping::{AddressMap, MappingKind};
 use prac_core::config::PracConfig;
 use prac_core::queue::{MitigationQueue, SingleEntryQueue};
 use prac_core::security::{CounterResetPolicy, SecurityAnalysis};
@@ -52,8 +52,8 @@ fn bench_dram_activate_precharge(c: &mut Criterion) {
 
 fn bench_address_mapping(c: &mut Criterion) {
     let org = dram_sim::org::DramOrganization::ddr5_32gb_quad_rank();
-    let mop = MopMapping::new(org);
-    let striped = BankStripedMapping::new(org);
+    let mop = AddressMap::new(MappingKind::Mop, org);
+    let striped = AddressMap::new(MappingKind::BankStriped, org);
     c.bench_function("mop_mapping_decode_x1000", |b| {
         b.iter(|| {
             let mut acc = 0u64;
@@ -73,64 +73,13 @@ fn bench_address_mapping(c: &mut Criterion) {
         });
     });
     // Channel decode adds only shift/mask work on top of the 1-channel path.
-    let striped4 = BankStripedMapping::new(org.with_channels(4));
+    let striped4 = AddressMap::new(MappingKind::BankStriped, org.with_channels(4));
     c.bench_function("bank_striped_4ch_decode_x1000", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for i in 0..1000u64 {
                 let d = striped4.decode(black_box(i * 4096 + 64));
                 acc ^= u64::from(d.row) ^ (u64::from(d.channel) << 32);
-            }
-            black_box(acc)
-        });
-    });
-}
-
-/// Old (seed) heap-allocating field extraction, kept here verbatim as the
-/// baseline for the allocation-free rewrite in `memctrl::mapping`.
-fn extract_fields_vec(mut index: u64, widths: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(widths.len());
-    for &w in widths {
-        let mask = (1u64 << w) - 1;
-        out.push((index & mask) as u32);
-        index >>= w;
-    }
-    out
-}
-
-fn pack_fields_vec(fields: &[u32], widths: &[u32]) -> u64 {
-    let mut out = 0u64;
-    let mut shift = 0u32;
-    for (&f, &w) in fields.iter().zip(widths) {
-        out |= u64::from(f) << shift;
-        shift += w;
-    }
-    out
-}
-
-/// Direct old-vs-new comparison of the per-request field split/pack kernel:
-/// the frozen seed implementation above against the shipped allocation-free
-/// kernels (`memctrl::mapping::{extract_fields, pack_fields}`, exported
-/// `#[doc(hidden)]` precisely so this bench cannot drift from real code).
-fn bench_field_packing(c: &mut Criterion) {
-    use memctrl::mapping::{extract_fields, pack_fields};
-    const WIDTHS: [u32; 6] = [2, 3, 2, 2, 5, 17];
-    c.bench_function("field_extract_pack_vec_x1000", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in 0..1000u64 {
-                let fields = extract_fields_vec(black_box(i * 131 + 7), &WIDTHS);
-                acc ^= pack_fields_vec(&fields, &WIDTHS);
-            }
-            black_box(acc)
-        });
-    });
-    c.bench_function("field_extract_pack_array_x1000", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in 0..1000u64 {
-                let fields = extract_fields(black_box(i * 131 + 7), &WIDTHS);
-                acc ^= pack_fields(&fields, &WIDTHS);
             }
             black_box(acc)
         });
@@ -171,7 +120,6 @@ criterion_group! {
     targets = bench_mitigation_queue,
               bench_dram_activate_precharge,
               bench_address_mapping,
-              bench_field_packing,
               bench_tb_window_solver,
               bench_aes_encrypt
 }

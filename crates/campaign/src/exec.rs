@@ -28,9 +28,6 @@ use workloads::MemoryIntensity;
 
 use crate::scenario::ScenarioSpec;
 
-/// Banks blocked by one all-bank RFM in the energy model (one DDR5 channel).
-const BANKS_PER_RFM: u32 = 128;
-
 /// Runs a scenario with the default (event-driven) engine and returns its
 /// metrics as a flat JSON object.
 #[must_use]
@@ -134,7 +131,7 @@ fn perf_metrics(
     } else {
         0.0
     };
-    let energy = energy_overhead_for(baseline, protected, BANKS_PER_RFM);
+    let energy = energy_overhead_for(baseline, protected);
 
     // Metric fields here are additive-only without a SIM_REVISION bump:
     // entries cached by an older binary stay valid (same simulation, same

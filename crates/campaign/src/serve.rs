@@ -25,6 +25,8 @@
 //! A request line, newline included, may be at most [`MAX_REQUEST_BYTES`]
 //! long.  A longer line is answered with an `ok:false` error, and the
 //! connection closes once the rest of that line has been read and dropped.
+//! At most [`MAX_CONNECTIONS`] connections are served at once; one more is
+//! answered with an `ok:false` error and closed.
 
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -50,6 +52,11 @@ const READ_POLL: Duration = Duration::from_millis(50);
 
 /// Longest request line the server buffers, newline included.
 pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// Most connections served at once.  One more is answered with an
+/// `ok:false` error and closed, so a flood of idle clients cannot spawn
+/// unbounded handler threads.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// The query service: a [`ResultCache`] plus the engine used to run misses.
 ///
@@ -110,22 +117,12 @@ impl Server {
     /// final store flush error.
     pub fn serve_tcp(&self, listener: &TcpListener) -> io::Result<()> {
         listener.set_nonblocking(true)?;
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(READ_POLL))?;
-                    let server = self.clone();
-                    self.track(std::thread::spawn(move || server.handle_connection(stream)));
-                }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(error) => return Err(error),
-            }
-        }
-        self.join_handlers();
-        self.cache.flush()
+        self.serve(|| {
+            let (stream, _peer) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            stream.set_read_timeout(Some(READ_POLL))?;
+            Ok(stream)
+        })
     }
 
     /// Serves connections from a Unix domain socket listener until shutdown,
@@ -138,13 +135,37 @@ impl Server {
     #[cfg(unix)]
     pub fn serve_unix(&self, listener: &std::os::unix::net::UnixListener) -> io::Result<()> {
         listener.set_nonblocking(true)?;
+        self.serve(|| {
+            let (stream, _peer) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            stream.set_read_timeout(Some(READ_POLL))?;
+            Ok(stream)
+        })
+    }
+
+    /// The accept loop behind both transports.  `accept` polls a
+    /// non-blocking listener and returns the next connection as a blocking
+    /// stream with the [`READ_POLL`] timeout.  At most [`MAX_CONNECTIONS`]
+    /// handlers run at once; a connection beyond that is refused with an
+    /// `ok:false` reply and closed.
+    fn serve<S>(&self, accept: impl Fn() -> io::Result<S>) -> io::Result<()>
+    where
+        S: io::Read + io::Write + Send + 'static,
+    {
         while !self.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(READ_POLL))?;
-                    let server = self.clone();
-                    self.track(std::thread::spawn(move || server.handle_connection(stream)));
+            match accept() {
+                Ok(stream) => {
+                    let mut handlers = self.handlers.lock().expect("handler registry poisoned");
+                    // Finished handlers no longer count and need no join.
+                    handlers.retain(|h| !h.is_finished());
+                    if handlers.len() < MAX_CONNECTIONS {
+                        let server = self.clone();
+                        handlers.push(std::thread::spawn(move || server.handle_connection(stream)));
+                    } else {
+                        drop(handlers);
+                        // The refused client's I/O errors are its own.
+                        let _ = refuse(stream);
+                    }
                 }
                 Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
@@ -154,14 +175,6 @@ impl Server {
         }
         self.join_handlers();
         self.cache.flush()
-    }
-
-    /// Registers a connection-handler thread, pruning finished ones so a
-    /// long-lived server does not accumulate dead handles.
-    fn track(&self, handle: JoinHandle<io::Result<()>>) {
-        let mut handlers = self.handlers.lock().expect("handler registry poisoned");
-        handlers.retain(|h| !h.is_finished());
-        handlers.push(handle);
     }
 
     /// Joins every tracked connection handler.  Called after the accept
@@ -349,6 +362,18 @@ fn is_timeout(error: &io::Error) -> bool {
         error.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
+}
+
+/// Answers a connection over [`MAX_CONNECTIONS`] with an `ok:false` reply
+/// and closes it.  Before closing, one read drops what the client has sent
+/// so far (closing over unread input resets the connection, which can
+/// discard the reply); it waits at most one [`READ_POLL`], so a refused
+/// client holds up the accept loop no longer than that.
+fn refuse(mut stream: impl io::Read + io::Write) -> io::Result<()> {
+    let error = format!("server busy: {MAX_CONNECTIONS} connections open");
+    write_reply(&mut stream, &error_reply(&error))?;
+    let _dropped = stream.read(&mut [0; 4096])?;
+    Ok(())
 }
 
 /// Writes one reply line and flushes it.

@@ -5,12 +5,13 @@
 //! The first test asserts on the process-wide simulation-construction
 //! counter, so no other test in this file may build a simulation: a sibling
 //! running full-system cells in parallel would make the exact-equality check
-//! racy.  The oversized-request test below builds none.
+//! racy.  The request-size and connection-cap tests below build none.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
-use campaign::serve::{client, MAX_REQUEST_BYTES};
+use campaign::serve::{client, MAX_CONNECTIONS, MAX_REQUEST_BYTES};
 use campaign::{ResultCache, Scenario, ScenarioSpec, Server};
 use serde_json::{Map, Value};
 use system_sim::{simulations_built, EngineKind, MitigationSetup};
@@ -139,6 +140,78 @@ fn oversized_request_is_refused_and_the_server_keeps_serving() {
     let pong = client::request_tcp(addr, &Value::Object(ping)).unwrap();
     assert_eq!(pong.get("pong"), Some(&Value::Bool(true)), "{pong}");
 
+    server
+        .shutdown_flag()
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    serving.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// With [`MAX_CONNECTIONS`] idle connections open, one more gets an
+/// `ok:false` error and its connection closes; once an idle connection
+/// closes, a fresh connection answers `ping` again.
+#[test]
+fn connections_over_the_cap_are_refused_until_one_closes() {
+    let root = std::env::temp_dir().join(format!("prac-serve-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let server = Server::new(ResultCache::open(&root).unwrap(), EngineKind::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let serving = {
+        let server = server.clone();
+        std::thread::spawn(move || server.serve_tcp(&listener))
+    };
+
+    let ping_line = "{\"op\":\"ping\"}\n";
+    // Each held connection answers one ping, so its handler is running.
+    let mut held: Vec<BufReader<TcpStream>> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut connection = BufReader::new(TcpStream::connect(addr).unwrap());
+            let pong = exchange(&mut connection, ping_line);
+            assert_eq!(pong.get("pong"), Some(&Value::Bool(true)), "{pong}");
+            connection
+        })
+        .collect();
+
+    let refusal = format!("server busy: {MAX_CONNECTIONS} connections open");
+    let over = TcpStream::connect(addr).unwrap();
+    // Without the cap the server would wait for a request: time out instead.
+    over.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut over = BufReader::new(over);
+    let mut line = String::new();
+    over.read_line(&mut line).unwrap();
+    let reply: Value = serde_json::from_str(line.trim()).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Value::Bool(false)), "{reply}");
+    assert_eq!(
+        reply.get("error").and_then(Value::as_str),
+        Some(refusal.as_str())
+    );
+    assert_eq!(
+        over.read_line(&mut String::new()).unwrap(),
+        0,
+        "the refused connection must close"
+    );
+
+    // Closing one idle connection frees its slot as soon as its handler
+    // sees the end of stream; until then a fresh connection is refused.
+    drop(held.pop());
+    let mut ping = Map::new();
+    ping.insert("op".into(), "ping".into());
+    let ping = Value::Object(ping);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match client::request_tcp(addr, &ping) {
+            Ok(reply) if reply.get("pong") == Some(&Value::Bool(true)) => break,
+            outcome => assert!(
+                Instant::now() < deadline,
+                "no slot freed after closing a connection: {outcome:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    drop(held);
     server
         .shutdown_flag()
         .store(true, std::sync::atomic::Ordering::SeqCst);

@@ -9,7 +9,7 @@ use prac_core::mitigation::{BankActivationView, MitigationEngine};
 use prac_core::obfuscation::{InjectionSequence, ObfuscationConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::mapping::{AddressMapping, ChannelInterleave, MappingKind, RankInterleave};
+use crate::mapping::{AddressMap, MappingKind};
 use crate::request::{CompletedRequest, MemoryRequest, RequestKind};
 use crate::rfm::{AboResponder, RfmKind};
 use crate::scheduler::{FrFcfsScheduler, ScanLane, SchedulerCandidate};
@@ -30,12 +30,6 @@ pub enum PagePolicy {
 pub struct ControllerConfig {
     /// Physical→DRAM mapping policy.
     pub mapping: MappingKind,
-    /// Which physical-address bits select the channel in multi-channel
-    /// organisations (no effect with one channel).
-    pub channel_interleave: ChannelInterleave,
-    /// Where the rank bits sit within each channel's layout (no effect with
-    /// one rank).
-    pub rank_interleave: RankInterleave,
     /// Row-buffer management policy.
     pub page_policy: PagePolicy,
     /// FR-FCFS consecutive-row-hit cap (0 disables the cap).
@@ -54,8 +48,6 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         Self {
             mapping: MappingKind::Mop,
-            channel_interleave: ChannelInterleave::CacheLine,
-            rank_interleave: RankInterleave::Interleaved,
             page_policy: PagePolicy::Open,
             frfcfs_cap: 4,
             queue_capacity: 64,
@@ -95,7 +87,7 @@ pub struct MemoryController {
     /// Which channel of the subsystem this controller drives (0 in
     /// single-channel systems).  Requests routed here must decode to it.
     channel_index: u32,
-    mapping: Box<dyn AddressMapping>,
+    mapping: AddressMap,
     scheduler: FrFcfsScheduler,
     pending: Vec<PendingRequest>,
     /// The scheduler's compact view of `pending`, position for position.
@@ -205,11 +197,7 @@ impl MemoryController {
         let injection = config
             .obfuscation
             .map(|cfg| InjectionSequence::new(cfg, config.obfuscation_seed));
-        let mapping = config.mapping.instantiate_full(
-            device_config.organization,
-            config.channel_interleave,
-            config.rank_interleave,
-        );
+        let mapping = AddressMap::new(config.mapping, device_config.organization);
         let scheduler = FrFcfsScheduler::new(config.frfcfs_cap);
         let next_refresh = timing.t_refi;
         Self {

@@ -8,9 +8,9 @@
 //!   including the Minimalist Open-Page (MOP) mapping of Table 3 and a
 //!   bank-striped mapping that places consecutive cache lines of a page in
 //!   different banks (the property that lets two processes share a DRAM row,
-//!   enabling the activation-count channel).  In multi-channel
-//!   organisations every mapping also emits channel bits, with a selectable
-//!   [`mapping::ChannelInterleave`] granularity (cache-line or row).
+//!   enabling the activation-count channel).  One [`mapping::AddressMap`]
+//!   serves every layout; in multi-channel organisations the bits right
+//!   above the cache-line offset select the channel.
 //! * **Scheduling**: First-Ready First-Come-First-Served (FR-FCFS) with a cap
 //!   on consecutive row-buffer hits, plus open/closed page policies.
 //! * **Refresh management**: periodic all-bank refresh every tREFI.
@@ -36,10 +36,7 @@ pub mod scheduler;
 pub mod stats;
 
 pub use controller::{ControllerConfig, MemoryController, PagePolicy};
-pub use mapping::{
-    AddressMapping, BankStripedMapping, ChannelInterleave, MappingKind, MopMapping, RankInterleave,
-    RowInterleavedMapping,
-};
+pub use mapping::{AddressMap, MappingKind};
 pub use request::{CompletedRequest, MemoryRequest, RequestKind};
 pub use rfm::RfmKind;
 pub use scheduler::FrFcfsScheduler;

@@ -89,30 +89,16 @@ impl FrFcfsScheduler {
     /// touching the hit-streak state.  Returns `None` when there are no
     /// candidates.
     ///
-    /// The choice is a pure function of the candidate list and the current
+    /// The choice is a pure function of the candidates and the current
     /// streak: the controller may call this speculatively every cycle (or ask
     /// "what would be scheduled next?" when computing its next wake-up event)
     /// and must call [`FrFcfsScheduler::note_scheduled`] only once a command
     /// for the chosen request was actually accepted by the device.
-    #[must_use]
-    pub fn choose<'c>(
-        &self,
-        candidates: &'c [SchedulerCandidate],
-    ) -> Option<&'c SchedulerCandidate> {
-        let chosen = self.choose_from(candidates.iter().copied())?;
-        candidates
-            .iter()
-            .find(|c| c.queue_index == chosen.queue_index)
-    }
-
-    /// [`FrFcfsScheduler::choose`] over a streamed candidate sequence.
     ///
-    /// One pass, no intermediate list: the controller's hot path feeds its
-    /// pending queue through a mapping iterator instead of collecting a
-    /// `Vec<SchedulerCandidate>` on every poll.  Tracks the oldest candidate
-    /// and the oldest row hit simultaneously; ties are impossible because
-    /// `queue_index` is unique, and strict `<` on `(arrival_tick,
-    /// queue_index)` keeps the first-minimum semantics of the slice path.
+    /// One pass, no intermediate list: callers stream candidates through an
+    /// iterator instead of collecting a `Vec<SchedulerCandidate>`.  Tracks
+    /// the oldest candidate and the oldest row hit simultaneously; ties on
+    /// `arrival_tick` go to the lower `queue_index`, which is unique.
     #[must_use]
     pub fn choose_from<I>(&self, candidates: I) -> Option<SchedulerCandidate>
     where
@@ -239,13 +225,19 @@ mod tests {
         DramOrganization::tiny_for_tests().flat_bank_index(addr.rank, addr.bank_group, addr.bank)
     }
 
+    /// The queue index `choose_from` picks from `candidates`.
+    fn pick(s: &FrFcfsScheduler, candidates: &[SchedulerCandidate]) -> Option<usize> {
+        s.choose_from(candidates.iter().copied())
+            .map(|c| c.queue_index)
+    }
+
     /// Chooses and commits, the way the controller does when the device
     /// accepts the command for the chosen candidate.
     fn choose_and_commit(
         s: &mut FrFcfsScheduler,
         candidates: &[SchedulerCandidate],
     ) -> Option<usize> {
-        let chosen = *s.choose(candidates)?;
+        let chosen = s.choose_from(candidates.iter().copied())?;
         s.note_scheduled(flat(&chosen.address), chosen.row_hit);
         Some(chosen.queue_index)
     }
@@ -308,56 +300,17 @@ mod tests {
         // Choosing repeatedly (e.g. on cycles where the command is rejected
         // by DRAM timing) must not advance the streak.
         for _ in 0..10 {
-            assert_eq!(s.choose(&hits).map(|c| c.queue_index), Some(0));
+            assert_eq!(pick(&s, &hits), Some(0));
         }
         assert_eq!(s.consecutive_hits(), 0);
         // Only the committed decisions count toward the cap.
         for serviced in 1..=4 {
-            assert_eq!(s.choose(&hits).map(|c| c.queue_index), Some(0));
+            assert_eq!(pick(&s, &hits), Some(0));
             s.note_scheduled(flat(&hits[0].address), true);
             assert_eq!(s.consecutive_hits(), serviced);
         }
         let mixed = vec![candidate(0, 0, 1, true, 100), candidate(1, 1, 2, false, 50)];
-        assert_eq!(
-            s.choose(&mixed).map(|c| c.queue_index),
-            Some(1),
-            "cap forces the oldest"
-        );
-    }
-
-    #[test]
-    fn choose_from_matches_the_slice_path() {
-        // The streamed single-pass scan must agree with the reference slice
-        // implementation for every streak state, including ties on
-        // arrival_tick (broken by queue_index) and hitless lists.
-        let lists: Vec<Vec<SchedulerCandidate>> = vec![
-            vec![],
-            vec![candidate(0, 0, 1, false, 30), candidate(1, 1, 2, false, 10)],
-            vec![
-                candidate(0, 0, 1, true, 20),
-                candidate(1, 1, 2, true, 20),
-                candidate(2, 0, 3, false, 5),
-            ],
-            vec![
-                candidate(3, 1, 1, false, 7),
-                candidate(1, 0, 2, true, 7),
-                candidate(2, 1, 3, true, 7),
-                candidate(0, 0, 4, false, 9),
-            ],
-        ];
-        for hits_so_far in [0, 3, 4, 5] {
-            let mut s = FrFcfsScheduler::new(4);
-            for _ in 0..hits_so_far {
-                s.note_scheduled(0, true);
-            }
-            for list in &lists {
-                assert_eq!(
-                    s.choose_from(list.iter().copied()).map(|c| c.queue_index),
-                    s.choose(list).map(|c| c.queue_index),
-                    "streak {hits_so_far}, list {list:?}"
-                );
-            }
-        }
+        assert_eq!(pick(&s, &mixed), Some(1), "cap forces the oldest");
     }
 
     /// `choose_from` over the candidates the controller would stream out of

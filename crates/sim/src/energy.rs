@@ -11,7 +11,7 @@ use crate::system::SystemResult;
 /// activation of the aggressor); `banks_per_rfm` is therefore fixed at 1 and
 /// the RFM count is the number of RFM commands issued by the controller.
 #[must_use]
-pub fn energy_inputs_for(result: &SystemResult, _banks_per_rfm: u32) -> EnergyInputs {
+pub fn energy_inputs_for(result: &SystemResult) -> EnergyInputs {
     EnergyInputs {
         activations: result.dram_stats.activations,
         reads_writes: result.dram_stats.reads + result.dram_stats.writes,
@@ -25,16 +25,8 @@ pub fn energy_inputs_for(result: &SystemResult, _banks_per_rfm: u32) -> EnergyIn
 /// Computes the Table 5 energy-overhead row for a protected run relative to
 /// its baseline.
 #[must_use]
-pub fn energy_overhead_for(
-    baseline: &SystemResult,
-    protected: &SystemResult,
-    banks_per_rfm: u32,
-) -> EnergyOverhead {
-    let model = EnergyModel::default();
-    model.overhead(
-        &energy_inputs_for(baseline, banks_per_rfm),
-        &energy_inputs_for(protected, banks_per_rfm),
-    )
+pub fn energy_overhead_for(baseline: &SystemResult, protected: &SystemResult) -> EnergyOverhead {
+    EnergyModel::default().overhead(&energy_inputs_for(baseline), &energy_inputs_for(protected))
 }
 
 #[cfg(test)]
@@ -70,7 +62,7 @@ mod tests {
     #[test]
     fn identical_runs_have_zero_overhead() {
         let base = result(10_000, 0, 1_000_000);
-        let overhead = energy_overhead_for(&base, &base, 128);
+        let overhead = energy_overhead_for(&base, &base);
         assert!(overhead.total.abs() < 1e-12);
     }
 
@@ -78,7 +70,7 @@ mod tests {
     fn rfms_and_longer_runtime_increase_overhead() {
         let base = result(10_000, 0, 1_000_000);
         let protected = result(10_000, 500, 1_050_000);
-        let overhead = energy_overhead_for(&base, &protected, 128);
+        let overhead = energy_overhead_for(&base, &protected);
         assert!(overhead.mitigation > 0.0);
         assert!(overhead.non_mitigation > 0.0);
         assert!((overhead.total - overhead.mitigation - overhead.non_mitigation).abs() < 1e-12);
@@ -87,7 +79,7 @@ mod tests {
     #[test]
     fn inputs_reflect_run_counters() {
         let r = result(123, 7, 400);
-        let inputs = energy_inputs_for(&r, 64);
+        let inputs = energy_inputs_for(&r);
         assert_eq!(inputs.activations, 123);
         assert_eq!(
             inputs.rfms, 7,

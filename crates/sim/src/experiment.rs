@@ -18,6 +18,7 @@ use cpu_sim::trace::{Trace, TraceOp};
 use dram_sim::device::DramDeviceConfig;
 use dram_sim::profile::DeviceProfile;
 use memctrl::controller::ControllerConfig;
+use memctrl::mapping::AddressMap;
 use prac_core::config::{MitigationPolicy, PracConfig, PracLevel};
 use prac_core::error::{ConfigError, Result};
 use prac_core::security::CounterResetPolicy;
@@ -616,11 +617,7 @@ pub fn workload_traces(
 /// `pracleak::adversary` instead.
 fn attacker_trace(attack: &AttackKind, system: &SystemConfig, seed: u64) -> Trace {
     let org = system.device.organization;
-    let mapping = system.controller.mapping.instantiate_full(
-        org,
-        system.controller.channel_interleave,
-        system.controller.rank_interleave,
-    );
+    let mapping = AddressMap::new(system.controller.mapping, org);
     let mut pattern = attack.build(&org, system.device.timing.t_refi, seed);
     let mut now = 0u64;
     let ops = (0..system.instructions_per_core.div_ceil(2))

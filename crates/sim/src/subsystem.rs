@@ -12,10 +12,12 @@
 //!                    └── controller[N-1] ── device[N-1]
 //! ```
 //!
-//! The router decodes the channel bits of every physical address with the
-//! same [`AddressMapping`] (and [`memctrl::mapping::ChannelInterleave`]
-//! granularity) the per-channel controllers use, so a request always lands
-//! on the controller whose device owns its bank.  Channels are fully
+//! The router decodes the channel bits of every physical address with an
+//! [`AddressMap`] built exactly as the per-channel controllers build theirs
+//! (the configured [`memctrl::mapping::MappingKind`] over the subsystem's
+//! organisation), so a request always lands on the controller whose device
+//! owns its bank.  The channel bits sit right above the cache-line offset:
+//! consecutive cache lines rotate across channels.  Channels are fully
 //! independent, exactly as in hardware: each has its own command bus,
 //! refresh schedule, Alert Back-Off responder, and mitigation engine, so
 //! per-channel ABO alerts, RFM budgets and TB-RFM stalls never interfere
@@ -32,7 +34,7 @@
 use dram_sim::device::DramDeviceConfig;
 use dram_sim::stats::DramStats;
 use memctrl::controller::{ControllerConfig, MemoryController};
-use memctrl::mapping::AddressMapping;
+use memctrl::mapping::AddressMap;
 use memctrl::request::{CompletedRequest, MemoryRequest};
 use memctrl::rfm::RfmKind;
 use memctrl::stats::ControllerStats;
@@ -54,9 +56,9 @@ pub struct ChannelStats {
 #[derive(Debug, Clone)]
 pub struct MemorySubsystem {
     controllers: Vec<MemoryController>,
-    /// Subsystem-level copy of the address mapping, used only to route
+    /// Subsystem-level copy of the address map, used only to route
     /// requests to channels (each controller re-decodes internally).
-    router: Box<dyn AddressMapping>,
+    router: AddressMap,
 }
 
 /// Splay constant mixed into per-channel seeds (the golden-ratio mixer);
@@ -80,10 +82,7 @@ impl MemorySubsystem {
     #[must_use]
     pub fn new(device_config: DramDeviceConfig, controller_config: ControllerConfig) -> Self {
         let channels = device_config.organization.channels.max(1);
-        let router = controller_config.mapping.instantiate_with(
-            device_config.organization,
-            controller_config.channel_interleave,
-        );
+        let router = AddressMap::new(controller_config.mapping, device_config.organization);
         let controllers = (0..channels)
             .map(|channel| {
                 let mix = u64::from(channel).wrapping_mul(CHANNEL_SEED_MIX);
@@ -274,7 +273,7 @@ impl MemorySubsystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memctrl::mapping::{ChannelInterleave, MappingKind};
+    use memctrl::mapping::MappingKind;
     use prac_core::config::PracConfig;
 
     fn subsystem(channels: u32) -> MemorySubsystem {
@@ -286,7 +285,6 @@ mod tests {
         device.organization = device.organization.with_channels(channels);
         let config = ControllerConfig {
             mapping: MappingKind::RowInterleaved,
-            channel_interleave: ChannelInterleave::CacheLine,
             refresh_enabled: false,
             ..ControllerConfig::default()
         };
@@ -333,8 +331,7 @@ mod tests {
     #[test]
     fn requests_complete_on_their_own_channels() {
         let mut sub = subsystem(2);
-        // Two consecutive cache lines land on different channels under
-        // cache-line interleave.
+        // Two consecutive cache lines land on different channels.
         for (id, pa) in [(1u64, 0u64), (2, 64)] {
             let channel = sub.route(pa);
             assert!(sub.enqueue(channel, MemoryRequest::read(id, pa, 0, 0)));

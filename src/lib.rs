@@ -143,9 +143,7 @@ pub mod prelude {
     pub use campaign::{Campaign, CampaignRunner, Profile, Scenario, ScenarioSpec};
     pub use cpu_sim::{CpuConfig, Trace, TraceOp};
     pub use dram_sim::{DramDevice, DramDeviceConfig, DramOrganization, DramTimingParams};
-    pub use memctrl::{
-        ChannelInterleave, ControllerConfig, MemoryController, MemoryRequest, PagePolicy,
-    };
+    pub use memctrl::{AddressMap, ControllerConfig, MemoryController, MemoryRequest, PagePolicy};
     pub use prac_core::config::{MitigationPolicy, PracConfig, PracLevel};
     pub use prac_core::mitigation::{
         BankActivationView, MitigationDecision, MitigationEngine, ProactiveRfmKind,

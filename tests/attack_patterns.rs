@@ -15,7 +15,7 @@
 //! so this suite is reproducible bit-for-bit (see `crates/compat/proptest`).
 
 use prac_timing::dram_sim::org::DramOrganization;
-use prac_timing::memctrl::mapping::{ChannelInterleave, MappingKind};
+use prac_timing::memctrl::mapping::{AddressMap, MappingKind};
 use prac_timing::workloads::attack::attack_registry;
 use proptest::prelude::*;
 
@@ -35,7 +35,6 @@ proptest! {
         pattern_index in 0usize..6,
         mapping_index in 0usize..3,
         channel_exp in 0u32..3,
-        interleave_index in 0u32..2,
         seed in 0u64..1 << 16,
     ) {
         let registry = attack_registry();
@@ -44,12 +43,7 @@ proptest! {
         let channels = 1u32 << channel_exp; // 1, 2, 4
         let org = DramOrganization::ddr5_32gb_quad_rank().with_channels(channels);
         prop_assert!(org.is_valid());
-        let interleave = if interleave_index == 1 {
-            ChannelInterleave::Row
-        } else {
-            ChannelInterleave::CacheLine
-        };
-        let mapping = mapping_kinds()[mapping_index % 3].instantiate_with(org, interleave);
+        let mapping = AddressMap::new(mapping_kinds()[mapping_index % 3], org);
         let mut pattern = descriptor.kind.build(&org, T_REFI_TICKS, seed);
 
         // The declared hot rows are themselves valid, encodable coordinates.

@@ -111,13 +111,12 @@ fn targeted_refreshes_reduce_tb_rfm_count() {
 #[test]
 fn energy_overhead_tracks_rfm_frequency() {
     let workload = memory_hungry();
-    let banks = 128;
     let overhead_at = |nrh: u32| {
         let config = ExperimentConfig::new(tprac_setup(true), INSTR)
             .with_cores(2)
             .with_rowhammer_threshold(nrh);
         let (_, protected, baseline) = run_workload_normalized(&config, &workload, 29).unwrap();
-        system_sim::energy_overhead_for(&baseline, &protected, banks)
+        system_sim::energy_overhead_for(&baseline, &protected)
     };
     let high_threshold = overhead_at(4096);
     let low_threshold = overhead_at(256);
