@@ -1,13 +1,14 @@
-//! Criterion micro-benchmarks for the event-core hot paths reshaped by the
-//! data-layout pass: the event engine's wheel round, the branchless
-//! per-device bank min-reduce and the controller's FR-FCFS lane pick.  CI runs them as the kernel smoke gate; end-to-end and per-layer
+//! Criterion micro-benchmarks for the event-core hot paths, each on the code
+//! the engine runs: the event engine's wheel round, the branchless
+//! per-device bank min-reduce and the controller's incremental FR-FCFS
+//! pick.  CI runs them as the kernel smoke gate; end-to-end and per-layer
 //! performance is measured by `perfbench/`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_sim::command::DramCommand;
 use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
-use memctrl::scheduler::{FrFcfsScheduler, ScanLane};
+use memctrl::scheduler::{FrFcfsIndex, FrFcfsScheduler, QUEUE_CAPACITY};
 use system_sim::event::EventWheel;
 
 /// One event-engine round for a system with `channels` channels, as
@@ -83,55 +84,38 @@ fn bench_bank_min_reduce(c: &mut Criterion) {
     });
 }
 
-/// One [`FrFcfsScheduler::choose_lane`] pass over a full 64-request queue
-/// against a paper-geometry device's open rows — the scan the controller
-/// makes whenever its cached FR-FCFS choice is stale.  A third of the banks
-/// hold a lane's row open, a third hold another row, the rest are closed;
-/// every 32nd request is already in flight.
-fn bench_scheduler_scan(c: &mut Criterion) {
-    let mut device = DramDevice::new(DramDeviceConfig::paper_default());
-    let org = device.config().organization;
-    let lanes: Vec<ScanLane> = (0..64u32)
-        .map(|index| ScanLane {
-            arrival_tick: (97 * u64::from(index)) % 1_024,
-            bank: if index % 32 == 31 {
-                ScanLane::ISSUED
-            } else {
-                (index * 2) % org.total_banks()
-            },
-            row: index,
-        })
-        .collect();
-    for (index, lane) in lanes
-        .iter()
-        .enumerate()
-        .filter(|(i, lane)| i % 3 != 2 && !lane.is_issued())
-    {
-        let addr = DramAddress {
-            channel: 0,
-            rank: lane.bank / org.banks_per_rank(),
-            bank_group: (lane.bank / org.banks_per_group) % org.bank_groups,
-            bank: lane.bank % org.banks_per_group,
-            row: if index % 3 == 0 {
-                lane.row
-            } else {
-                lane.row + 1
-            },
-            column: 0,
-        };
-        device
-            .issue(DramCommand::Activate(addr), index as u64 * 1_000)
-            .unwrap();
+/// The controller's FR-FCFS pick on a saturated 64-request queue over the
+/// paper geometry (128 banks): [`FrFcfsScheduler::choose`] over the
+/// [`FrFcfsIndex`], plus the index upkeep of serving the chosen request
+/// (its column command, its completion's `swap_remove` and the enqueue
+/// that refills the queue).  Requests arrive in pairs that tie on their
+/// arrival tick, and a third of the banks hold row 0 open, so a few of the
+/// 64 requests are row hits, as in a saturated fig10 queue.
+fn bench_scheduler_pick(c: &mut Criterion) {
+    let banks = DramDeviceConfig::paper_default().organization.total_banks();
+    let request = |n: u64| {
+        let bank = (n * 37 % u64::from(banks)) as u32;
+        let row = (n % 8) as u32;
+        (n / 2, bank, row, bank.is_multiple_of(3) && row == 0)
+    };
+    let mut index = FrFcfsIndex::new(banks);
+    for n in 0..QUEUE_CAPACITY as u64 {
+        let (arrival_tick, bank, row, row_hit) = request(n);
+        index.push(arrival_tick, bank, row, row_hit);
     }
+    let mut next = QUEUE_CAPACITY as u64;
     let scheduler = FrFcfsScheduler::paper_default();
-    c.bench_function("scheduler_scan_64cand_x100", |b| {
+    c.bench_function("scheduler_pick_64queue_x100", |b| {
         b.iter(|| {
             let mut picked = 0usize;
             for _ in 0..100 {
-                let chosen = scheduler
-                    .choose_lane(black_box(&lanes), black_box(device.open_rows()))
-                    .unwrap();
+                let chosen = scheduler.choose(black_box(&index)).unwrap();
                 picked = picked.wrapping_add(chosen);
+                index.column_issued(chosen);
+                index.swap_remove(chosen);
+                let (arrival_tick, bank, row, row_hit) = request(next);
+                index.push(arrival_tick, bank, row, row_hit);
+                next += 1;
             }
             black_box(picked)
         });
@@ -150,6 +134,6 @@ criterion_group! {
     config = configured();
     targets = bench_wheel_push_pop,
               bench_bank_min_reduce,
-              bench_scheduler_scan
+              bench_scheduler_pick
 }
 criterion_main!(benches);

@@ -26,7 +26,8 @@
 //! long.  A longer line is answered with an `ok:false` error, and the
 //! connection closes once the rest of that line has been read and dropped.
 //! At most [`MAX_CONNECTIONS`] connections are served at once; one more is
-//! answered with an `ok:false` error and closed.
+//! answered with an `ok:false` error and closed.  A connection that sends
+//! nothing for [`IDLE_TIMEOUT`] is closed, which frees its slot.
 
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -57,6 +58,12 @@ pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 /// `ok:false` error and closed, so a flood of idle clients cannot spawn
 /// unbounded handler threads.
 pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a connection may stay silent before the server closes it and
+/// frees its [`MAX_CONNECTIONS`] slot, counted from the last byte received
+/// or the last reply sent.  A client may hold a connection open between
+/// requests, but never past this.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The query service: a [`ResultCache`] plus the engine used to run misses.
 ///
@@ -190,12 +197,24 @@ impl Server {
     }
 
     fn handle_connection<S: io::Read + io::Write>(&self, stream: S) -> io::Result<()> {
+        self.handle_connection_within(stream, IDLE_TIMEOUT)
+    }
+
+    /// [`Server::handle_connection`] with the idle deadline as a parameter,
+    /// so tests need not wait out [`IDLE_TIMEOUT`].
+    fn handle_connection_within<S: io::Read + io::Write>(
+        &self,
+        stream: S,
+        idle: Duration,
+    ) -> io::Result<()> {
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
+        let mut last_heard = Instant::now();
         loop {
             // At most one byte past the limit is ever buffered: enough to
             // tell an over-limit line from one that fits.
             let budget = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+            let received = line.len();
             match reader.by_ref().take(budget).read_line(&mut line) {
                 Ok(0) => return Ok(()), // client hung up
                 Ok(_) => {}
@@ -204,8 +223,12 @@ impl Server {
                     // appended to `line` and the next read continues the
                     // same request, so a slow writer is never corrupted —
                     // but once shutdown begins an idle connection must
-                    // return promptly so the serve loop can join us.
-                    if self.shutdown.load(Ordering::SeqCst) {
+                    // return promptly so the serve loop can join us, and
+                    // a silent one closes once the idle deadline passes.
+                    if line.len() > received {
+                        last_heard = Instant::now();
+                    }
+                    if self.shutdown.load(Ordering::SeqCst) || last_heard.elapsed() >= idle {
                         return Ok(());
                     }
                     continue;
@@ -221,7 +244,7 @@ impl Server {
                 // Drop the rest of the line before closing: closing over
                 // unread input resets the connection, which can discard
                 // the reply before the client reads it.
-                return self.skip_line(&mut reader);
+                return self.skip_line(&mut reader, idle);
             }
             if line.trim().is_empty() {
                 line.clear();
@@ -230,6 +253,7 @@ impl Server {
             let (response, stop) = self.respond(line.trim());
             line.clear();
             write_reply(reader.get_mut(), &response)?;
+            last_heard = Instant::now();
             if stop {
                 self.shutdown.store(true, Ordering::SeqCst);
                 return Ok(());
@@ -238,18 +262,30 @@ impl Server {
     }
 
     /// Reads and drops input up to the next newline or end of stream,
-    /// without buffering it.
-    fn skip_line(&self, reader: &mut impl BufRead) -> io::Result<()> {
+    /// without buffering it; gives up at shutdown or once the client has
+    /// been silent for `idle`.
+    fn skip_line(&self, reader: &mut impl BufRead, idle: Duration) -> io::Result<()> {
+        let mut last_heard = Instant::now();
         loop {
-            match reader.skip_until(b'\n') {
-                Ok(_) => return Ok(()),
+            let (used, done) = match reader.fill_buf() {
+                Ok([]) => return Ok(()),
+                Ok(buffer) => match buffer.iter().position(|&byte| byte == b'\n') {
+                    Some(newline) => (newline + 1, true),
+                    None => (buffer.len(), false),
+                },
                 Err(error) if is_timeout(&error) => {
-                    if self.shutdown.load(Ordering::SeqCst) {
+                    if self.shutdown.load(Ordering::SeqCst) || last_heard.elapsed() >= idle {
                         return Ok(());
                     }
+                    continue;
                 }
                 Err(error) => return Err(error),
+            };
+            reader.consume(used);
+            if done {
+                return Ok(());
             }
+            last_heard = Instant::now();
         }
     }
 
@@ -557,6 +593,82 @@ mod tests {
             reopened.lookup(&scenario).is_some(),
             "in-flight miss result must survive shutdown"
         );
+    }
+
+    /// A connected TCP pair: the client end, and the server end with the
+    /// read timeout the accept loop sets.
+    fn tcp_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        served.set_read_timeout(Some(READ_POLL)).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        (client, served)
+    }
+
+    #[test]
+    fn silent_connections_close_at_the_idle_deadline() {
+        let server = server("idle");
+        let idle = Duration::from_millis(300);
+        let (mut client, served) = tcp_pair();
+        let started = Instant::now();
+        let handler = std::thread::spawn(move || server.handle_connection_within(served, idle));
+        // The handler closes the connection: the client reads end of stream.
+        assert_eq!(client.read(&mut [0; 64]).unwrap(), 0);
+        assert!(
+            started.elapsed() >= idle,
+            "closed after {:?}",
+            started.elapsed()
+        );
+        handler.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn the_idle_deadline_restarts_at_every_byte_and_reply() {
+        use std::io::Write;
+        let server = server("slow");
+        let idle = Duration::from_millis(400);
+        let (mut client, served) = tcp_pair();
+        let handler = std::thread::spawn(move || server.handle_connection_within(served, idle));
+        // A request trickled in over more than the deadline, and a pause
+        // shorter than it between two requests, are both answered.
+        for _ in 0..2 {
+            for part in [r#"{"op":"#, r#""ping"}"#, "\n"] {
+                std::thread::sleep(idle / 4);
+                client.write_all(part.as_bytes()).unwrap();
+            }
+        }
+        let mut replies = BufReader::new(client);
+        for _ in 0..2 {
+            let mut line = String::new();
+            replies.read_line(&mut line).unwrap();
+            assert_eq!(parse(&line).get("pong"), Some(&Value::Bool(true)), "{line}");
+        }
+        // Then silence closes it.
+        assert_eq!(replies.read_line(&mut String::new()).unwrap(), 0);
+        handler.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn an_over_limit_line_left_unfinished_closes_at_the_idle_deadline() {
+        use std::io::Write;
+        let server = server("unfinished");
+        let idle = Duration::from_millis(300);
+        let (mut client, served) = tcp_pair();
+        let handler = std::thread::spawn(move || server.handle_connection_within(served, idle));
+        client
+            .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 10])
+            .unwrap();
+        let mut replies = BufReader::new(client);
+        let mut line = String::new();
+        replies.read_line(&mut line).unwrap();
+        assert_eq!(parse(&line).get("ok"), Some(&Value::Bool(false)), "{line}");
+        // The line never ends; the handler stops skipping it once the
+        // client falls silent.
+        assert_eq!(replies.read_line(&mut String::new()).unwrap(), 0);
+        handler.join().unwrap().unwrap();
     }
 
     #[cfg(unix)]

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::mapping::{AddressMap, MappingKind};
 use crate::request::{CompletedRequest, MemoryRequest, RequestKind};
 use crate::rfm::{AboResponder, RfmKind};
-use crate::scheduler::{FrFcfsScheduler, ScanLane, SchedulerCandidate};
+use crate::scheduler::{FrFcfsIndex, FrFcfsScheduler, SchedulerCandidate, QUEUE_CAPACITY};
 use crate::stats::ControllerStats;
 
 /// Row-buffer management policy.
@@ -34,8 +34,6 @@ pub struct ControllerConfig {
     pub page_policy: PagePolicy,
     /// FR-FCFS consecutive-row-hit cap (0 disables the cap).
     pub frfcfs_cap: u32,
-    /// Maximum pending requests accepted before back-pressure.
-    pub queue_capacity: usize,
     /// Whether periodic refresh is issued every tREFI.
     pub refresh_enabled: bool,
     /// Obfuscation defense: inject random RFMs with this configuration.
@@ -50,7 +48,6 @@ impl Default for ControllerConfig {
             mapping: MappingKind::Mop,
             page_policy: PagePolicy::Open,
             frfcfs_cap: 4,
-            queue_capacity: 64,
             refresh_enabled: true,
             obfuscation: None,
             obfuscation_seed: 0x5eed_5eed,
@@ -65,8 +62,6 @@ struct PendingRequest {
     address: DramAddress,
     /// Flat index of the target bank, decoded once at enqueue.
     bank: u32,
-    /// Set once the column command has been issued; holds the completion tick.
-    completion_tick: Option<u64>,
     /// The request needed an activation (row was closed when first serviced).
     needed_activate: bool,
     /// The request hit a row conflict (a different row was open).
@@ -89,9 +84,19 @@ pub struct MemoryController {
     channel_index: u32,
     mapping: AddressMap,
     scheduler: FrFcfsScheduler,
+    /// The request queue, at most [`QUEUE_CAPACITY`] long.  Completed
+    /// requests leave it by `swap_remove`.
     pending: Vec<PendingRequest>,
-    /// The scheduler's compact view of `pending`, position for position.
-    lanes: Vec<ScanLane>,
+    /// Completion tick of each request in `pending`, position for position:
+    /// [`NOT_ISSUED`] until its column command issues.
+    completions: Vec<u64>,
+    /// The positions of `pending` whose column command has issued: the
+    /// only ones the completion walk visits.
+    in_flight: u64,
+    /// The FR-FCFS candidates of `pending`: its unissued positions in age
+    /// order and a row-hit mask, updated by every enqueue, accepted
+    /// command and completion removal instead of rescanned.
+    index: FrFcfsIndex,
     /// The FR-FCFS choice for the current state, `None` when stale.  It
     /// depends only on the pending set and its queue positions, the open
     /// rows and the hit streak, so it stays valid until an enqueue, an
@@ -128,6 +133,9 @@ pub struct MemoryController {
 /// The FR-FCFS choice, `(queue index, command)`, or `None` when the queue
 /// holds no candidate.
 type DemandChoice = Option<(usize, DramCommand)>;
+
+/// The `completions` entry of a request whose column command has not issued.
+const NOT_ISSUED: u64 = u64::MAX;
 
 /// Maximum number of RFM-log entries retained.
 const RFM_LOG_CAP: usize = 1 << 20;
@@ -200,13 +208,16 @@ impl MemoryController {
         let mapping = AddressMap::new(config.mapping, device_config.organization);
         let scheduler = FrFcfsScheduler::new(config.frfcfs_cap);
         let next_refresh = timing.t_refi;
+        let device = DramDevice::new(device_config);
         Self {
-            device: DramDevice::new(device_config),
+            index: FrFcfsIndex::new(device.bank_count()),
+            device,
             channel_index: 0,
             mapping,
             scheduler,
-            pending: Vec::with_capacity(config.queue_capacity),
-            lanes: Vec::with_capacity(config.queue_capacity),
+            pending: Vec::with_capacity(QUEUE_CAPACITY),
+            completions: Vec::with_capacity(QUEUE_CAPACITY),
+            in_flight: 0,
             choice: None,
             stats: ControllerStats::default(),
             policy,
@@ -309,11 +320,11 @@ impl MemoryController {
         self.polls
     }
 
-    /// Number of FR-FCFS demand scans made so far.  The controller caches
-    /// its choice and rescans only after something it depends on changed:
+    /// Number of FR-FCFS demand picks made so far.  The controller caches
+    /// its choice and picks again only after something it depends on changed:
     /// an enqueue, a command the device accepted, or a completed request
     /// leaving the queue.  A poll with no such change since the last one
-    /// scans nothing.  Telemetry only, like [`MemoryController::polls`].
+    /// picks nothing.  Telemetry only, like [`MemoryController::polls`].
     #[must_use]
     pub fn demand_scans(&self) -> u64 {
         self.demand_scans
@@ -328,7 +339,7 @@ impl MemoryController {
     /// Returns `true` when the controller can accept another request.
     #[must_use]
     pub fn can_accept(&self) -> bool {
-        self.pending.len() < self.config.queue_capacity
+        self.pending.len() < QUEUE_CAPACITY
     }
 
     /// Decodes a physical address with the controller's mapping
@@ -358,20 +369,18 @@ impl MemoryController {
             request.physical_address
         );
         let bank = address.flat_bank(&self.device.config().organization);
-        self.lanes.push(ScanLane {
-            arrival_tick: request.arrival_tick,
-            bank,
-            row: address.row,
-        });
+        let row_hit = self.device.open_rows()[bank as usize] == address.row;
+        self.index
+            .push(request.arrival_tick, bank, address.row, row_hit);
         self.choice = None;
         self.pending.push(PendingRequest {
             request,
             address,
             bank,
-            completion_tick: None,
             needed_activate: false,
             had_conflict: false,
         });
+        self.completions.push(NOT_ISSUED);
         true
     }
 
@@ -383,11 +392,23 @@ impl MemoryController {
     }
 
     /// Issues `cmd` to the device.  Every accepted command can change the
-    /// open rows or the hit streak, so it drops the cached demand choice.
+    /// open rows or the hit streak, so it drops the cached demand choice,
+    /// and a command that opens or closes rows updates the index's row
+    /// hits.  (A column command's request leaves the candidates in
+    /// [`MemoryController::issue_demand`], which knows its queue position.)
     fn issue_command(&mut self, cmd: DramCommand, now: u64) -> Result<u64, IssueError> {
         let result = self.device.issue(cmd, now);
         if result.is_ok() {
             self.choice = None;
+            let org = &self.device.config().organization;
+            match cmd {
+                DramCommand::Activate(addr) => self.index.activated(addr.flat_bank(org), addr.row),
+                DramCommand::Precharge(addr) => self.index.precharged(addr.flat_bank(org)),
+                DramCommand::PrechargeAll | DramCommand::Refresh | DramCommand::RfmAllBank => {
+                    self.index.closed_all();
+                }
+                DramCommand::Read(_) | DramCommand::Write(_) => {}
+            }
         }
         result
     }
@@ -535,7 +556,7 @@ impl MemoryController {
 
     /// The command the FR-FCFS demand scheduler would attempt right now, as
     /// `(queue index, command)`: the cached choice, or a fresh
-    /// [`FrFcfsScheduler::choose_lane`] scan that refills the cache.  Both
+    /// [`FrFcfsScheduler::choose`] over the index that refills the cache.  Both
     /// the tick's scheduling step and the wake-up computation read it, which
     /// is what keeps the per-tick and the event-driven paths cycle-exact.
     fn chosen_demand_command(&mut self) -> DemandChoice {
@@ -545,7 +566,7 @@ impl MemoryController {
                 self.demand_scans += 1;
                 let choice = self
                     .scheduler
-                    .choose_lane(&self.lanes, self.device.open_rows())
+                    .choose(&self.index)
                     .map(|index| (index, self.demand_command(index)));
                 self.choice = Some(choice);
                 choice
@@ -561,13 +582,13 @@ impl MemoryController {
 
     /// The oracle for [`MemoryController::chosen_demand_command`]: a fresh
     /// [`FrFcfsScheduler::choose_from`] scan over the pending queue, with no
-    /// cache and no lanes.
+    /// cache and no index.
     fn scanned_demand_command(&self) -> DemandChoice {
         let candidates = self
             .pending
             .iter()
             .enumerate()
-            .filter(|(_, p)| p.completion_tick.is_none())
+            .filter(|&(i, _)| self.completions[i] == NOT_ISSUED)
             .map(|(i, p)| {
                 let bank = self.device.bank(p.bank);
                 SchedulerCandidate {
@@ -615,9 +636,10 @@ impl MemoryController {
                 };
                 self.scheduler.note_scheduled(bank, true);
                 self.next_completion = self.next_completion.min(done);
-                self.lanes[index].bank = ScanLane::ISSUED;
-                let entry = &mut self.pending[index];
-                entry.completion_tick = Some(done);
+                self.completions[index] = done;
+                self.in_flight |= 1 << index;
+                self.index.column_issued(index);
+                let entry = &self.pending[index];
                 // Classify the whole request by what it needed.
                 if entry.had_conflict {
                     self.stats.row_conflicts += 1;
@@ -746,32 +768,53 @@ impl MemoryController {
             return;
         }
         let mut next_completion = u64::MAX;
-        let mut i = 0;
-        while i < self.pending.len() {
-            if let Some(done) = self.pending[i].completion_tick {
-                if done <= now {
-                    let p = self.pending.swap_remove(i);
-                    self.lanes.swap_remove(i);
-                    self.choice = None;
-                    let record = CompletedRequest {
-                        id: p.request.id,
-                        core: p.request.core,
-                        kind: p.request.kind,
-                        arrival_tick: p.request.arrival_tick,
-                        completion_tick: done,
-                    };
-                    match p.request.kind {
-                        RequestKind::Read => self.stats.reads_completed += 1,
-                        RequestKind::Write => self.stats.writes_completed += 1,
-                    }
-                    self.stats.record_latency(record.latency_ticks());
-                    completed.push(record);
-                    continue;
-                }
-                next_completion = next_completion.min(done);
+        // The in-flight positions in ascending order.  A removal moves the
+        // last request into the freed position, which is visited next.
+        let mut from = 0;
+        loop {
+            let rest = self.in_flight & u64::MAX.checked_shl(from).unwrap_or(0);
+            if rest == 0 {
+                break;
             }
-            i += 1;
+            let i = rest.trailing_zeros();
+            let done = self.completions[i as usize];
+            if done <= now {
+                let last = self.pending.len() - 1;
+                self.in_flight &= !(1 << i);
+                if self.in_flight & (1 << last) != 0 {
+                    self.in_flight ^= (1 << last) | (1 << i);
+                }
+                let i = i as usize;
+                self.completions.swap_remove(i);
+                let p = self.pending.swap_remove(i);
+                self.index.swap_remove(i);
+                self.choice = None;
+                let record = CompletedRequest {
+                    id: p.request.id,
+                    core: p.request.core,
+                    kind: p.request.kind,
+                    arrival_tick: p.request.arrival_tick,
+                    completion_tick: done,
+                };
+                match p.request.kind {
+                    RequestKind::Read => self.stats.reads_completed += 1,
+                    RequestKind::Write => self.stats.writes_completed += 1,
+                }
+                self.stats.record_latency(record.latency_ticks());
+                completed.push(record);
+                from = i as u32;
+                continue;
+            }
+            next_completion = next_completion.min(done);
+            from = i + 1;
         }
+        debug_assert_eq!(
+            self.in_flight,
+            (0..self.completions.len())
+                .filter(|&i| self.completions[i] != NOT_ISSUED)
+                .fold(0, |mask, i| mask | 1 << i),
+            "the in-flight mask disagrees with the completion ticks"
+        );
         self.next_completion = next_completion;
     }
 }
@@ -886,8 +929,7 @@ mod tests {
     #[test]
     fn queue_capacity_is_enforced() {
         let mut ctrl = tiny_controller(MitigationPolicy::AboOnly);
-        let cap = ctrl.config().queue_capacity;
-        for i in 0..cap {
+        for i in 0..QUEUE_CAPACITY {
             let pa = physical_for(&ctrl, 0, 0, (i % 8) as u32, 0);
             assert!(ctrl.enqueue(MemoryRequest::read(i as u64, pa, 0, 0)));
         }

@@ -8,17 +8,24 @@
 //! a cap of 4") — after `cap` consecutive hits to the same bank the scheduler
 //! falls back to the oldest request.
 //!
-//! The controller's hot path is [`FrFcfsScheduler::choose_lane`]: a pick
-//! over one compact [`ScanLane`] per pending request, compared against the
-//! device's raw open-row array.  [`FrFcfsScheduler::choose_from`] over
-//! [`SchedulerCandidate`]s is the reference both must agree with; the
-//! controller `debug_assert`s that agreement on every choice it uses.  The
-//! choice is a pure function of the lanes (and their queue positions), the
-//! open rows and the hit streak, which is what lets the controller cache it
-//! until one of the three changes.
+//! The controller never rescans its queue.  It keeps an [`FrFcfsIndex`]
+//! beside it, updated by exactly the events that change the choice: an
+//! enqueue, a column command (the request leaves the candidates), a
+//! completion's `swap_remove` (a position is renumbered), and the commands
+//! that open or close rows (ACT, PRE, REF, RFM, PREA).  The index holds an
+//! age order of the unissued queue positions and a row-hit mask, so
+//! [`FrFcfsScheduler::choose`] reads the oldest hit off the set mask bits
+//! and the oldest request off the head of the age order.
+//! [`FrFcfsScheduler::choose_from`] over [`SchedulerCandidate`]s is the
+//! reference both must agree with; the controller `debug_assert`s that
+//! agreement on every choice it uses.
 
 use dram_sim::org::DramAddress;
 use serde::{Deserialize, Serialize};
+
+/// Most requests a controller queue (and so an [`FrFcfsIndex`]) holds: one
+/// bit per queue position in a `u64` mask.
+pub const QUEUE_CAPACITY: usize = 64;
 
 /// A candidate visible to the scheduler: its queue slot, decoded address and
 /// whether the target row is currently open.
@@ -34,29 +41,171 @@ pub struct SchedulerCandidate {
     pub arrival_tick: u64,
 }
 
-/// The scheduler's view of one pending request, kept by the controller in
-/// a `Vec` parallel to its pending queue: 16 bytes, so a 64-entry queue
-/// scans in sixteen cache lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanLane {
-    /// Arrival tick (for FCFS ordering).
-    pub arrival_tick: u64,
-    /// Flat index of the target bank, or [`ScanLane::ISSUED`] once the
-    /// request's column command has been issued.
-    pub bank: u32,
-    /// Target row.
-    pub row: u32,
+/// What the index knows of the request at one queue position.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    arrival_tick: u64,
+    bank: u32,
+    row: u32,
 }
 
-impl ScanLane {
-    /// The `bank` marker of a request that is in flight and no longer a
-    /// scheduling candidate.
-    pub const ISSUED: u32 = u32::MAX;
+/// The FR-FCFS candidates of a controller queue, kept up to date event by
+/// event instead of rescanned.
+///
+/// Position `i` is the request at queue position `i`; the caller mirrors
+/// every queue change and every row open or close into the index.  A
+/// request is a candidate from [`FrFcfsIndex::push`] until
+/// [`FrFcfsIndex::column_issued`]; only issued requests leave the queue
+/// through [`FrFcfsIndex::swap_remove`].
+#[derive(Debug, Clone)]
+pub struct FrFcfsIndex {
+    lanes: Vec<Lane>,
+    /// Unissued positions, sorted by `(arrival_tick, position)`.
+    age: Vec<u8>,
+    /// Per flat bank: the unissued positions that target it.
+    bank_lanes: Vec<u64>,
+    /// The unissued positions whose row is open in their bank.
+    hits: u64,
+}
 
-    /// Whether the request's column command has been issued.
+impl FrFcfsIndex {
+    /// An empty index over a device with `banks` flat banks.
     #[must_use]
-    pub fn is_issued(&self) -> bool {
-        self.bank == Self::ISSUED
+    pub fn new(banks: u32) -> Self {
+        Self {
+            lanes: Vec::with_capacity(QUEUE_CAPACITY),
+            age: Vec::with_capacity(QUEUE_CAPACITY),
+            bank_lanes: vec![0; banks as usize],
+            hits: 0,
+        }
+    }
+
+    /// Appends a request at the next queue position; `row_hit` says whether
+    /// its row is open in `bank` right now.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the queue already holds [`QUEUE_CAPACITY`] requests.
+    pub fn push(&mut self, arrival_tick: u64, bank: u32, row: u32, row_hit: bool) {
+        let position = self.lanes.len();
+        assert!(position < QUEUE_CAPACITY, "FR-FCFS index is full");
+        self.lanes.push(Lane {
+            arrival_tick,
+            bank,
+            row,
+        });
+        let bit = 1u64 << position;
+        self.bank_lanes[bank as usize] |= bit;
+        if row_hit {
+            self.hits |= bit;
+        }
+        // The new position is the largest, so it goes after every request
+        // that arrived no later; requests arrive in order, so this walk
+        // usually stops at once.
+        let mut at = self.age.len();
+        while at > 0 && self.lanes[usize::from(self.age[at - 1])].arrival_tick > arrival_tick {
+            at -= 1;
+        }
+        self.age.insert(at, position as u8);
+    }
+
+    /// The request at `position` had its column command issued: it is no
+    /// longer a candidate.
+    pub fn column_issued(&mut self, position: usize) {
+        let bit = 1u64 << position;
+        self.bank_lanes[self.lanes[position].bank as usize] &= !bit;
+        self.hits &= !bit;
+        let at = self
+            .age
+            .iter()
+            .position(|&p| usize::from(p) == position)
+            .expect("an issued request was a candidate");
+        self.age.remove(at);
+    }
+
+    /// `bank` opened `row`: its requests to that row become hits.
+    pub fn activated(&mut self, bank: u32, row: u32) {
+        let mut lanes = self.bank_lanes[bank as usize];
+        while lanes != 0 {
+            let position = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            if self.lanes[position].row == row {
+                self.hits |= 1 << position;
+            }
+        }
+    }
+
+    /// `bank` closed its row: none of its requests is a hit.
+    pub fn precharged(&mut self, bank: u32) {
+        self.hits &= !self.bank_lanes[bank as usize];
+    }
+
+    /// Every bank closed its row (refresh, RFM, precharge-all).
+    pub fn closed_all(&mut self) {
+        self.hits = 0;
+    }
+
+    /// The issued request at `position` left the queue by `swap_remove`:
+    /// the last request moves to `position`, and among requests that
+    /// arrived at the same tick its new, lower position may now come first.
+    pub fn swap_remove(&mut self, position: usize) {
+        debug_assert!(
+            self.age.iter().all(|&p| usize::from(p) != position),
+            "only issued requests leave the queue"
+        );
+        let last = self.lanes.len() - 1;
+        self.lanes.swap_remove(position);
+        if position == last {
+            return;
+        }
+        let (from, to) = (1u64 << last, 1u64 << position);
+        let Lane {
+            arrival_tick, bank, ..
+        } = self.lanes[position];
+        let bank_lanes = &mut self.bank_lanes[bank as usize];
+        if *bank_lanes & from == 0 {
+            return; // the moved request was issued too
+        }
+        *bank_lanes ^= from | to;
+        if self.hits & from != 0 {
+            self.hits ^= from | to;
+        }
+        let mut at = self
+            .age
+            .iter()
+            .position(|&p| usize::from(p) == last)
+            .expect("an unissued request is in the age order");
+        while at > 0 {
+            let before = usize::from(self.age[at - 1]);
+            if before < position || self.lanes[before].arrival_tick != arrival_tick {
+                break;
+            }
+            self.age[at] = self.age[at - 1];
+            at -= 1;
+        }
+        self.age[at] = position as u8;
+    }
+
+    /// The oldest candidate: the first minimum of `(arrival_tick,
+    /// position)`.
+    fn oldest(&self) -> Option<usize> {
+        self.age.first().map(|&p| usize::from(p))
+    }
+
+    /// The oldest row hit: the first minimum of `(arrival_tick, position)`
+    /// over the set hit bits, visited in position order.
+    fn oldest_hit(&self) -> Option<usize> {
+        let mut hits = self.hits;
+        let mut oldest: Option<(u64, usize)> = None;
+        while hits != 0 {
+            let position = hits.trailing_zeros() as usize;
+            hits &= hits - 1;
+            let arrival_tick = self.lanes[position].arrival_tick;
+            if oldest.is_none_or(|(tick, _)| arrival_tick < tick) {
+                oldest = Some((arrival_tick, position));
+            }
+        }
+        oldest.map(|(_, position)| position)
     }
 }
 
@@ -126,29 +275,19 @@ impl FrFcfsScheduler {
         })
     }
 
-    /// [`FrFcfsScheduler::choose_from`] over the controller's compact lanes:
-    /// returns the queue position of the chosen request.
-    ///
-    /// Lane `i` is the request at queue position `i`; issued lanes are
-    /// skipped, and a lane is a row hit when `open_rows[lane.bank]` (the
-    /// device's raw open-row array, [`dram_sim::bank::ROW_NONE`] for a
-    /// closed bank) equals its row.  Each class (row hits, then every
-    /// unissued lane) is picked in two passes: a branch-free min-reduce of
-    /// the arrival ticks, then the first lane in queue order holding that
-    /// tick.  That is the first minimum of `(arrival_tick, queue position)`,
-    /// exactly as `choose_from` breaks ties.
+    /// [`FrFcfsScheduler::choose_from`] over the controller's index: returns
+    /// the queue position of the chosen request.  The oldest row hit when
+    /// the streak allows one, else the oldest request; the index breaks ties
+    /// on `arrival_tick` by queue position, exactly as `choose_from` does.
     #[must_use]
-    pub fn choose_lane(&self, lanes: &[ScanLane], open_rows: &[u32]) -> Option<usize> {
-        // `ScanLane::ISSUED` is out of range of any bank array, so an issued
-        // lane is never a hit.
-        let is_hit = |lane: &ScanLane| open_rows.get(lane.bank as usize) == Some(&lane.row);
+    pub fn choose(&self, index: &FrFcfsIndex) -> Option<usize> {
         let hits_allowed = self.cap == 0 || self.consecutive_hits < self.cap;
         if hits_allowed {
-            if let Some(hit) = first_oldest(lanes, is_hit) {
+            if let Some(hit) = index.oldest_hit() {
                 return Some(hit);
             }
         }
-        first_oldest(lanes, |lane| !lane.is_issued())
+        index.oldest()
     }
 
     /// Records that a command for the chosen candidate was accepted by the
@@ -172,24 +311,6 @@ impl FrFcfsScheduler {
     pub fn consecutive_hits(&self) -> u32 {
         self.consecutive_hits
     }
-}
-
-/// The position of the first lane in `lanes` that passes `keep` and has the
-/// smallest arrival tick among those that do.
-fn first_oldest(lanes: &[ScanLane], keep: impl Fn(&ScanLane) -> bool) -> Option<usize> {
-    let oldest = lanes
-        .iter()
-        .map(|lane| {
-            if keep(lane) {
-                lane.arrival_tick
-            } else {
-                u64::MAX
-            }
-        })
-        .min()?;
-    lanes
-        .iter()
-        .position(|lane| lane.arrival_tick == oldest && keep(lane))
 }
 
 impl Default for FrFcfsScheduler {
@@ -313,97 +434,134 @@ mod tests {
         assert_eq!(pick(&s, &mixed), Some(1), "cap forces the oldest");
     }
 
-    /// `choose_from` over the candidates the controller would stream out of
-    /// `lanes`: the unissued ones, at their queue positions.
-    fn reference_pick(s: &FrFcfsScheduler, lanes: &[ScanLane], open_rows: &[u32]) -> Option<usize> {
+    /// A request of the model queue the pick proptest keeps beside the
+    /// index: what `choose_from` needs, plus whether it was issued.
+    #[derive(Debug, Clone, Copy)]
+    struct Queued {
+        arrival_tick: u64,
+        bank: u32,
+        row: u32,
+        issued: bool,
+    }
+
+    /// `choose_from` over the model queue's unissued requests, at their
+    /// queue positions.
+    fn reference_pick(s: &FrFcfsScheduler, queue: &[Queued], open_rows: &[u32]) -> Option<usize> {
         let org = DramOrganization::tiny_for_tests();
-        let candidates = lanes
+        let candidates = queue
             .iter()
             .enumerate()
-            .filter(|(_, lane)| !lane.is_issued())
-            .map(|(i, lane)| SchedulerCandidate {
+            .filter(|(_, q)| !q.issued)
+            .map(|(i, q)| SchedulerCandidate {
                 queue_index: i,
-                address: DramAddress::new(&org, 0, 0, 0, lane.row, 0),
-                row_hit: open_rows[lane.bank as usize] == lane.row,
-                arrival_tick: lane.arrival_tick,
+                address: DramAddress::new(&org, 0, 0, 0, q.row, 0),
+                row_hit: open_rows[q.bank as usize] == q.row,
+                arrival_tick: q.arrival_tick,
             });
         s.choose_from(candidates).map(|c| c.queue_index)
     }
 
-    #[test]
-    fn lane_pick_keeps_the_first_minimum_on_ties() {
-        use dram_sim::bank::ROW_NONE;
-        let lane = |arrival_tick, bank, row| ScanLane {
-            arrival_tick,
-            bank,
-            row,
-        };
-        let open_rows = [7, ROW_NONE];
-        // Three equally old requests: two hits on bank 0, one miss on the
-        // closed bank 1, and an issued lane that must be ignored.
-        let lanes = [
-            lane(3, 1, 7),
-            lane(3, 0, 7),
-            lane(1, ScanLane::ISSUED, 7),
-            lane(3, 0, 7),
-        ];
-        let s = FrFcfsScheduler::new(4);
-        assert_eq!(s.choose_lane(&lanes, &open_rows), Some(1), "first hit");
-        let mut capped = FrFcfsScheduler::new(1);
-        capped.note_scheduled(0, true);
-        assert_eq!(
-            capped.choose_lane(&lanes, &open_rows),
-            Some(0),
-            "first oldest"
-        );
-        assert_eq!(s.choose_lane(&lanes[2..3], &open_rows), None, "only issued");
+    /// The `n % count`-th position of `queue` that passes `keep`, if any.
+    fn nth_position(queue: &[Queued], n: u32, keep: impl Fn(&Queued) -> bool) -> Option<usize> {
+        let count = queue.iter().filter(|q| keep(q)).count();
+        (count > 0).then(|| {
+            queue
+                .iter()
+                .enumerate()
+                .filter(|(_, q)| keep(q))
+                .nth(n as usize % count)
+                .map(|(i, _)| i)
+                .expect("in range")
+        })
     }
 
     proptest! {
-        /// The lane pick the controller calls agrees with `choose_from` on
-        /// random queues: arrival ties, issued lanes, positions renumbered by
-        /// `swap_remove`, open and closed banks, every streak from 0 to
-        /// cap + 1, and cap 0.
+        /// The index pick the controller calls agrees with `choose_from`
+        /// after every operation of a random sequence: enqueues (same-tick
+        /// bursts and out-of-order ticks, up to a full queue), ACT, PRE,
+        /// RD/WR issue, REF/RFM and completion removal at any position, for
+        /// every streak from 0 to cap + 1, and cap 0.
         #[test]
-        fn lane_pick_matches_choose_from(
-            queue in collection::vec((0u64..6, 0u32..4, 0u32..3, 0u8..4), 0..40),
-            removals in collection::vec(0usize..64, 0..12),
-            open in collection::vec(0u32..4, 4..5),
+        fn index_pick_matches_choose_from(
+            ops in collection::vec((0u8..8, 0u32..64, 0u32..4, 0u64..6), 1..400),
             cap in 0u32..6,
         ) {
             use dram_sim::bank::ROW_NONE;
-            // Row 3 never matches a lane row, so it stands for a closed bank.
-            let open_rows: Vec<u32> = open
-                .iter()
-                .map(|&row| if row == 3 { ROW_NONE } else { row })
-                .collect();
-            let mut lanes: Vec<ScanLane> = queue
-                .iter()
-                .map(|&(arrival_tick, bank, row, issued)| ScanLane {
-                    arrival_tick,
-                    bank: if issued == 0 { ScanLane::ISSUED } else { bank },
-                    row,
-                })
-                .collect();
-            for &at in &removals {
-                if !lanes.is_empty() {
-                    lanes.swap_remove(at % lanes.len());
+            const BANKS: u32 = 4;
+            let mut index = FrFcfsIndex::new(BANKS);
+            let mut queue: Vec<Queued> = Vec::new();
+            let mut open_rows = vec![ROW_NONE; BANKS as usize];
+            let mut now = 0u64;
+            for (step, &(op, a, b, c)) in ops.iter().enumerate() {
+                match op {
+                    // Enqueue a burst of 1-4 requests arriving at one tick:
+                    // usually now, sometimes earlier than requests already
+                    // queued.
+                    0..=2 => {
+                        now += c % 3;
+                        let tick = if c == 5 { now.saturating_sub(4) } else { now };
+                        for i in 0..=b {
+                            if queue.len() == QUEUE_CAPACITY {
+                                break;
+                            }
+                            let (bank, row) = ((a + i) % BANKS, (a / 4 + i) % 3);
+                            let hit = open_rows[bank as usize] == row;
+                            index.push(tick, bank, row, hit);
+                            queue.push(Queued { arrival_tick: tick, bank, row, issued: false });
+                        }
+                    }
+                    // ACT: a closed bank opens a row.
+                    3 => {
+                        let bank = a % BANKS;
+                        if open_rows[bank as usize] == ROW_NONE {
+                            open_rows[bank as usize] = b % 3;
+                            index.activated(bank, b % 3);
+                        }
+                    }
+                    // PRE: a bank closes its row.
+                    4 => {
+                        let bank = a % BANKS;
+                        open_rows[bank as usize] = ROW_NONE;
+                        index.precharged(bank);
+                    }
+                    // RD/WR: a column command to some unissued row hit.
+                    5 => {
+                        let hit = |q: &Queued| !q.issued && open_rows[q.bank as usize] == q.row;
+                        if let Some(position) = nth_position(&queue, a, hit) {
+                            queue[position].issued = true;
+                            index.column_issued(position);
+                        }
+                    }
+                    // REF or RFM: every bank closes.
+                    6 if b == 0 => {
+                        open_rows.fill(ROW_NONE);
+                        index.closed_all();
+                    }
+                    // A completion leaves the queue by `swap_remove`.
+                    _ => {
+                        if let Some(position) = nth_position(&queue, a, |q| q.issued) {
+                            queue.swap_remove(position);
+                            index.swap_remove(position);
+                        }
+                    }
                 }
-            }
-            for streak in 0..=cap + 1 {
-                let mut s = FrFcfsScheduler::new(cap);
-                for _ in 0..streak {
-                    s.note_scheduled(0, true);
+                for streak in 0..=cap + 1 {
+                    let mut s = FrFcfsScheduler::new(cap);
+                    for _ in 0..streak {
+                        s.note_scheduled(0, true);
+                    }
+                    prop_assert_eq!(
+                        s.choose(&index),
+                        reference_pick(&s, &queue, &open_rows),
+                        "cap {}, streak {}, after step {} {:?}, queue {:?}, open rows {:?}",
+                        cap,
+                        streak,
+                        step,
+                        (op, a, b, c),
+                        queue,
+                        open_rows
+                    );
                 }
-                prop_assert_eq!(
-                    s.choose_lane(&lanes, &open_rows),
-                    reference_pick(&s, &lanes, &open_rows),
-                    "cap {}, streak {}, lanes {:?}, open rows {:?}",
-                    cap,
-                    streak,
-                    lanes,
-                    open_rows
-                );
             }
         }
     }

@@ -2,13 +2,14 @@
 //! [`MemoryController::tick_into`] followed by
 //! [`MemoryController::next_event_at`].
 //!
-//! `poll` reads a cached FR-FCFS choice (picked over the controller's compact
-//! scan lanes) for both its tick and its wake-up, and skips the completion
-//! walk until an in-flight request is due.  The oracle keeps none of that:
-//! `tick_into` drops the cache before it ticks, and `next_event_at` scans
-//! the queue afresh with `FrFcfsScheduler::choose_from`.  So the two must be
-//! indistinguishable.  Two races check
-//! that under every mitigation setup, hammering and mixed traffic:
+//! `poll` reads a cached FR-FCFS choice (picked from the controller's
+//! incremental FR-FCFS index) for both its tick and its wake-up, and skips
+//! the completion walk until an in-flight request is due.  The oracle keeps
+//! none of that: `tick_into` drops the cache before it ticks, and
+//! `next_event_at` scans the queue afresh with
+//! `FrFcfsScheduler::choose_from`.  So the two must be indistinguishable.
+//! Two races check that under every mitigation setup, for hammering, mixed
+//! and bursty traffic:
 //!
 //! * **lock-step** — a controller and its clone see the same requests on
 //!   every tick; one is polled, the other ticked and then asked for its
@@ -31,6 +32,7 @@ use dram_sim::org::DramAddress;
 use memctrl::controller::{ControllerConfig, MemoryController, PagePolicy};
 use memctrl::mapping::MappingKind;
 use memctrl::request::{CompletedRequest, MemoryRequest};
+use memctrl::scheduler::QUEUE_CAPACITY;
 use prac_core::config::{MitigationPolicy, PracConfig};
 use prac_core::obfuscation::ObfuscationConfig;
 use prac_core::timing::DramTimingSummary;
@@ -80,6 +82,14 @@ enum Traffic {
     Hammer,
     /// Reads and writes over every bank with some row locality.
     Mixed,
+    /// [`Traffic::Mixed`] addresses arriving 1–4 at a tick, as the CPU
+    /// cluster fans them out: one request per 100 ticks of the run, all
+    /// arriving at its start.  The queue fills and stays full while the
+    /// backlog lasts; then, under most setups, it drains.  A request keeps
+    /// the tick it arrived at while it waits in the backlog, so its group
+    /// still ties when it enters the full queue at a freed position, and
+    /// completions renumber tied requests.
+    Burst,
 }
 
 /// A small deterministic generator (xorshift64*).
@@ -129,7 +139,8 @@ fn controller(device: &DramDeviceConfig, setup: &Setup, nbo: u32) -> MemoryContr
     )
 }
 
-/// Arrivals over `[0, ticks)`, one every 1–`gap` ticks.
+/// Arrivals over `[0, ticks)`, a group every 1–`gap` ticks; see
+/// [`Traffic`] for the group sizes.
 fn arrivals(ctrl: &MemoryController, traffic: Traffic, seed: u64, ticks: u64) -> Vec<Arrival> {
     let org = ctrl.device().config().organization;
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
@@ -139,32 +150,39 @@ fn arrivals(ctrl: &MemoryController, traffic: Traffic, seed: u64, ticks: u64) ->
     let mut out = Vec::new();
     let mut now = 0;
     let mut last = (0, 0, 0, 0);
-    let gap = match traffic {
-        Traffic::Hammer => 6,
-        Traffic::Mixed => 12,
+    let (gap, budget) = match traffic {
+        Traffic::Hammer => (6, usize::MAX),
+        Traffic::Mixed => (12, usize::MAX),
+        Traffic::Burst => (4, (ticks / 100) as usize),
     };
-    while now < ticks {
-        let arrival = match traffic {
-            Traffic::Hammer if rng.below(8) == 0 => (address(0, 1, 0, 5, 0), false),
-            Traffic::Hammer => (address(0, 0, 0, (out.len() % 2) as u32 + 1, 0), false),
-            Traffic::Mixed => {
-                if rng.below(10) >= 6 {
-                    last = (
-                        rng.below(u64::from(org.ranks)) as u32,
-                        rng.below(u64::from(org.bank_groups)) as u32,
-                        rng.below(u64::from(org.banks_per_group)) as u32,
-                        rng.below(u64::from(org.rows_per_bank.min(32))) as u32,
-                    );
-                }
-                let column = rng.below(u64::from(org.columns_per_row)) as u32;
-                let (rank, bank_group, bank, row) = last;
-                (
-                    address(rank, bank_group, bank, row, column),
-                    rng.below(10) < 3,
-                )
-            }
+    while now < ticks && out.len() < budget {
+        let group = match traffic {
+            Traffic::Burst => 1 + rng.below(4),
+            Traffic::Hammer | Traffic::Mixed => 1,
         };
-        out.push((now, arrival.0, arrival.1));
+        for _ in 0..group {
+            let arrival = match traffic {
+                Traffic::Hammer if rng.below(8) == 0 => (address(0, 1, 0, 5, 0), false),
+                Traffic::Hammer => (address(0, 0, 0, (out.len() % 2) as u32 + 1, 0), false),
+                Traffic::Mixed | Traffic::Burst => {
+                    if rng.below(10) >= 6 {
+                        last = (
+                            rng.below(u64::from(org.ranks)) as u32,
+                            rng.below(u64::from(org.bank_groups)) as u32,
+                            rng.below(u64::from(org.banks_per_group)) as u32,
+                            rng.below(u64::from(org.rows_per_bank.min(32))) as u32,
+                        );
+                    }
+                    let column = rng.below(u64::from(org.columns_per_row)) as u32;
+                    let (rank, bank_group, bank, row) = last;
+                    (
+                        address(rank, bank_group, bank, row, column),
+                        rng.below(10) < 3,
+                    )
+                }
+            };
+            out.push((now, arrival.0, arrival.1));
+        }
         now += 1 + rng.below(gap);
     }
     out
@@ -175,14 +193,18 @@ struct Backlog {
     arrivals: VecDeque<Arrival>,
     waiting: VecDeque<Arrival>,
     next_id: u64,
+    /// Stamp each request with the tick it arrived at rather than the tick
+    /// the controller accepted it ([`Traffic::Burst`]).
+    keep_arrival_ticks: bool,
 }
 
 impl Backlog {
-    fn new(arrivals: &[Arrival]) -> Self {
+    fn new(arrivals: &[Arrival], traffic: Traffic) -> Self {
         Self {
             arrivals: arrivals.iter().copied().collect(),
             waiting: VecDeque::new(),
             next_id: 0,
+            keep_arrival_ticks: matches!(traffic, Traffic::Burst),
         }
     }
 
@@ -197,15 +219,16 @@ impl Backlog {
             self.waiting.extend(self.arrivals.pop_front());
         }
         while ctrl.can_accept() {
-            let Some((_, address, is_write)) = self.waiting.pop_front() else {
+            let Some((tick, address, is_write)) = self.waiting.pop_front() else {
                 break;
             };
             let id = self.next_id;
             self.next_id += 1;
+            let stamp = if self.keep_arrival_ticks { tick } else { now };
             let request = if is_write {
-                MemoryRequest::write(id, address, 0, now)
+                MemoryRequest::write(id, address, 0, stamp)
             } else {
-                MemoryRequest::read(id, address, 0, now)
+                MemoryRequest::read(id, address, 0, stamp)
             };
             assert!(ctrl.enqueue(request));
         }
@@ -240,20 +263,26 @@ fn assert_same_state(label: &str, polled: &MemoryController, ticked: &MemoryCont
 
 /// Polls one controller and ticks a clone in lock-step over `[0, ticks)`,
 /// comparing completions and wake-ups on every tick.  Returns the polled
-/// controller.
+/// controller and the number of ticks it was polled with a full queue.
 fn race_lock_step(
     label: &str,
     ctrl: MemoryController,
+    traffic: Traffic,
     arrivals: &[Arrival],
     ticks: u64,
-) -> MemoryController {
+) -> (MemoryController, u64) {
     let mut polled = ctrl;
     let mut ticked = polled.clone();
-    let (mut polled_feed, mut ticked_feed) = (Backlog::new(arrivals), Backlog::new(arrivals));
+    let (mut polled_feed, mut ticked_feed) = (
+        Backlog::new(arrivals, traffic),
+        Backlog::new(arrivals, traffic),
+    );
     let (mut polled_done, mut ticked_done) = (Vec::new(), Vec::new());
+    let mut full_ticks = 0;
     for now in 0..ticks {
         polled_feed.feed(&mut polled, now);
         ticked_feed.feed(&mut ticked, now);
+        full_ticks += u64::from(polled.pending_requests() == QUEUE_CAPACITY);
         let wake = polled.poll(now, &mut polled_done);
         ticked.tick_into(now, &mut ticked_done);
         assert_eq!(
@@ -267,7 +296,7 @@ fn race_lock_step(
         );
     }
     assert_same_state(label, &polled, &ticked);
-    polled
+    (polled, full_ticks)
 }
 
 /// Drives the polled controller only at the ticks its wake-ups and the
@@ -276,12 +305,16 @@ fn race_lock_step(
 fn race_skipping(
     label: &str,
     ctrl: MemoryController,
+    traffic: Traffic,
     arrivals: &[Arrival],
     ticks: u64,
 ) -> (Vec<CompletedRequest>, u64) {
     let mut polled = ctrl;
     let mut ticked = polled.clone();
-    let (mut polled_feed, mut ticked_feed) = (Backlog::new(arrivals), Backlog::new(arrivals));
+    let (mut polled_feed, mut ticked_feed) = (
+        Backlog::new(arrivals, traffic),
+        Backlog::new(arrivals, traffic),
+    );
     let (mut polled_done, mut ticked_done) = (Vec::new(), Vec::new());
     for now in 0..ticks {
         ticked_feed.feed(&mut ticked, now);
@@ -311,7 +344,7 @@ fn sweep(device: &DramDeviceConfig, nbo: u32, traffic: Traffic, seed: u64, ticks
         let label = format!("{} / {traffic:?} / NBO {nbo} / seed {seed}", setup.label);
         let ctrl = controller(device, &setup, nbo);
         let arrivals = arrivals(&ctrl, traffic, seed, ticks);
-        let polled = race_lock_step(&label, ctrl.clone(), &arrivals, ticks);
+        let (polled, full_ticks) = race_lock_step(&label, ctrl.clone(), traffic, &arrivals, ticks);
         assert!(
             polled.stats().reads_completed > 20,
             "{label}: too little traffic completed: {:?}",
@@ -328,10 +361,17 @@ fn sweep(device: &DramDeviceConfig, nbo: u32, traffic: Traffic, seed: u64, ticks
             "{label}: {} scans",
             polled.demand_scans()
         );
-        if matches!(traffic, Traffic::Hammer) {
-            assert!(polled.stats().total_rfms() > 0, "{label}: no RFMs issued");
+        match traffic {
+            Traffic::Hammer => {
+                assert!(polled.stats().total_rfms() > 0, "{label}: no RFMs issued");
+            }
+            Traffic::Burst => assert!(
+                full_ticks > ticks / 8,
+                "{label}: the queue was full on only {full_ticks} of {ticks} ticks"
+            ),
+            Traffic::Mixed => {}
         }
-        let (completed, visited) = race_skipping(&label, ctrl, &arrivals, ticks);
+        let (completed, visited) = race_skipping(&label, ctrl, traffic, &arrivals, ticks);
         assert!(!completed.is_empty(), "{label}");
         assert!(
             visited < ticks,
@@ -343,7 +383,7 @@ fn sweep(device: &DramDeviceConfig, nbo: u32, traffic: Traffic, seed: u64, ticks
 #[test]
 fn poll_matches_tick_then_next_event_at_on_a_small_device() {
     let device = DramDeviceConfig::tiny_for_tests(PracConfig::paper_default());
-    for traffic in [Traffic::Hammer, Traffic::Mixed] {
+    for traffic in [Traffic::Hammer, Traffic::Mixed, Traffic::Burst] {
         sweep(&device, 16, traffic, 1, 12_000);
     }
 }
@@ -357,7 +397,7 @@ fn poll_matches_tick_then_next_event_at_full_sweep() {
     ];
     for device in &devices {
         for nbo in [16, 64] {
-            for traffic in [Traffic::Hammer, Traffic::Mixed] {
+            for traffic in [Traffic::Hammer, Traffic::Mixed, Traffic::Burst] {
                 for seed in [0, 7] {
                     sweep(device, nbo, traffic, seed, 60_000);
                 }

@@ -352,7 +352,7 @@ mod tests {
     fn channels_progress_independently() {
         // Saturate channel 0's queue; channel 1 must still accept.
         let mut sub = subsystem(2);
-        let capacity = sub.controller(0).config().queue_capacity;
+        let capacity = memctrl::scheduler::QUEUE_CAPACITY;
         let mut id = 0u64;
         let mut pa = 0u64;
         while (sub.controller(0).pending_requests()) < capacity {
