@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks for the event-core hot paths, each on the code
 //! the engine runs: the event engine's wheel round, the branchless
-//! per-device bank min-reduce and the controller's incremental FR-FCFS
-//! pick.  CI runs them as the kernel smoke gate; end-to-end and per-layer
+//! per-device bank min-reduce, the controller's incremental FR-FCFS pick
+//! and a load's walk down the CPU cache hierarchy.  CI runs them as the kernel smoke gate; end-to-end and per-layer
 //! performance is measured by `perfbench/`.
 
+use cpu_sim::cache::Cache;
+use cpu_sim::config::CpuConfig;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_sim::command::DramCommand;
 use dram_sim::device::{DramDevice, DramDeviceConfig};
@@ -122,6 +124,49 @@ fn bench_scheduler_pick(c: &mut Criterion) {
     });
 }
 
+/// A load's walk down the paper's Table 3 hierarchy (L1D 48 KiB 12-way,
+/// L2 512 KiB 8-way, LLC 8 MiB 16-way SRRIP), as the core makes it:
+/// [`Cache::access`] at each level until one hits.  The seeded address
+/// stream mixes a 32 KiB hot set (L1D hits), a 4 MiB warm set (L2/LLC hits)
+/// and scattered lines over 4 GiB (misses everywhere, with evictions).
+fn bench_cache_hierarchy(c: &mut Criterion) {
+    let config = CpuConfig::paper_default();
+    let (mut l1d, mut l2, mut llc) = (
+        Cache::new(config.l1d),
+        Cache::new(config.l2),
+        Cache::new(config.llc),
+    );
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let stream: Vec<u64> = (0..4096)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 10 {
+                0..=5 => (state >> 40) & ((32 << 10) - 1),
+                6..=8 => (1 << 30) + ((state >> 32) & ((4 << 20) - 1)),
+                _ => state >> 32,
+            }
+        })
+        .collect();
+    let mut cursor = 0usize;
+    c.bench_function("cache_hierarchy_access_x1000", |b| {
+        b.iter(|| {
+            let mut hits = 0u32;
+            for _ in 0..1000 {
+                let addr = black_box(stream[cursor]);
+                cursor = (cursor + 1) % stream.len();
+                hits += u32::from(
+                    l1d.access(addr, false).is_hit()
+                        || l2.access(addr, false).is_hit()
+                        || llc.access(addr, false).is_hit(),
+                );
+            }
+            black_box(hits)
+        });
+    });
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -134,6 +179,7 @@ criterion_group! {
     config = configured();
     targets = bench_wheel_push_pop,
               bench_bank_min_reduce,
-              bench_scheduler_pick
+              bench_scheduler_pick,
+              bench_cache_hierarchy
 }
 criterion_main!(benches);

@@ -86,8 +86,6 @@ pub struct Core {
     outstanding_misses: u32,
     stats: CoreStats,
     instruction_limit: u64,
-    /// Synthetic instruction pointer for the stride prefetcher.
-    synthetic_ip: u64,
 }
 
 impl Core {
@@ -97,9 +95,7 @@ impl Core {
     pub fn new(id: u32, config: CpuConfig, trace: Trace, instruction_limit: u64) -> Self {
         let l1d = Cache::new(config.l1d);
         let l2 = Cache::new(config.l2);
-        let prefetcher = config
-            .stride_prefetcher
-            .then(|| StridePrefetcher::new(1024));
+        let prefetcher = config.stride_prefetcher.then(StridePrefetcher::default);
         Self {
             id,
             config,
@@ -113,7 +109,6 @@ impl Core {
             outstanding_misses: 0,
             stats: CoreStats::default(),
             instruction_limit,
-            synthetic_ip: 0,
         }
     }
 
@@ -326,30 +321,25 @@ impl Core {
 
     fn access_for_read(&mut self, addr: u64, now: u64, port: &mut dyn MemoryPort) -> RobEntryState {
         // Stride prefetcher observes the demand stream at the L1D. Traces do
-        // not carry real instruction pointers, so all loads of a core share a
-        // synthetic IP: regular streams still expose a constant stride while
-        // irregular streams train nothing.
-        self.synthetic_ip = u64::from(self.id);
-        let prefetch_target = self
-            .prefetcher
-            .as_mut()
-            .and_then(|p| p.observe(self.synthetic_ip, addr));
+        // not carry real instruction pointers, so all loads of a core share
+        // one stride entry: regular streams still expose a constant stride
+        // while irregular streams train nothing.
+        let prefetch_target = self.prefetcher.as_mut().and_then(|p| p.observe(addr));
 
+        // A missed `Cache::access` has already allocated the line, so each
+        // level that missed holds it once the lookup ends.
         let state = if self.l1d.access(addr, false).is_hit() {
             self.stats.cache_hits += 1;
             RobEntryState::ReadyAt(now + u64::from(self.config.l1d.hit_latency))
         } else if self.l2.access(addr, false).is_hit() {
             self.stats.cache_hits += 1;
-            self.l1d.fill(addr);
             RobEntryState::ReadyAt(now + u64::from(self.config.l2.hit_latency))
         } else if let Some(latency) = port.llc_access(self.id, addr, false) {
             self.stats.cache_hits += 1;
-            self.fill_private(addr, port);
             RobEntryState::ReadyAt(now + u64::from(latency))
         } else {
             // Full miss: goes to DRAM.
             self.stats.llc_misses += 1;
-            self.fill_private(addr, port);
             self.outstanding_misses += 1;
             let id = self.alloc_request_id();
             port.send(
@@ -370,29 +360,14 @@ impl Core {
         state
     }
 
-    fn fill_private(&mut self, addr: u64, port: &mut dyn MemoryPort) {
-        if let Some(victim) = self.l2.fill(addr) {
-            self.send_writeback(victim, port);
-        }
-        if let Some(victim) = self.l1d.fill(addr) {
-            self.send_writeback(victim, port);
-        }
-    }
-
     fn access_for_write(&mut self, addr: u64, port: &mut dyn MemoryPort) {
-        if self.l1d.access(addr, true).is_hit() {
+        // Write-allocate at every level that misses (each missed access
+        // allocates the line): the store itself retires immediately; the
+        // line travels up the hierarchy in the background.
+        if self.l1d.access(addr, true).is_hit() || self.l2.access(addr, true).is_hit() {
             return;
         }
-        if self.l2.access(addr, true).is_hit() {
-            self.l1d.fill(addr);
-            return;
-        }
-        // Write-allocate into the LLC (or DRAM): the store itself retires
-        // immediately; the line travels up the hierarchy in the background.
         let _ = port.llc_access(self.id, addr, true);
-        if let Some(victim) = self.l1d.fill(addr) {
-            self.send_writeback(victim, port);
-        }
     }
 
     fn flush_line(&mut self, addr: u64, port: &mut dyn MemoryPort) {

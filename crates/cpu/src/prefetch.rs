@@ -1,68 +1,40 @@
 //! IP-stride prefetcher (the paper's L1D prefetcher).
 //!
-//! The prefetcher tracks, per load instruction pointer, the last address and
-//! the last observed stride.  When two consecutive accesses from the same IP
-//! exhibit the same stride, the prefetcher predicts the next address and asks
-//! the hierarchy to prefetch it.  Because our traces do not carry real
-//! instruction pointers, the core model uses a per-core synthetic IP derived
-//! from the trace position of the load.
+//! The prefetcher tracks the last address and the last observed stride of a
+//! load instruction pointer.  When two consecutive accesses exhibit the same
+//! stride, it predicts the next address and asks the hierarchy to prefetch
+//! it.  Our traces do not carry real instruction pointers, so every load of
+//! a core counts as one synthetic IP (the core id), and each core's
+//! prefetcher holds exactly one stride entry.
 
-use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
-
-/// A single stride-table entry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct StrideEntry {
+/// Stride prefetcher for one synthetic instruction pointer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StridePrefetcher {
     last_address: u64,
     last_stride: i64,
     confidence: u8,
-}
-
-/// IP-indexed stride prefetcher.
-#[derive(Debug, Clone, Default)]
-pub struct StridePrefetcher {
-    table: HashMap<u64, StrideEntry>,
     /// Prefetches generated (statistics).
     issued: u64,
-    /// Maximum number of tracked IPs.
-    capacity: usize,
 }
 
 impl StridePrefetcher {
-    /// Creates a prefetcher tracking up to `capacity` instruction pointers.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            table: HashMap::with_capacity(capacity),
-            issued: 0,
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Observes a demand load from `ip` to `address`; returns an address to
-    /// prefetch when the stride is confident.
-    pub fn observe(&mut self, ip: u64, address: u64) -> Option<u64> {
-        if self.table.len() >= self.capacity && !self.table.contains_key(&ip) {
-            // Simple capacity control: drop the whole table when full; stride
-            // state rebuilds within a couple of accesses.
-            self.table.clear();
-        }
-        let entry = self.table.entry(ip).or_default();
-        if entry.last_address == 0 {
-            entry.last_address = address;
+    /// Observes a demand load to `address`; returns an address to prefetch
+    /// when the stride is confident.
+    pub fn observe(&mut self, address: u64) -> Option<u64> {
+        if self.last_address == 0 {
+            self.last_address = address;
             return None;
         }
-        let stride = address as i64 - entry.last_address as i64;
-        let confident = stride != 0 && stride == entry.last_stride;
-        entry.confidence = if confident {
-            entry.confidence.saturating_add(1)
+        let stride = address as i64 - self.last_address as i64;
+        let confident = stride != 0 && stride == self.last_stride;
+        self.confidence = if confident {
+            self.confidence.saturating_add(1)
         } else {
             0
         };
-        entry.last_stride = stride;
-        entry.last_address = address;
-        if entry.confidence >= 1 {
+        self.last_stride = stride;
+        self.last_address = address;
+        if self.confidence >= 1 {
             let predicted = address.wrapping_add_signed(stride);
             self.issued += 1;
             Some(predicted)
@@ -84,52 +56,29 @@ mod tests {
 
     #[test]
     fn constant_stride_is_detected_after_two_observations() {
-        let mut p = StridePrefetcher::new(64);
-        assert_eq!(p.observe(1, 0x1000), None);
-        assert_eq!(p.observe(1, 0x1040), None); // first stride observed
-        assert_eq!(p.observe(1, 0x1080), Some(0x10C0));
-        assert_eq!(p.observe(1, 0x10C0), Some(0x1100));
+        let mut p = StridePrefetcher::default();
+        assert_eq!(p.observe(0x1000), None);
+        assert_eq!(p.observe(0x1040), None); // first stride observed
+        assert_eq!(p.observe(0x1080), Some(0x10C0));
+        assert_eq!(p.observe(0x10C0), Some(0x1100));
         assert_eq!(p.issued(), 2);
     }
 
     #[test]
     fn irregular_accesses_do_not_prefetch() {
-        let mut p = StridePrefetcher::new(64);
-        p.observe(2, 0x1000);
-        p.observe(2, 0x5000);
-        assert_eq!(p.observe(2, 0x2000), None);
-        assert_eq!(p.observe(2, 0x9000), None);
+        let mut p = StridePrefetcher::default();
+        p.observe(0x1000);
+        p.observe(0x5000);
+        assert_eq!(p.observe(0x2000), None);
+        assert_eq!(p.observe(0x9000), None);
         assert_eq!(p.issued(), 0);
     }
 
     #[test]
-    fn different_ips_are_tracked_independently() {
-        let mut p = StridePrefetcher::new(64);
-        p.observe(1, 0x1000);
-        p.observe(2, 0x8000);
-        p.observe(1, 0x1040);
-        p.observe(2, 0x8080);
-        assert_eq!(p.observe(1, 0x1080), Some(0x10C0));
-        assert_eq!(p.observe(2, 0x8100), Some(0x8180));
-    }
-
-    #[test]
-    fn capacity_overflow_clears_table_without_panicking() {
-        let mut p = StridePrefetcher::new(2);
-        for ip in 0..10u64 {
-            p.observe(ip, ip * 0x1000 + 0x40);
-        }
-        // Still functional afterwards.
-        p.observe(99, 0x1000);
-        p.observe(99, 0x1040);
-        assert_eq!(p.observe(99, 0x1080), Some(0x10C0));
-    }
-
-    #[test]
     fn negative_strides_are_supported() {
-        let mut p = StridePrefetcher::new(16);
-        p.observe(7, 0x4000);
-        p.observe(7, 0x3FC0);
-        assert_eq!(p.observe(7, 0x3F80), Some(0x3F40));
+        let mut p = StridePrefetcher::default();
+        p.observe(0x4000);
+        p.observe(0x3FC0);
+        assert_eq!(p.observe(0x3F80), Some(0x3F40));
     }
 }

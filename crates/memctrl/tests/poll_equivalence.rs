@@ -8,8 +8,8 @@
 //! none of that: `tick_into` drops the cache before it ticks, and
 //! `next_event_at` scans the queue afresh with
 //! `FrFcfsScheduler::choose_from`.  So the two must be indistinguishable.
-//! Two races check that under every mitigation setup, for hammering, mixed
-//! and bursty traffic:
+//! Two races check that under every mitigation setup, for hammering, mixed,
+//! bursty and sparse traffic:
 //!
 //! * **lock-step** — a controller and its clone see the same requests on
 //!   every tick; one is polled, the other ticked and then asked for its
@@ -90,6 +90,9 @@ enum Traffic {
     /// still ties when it enters the full queue at a freed position, and
     /// completions renumber tied requests.
     Burst,
+    /// [`Traffic::Mixed`] addresses, one every 1–400 ticks: the queue is
+    /// mostly empty, so the skipping race skips most ticks.
+    Sparse,
 }
 
 /// A small deterministic generator (xorshift64*).
@@ -154,17 +157,18 @@ fn arrivals(ctrl: &MemoryController, traffic: Traffic, seed: u64, ticks: u64) ->
         Traffic::Hammer => (6, usize::MAX),
         Traffic::Mixed => (12, usize::MAX),
         Traffic::Burst => (4, (ticks / 100) as usize),
+        Traffic::Sparse => (400, usize::MAX),
     };
     while now < ticks && out.len() < budget {
         let group = match traffic {
             Traffic::Burst => 1 + rng.below(4),
-            Traffic::Hammer | Traffic::Mixed => 1,
+            Traffic::Hammer | Traffic::Mixed | Traffic::Sparse => 1,
         };
         for _ in 0..group {
             let arrival = match traffic {
                 Traffic::Hammer if rng.below(8) == 0 => (address(0, 1, 0, 5, 0), false),
                 Traffic::Hammer => (address(0, 0, 0, (out.len() % 2) as u32 + 1, 0), false),
-                Traffic::Mixed | Traffic::Burst => {
+                Traffic::Mixed | Traffic::Burst | Traffic::Sparse => {
                     if rng.below(10) >= 6 {
                         last = (
                             rng.below(u64::from(org.ranks)) as u32,
@@ -369,7 +373,7 @@ fn sweep(device: &DramDeviceConfig, nbo: u32, traffic: Traffic, seed: u64, ticks
                 full_ticks > ticks / 8,
                 "{label}: the queue was full on only {full_ticks} of {ticks} ticks"
             ),
-            Traffic::Mixed => {}
+            Traffic::Mixed | Traffic::Sparse => {}
         }
         let (completed, visited) = race_skipping(&label, ctrl, traffic, &arrivals, ticks);
         assert!(!completed.is_empty(), "{label}");
@@ -377,13 +381,24 @@ fn sweep(device: &DramDeviceConfig, nbo: u32, traffic: Traffic, seed: u64, ticks
             visited < ticks,
             "{label}: the poll-driven run skipped nothing"
         );
+        if let Traffic::Sparse = traffic {
+            assert!(
+                visited * 2 < ticks,
+                "{label}: light load, yet {visited} of {ticks} ticks visited"
+            );
+        }
     }
 }
 
 #[test]
 fn poll_matches_tick_then_next_event_at_on_a_small_device() {
     let device = DramDeviceConfig::tiny_for_tests(PracConfig::paper_default());
-    for traffic in [Traffic::Hammer, Traffic::Mixed, Traffic::Burst] {
+    for traffic in [
+        Traffic::Hammer,
+        Traffic::Mixed,
+        Traffic::Burst,
+        Traffic::Sparse,
+    ] {
         sweep(&device, 16, traffic, 1, 12_000);
     }
 }
@@ -397,7 +412,12 @@ fn poll_matches_tick_then_next_event_at_full_sweep() {
     ];
     for device in &devices {
         for nbo in [16, 64] {
-            for traffic in [Traffic::Hammer, Traffic::Mixed, Traffic::Burst] {
+            for traffic in [
+                Traffic::Hammer,
+                Traffic::Mixed,
+                Traffic::Burst,
+                Traffic::Sparse,
+            ] {
                 for seed in [0, 7] {
                     sweep(device, nbo, traffic, seed, 60_000);
                 }
