@@ -281,28 +281,6 @@ fn run_activation_count_based(nbo: u32, payload_symbols: usize, seed: u64) -> Co
     }
 }
 
-/// Runs both channel variants for the NBO sweep of Table 2
-/// (256, 512 and 1024).
-#[must_use]
-pub fn table2_sweep(symbols_per_point: usize, seed: u64) -> Vec<CovertChannelResult> {
-    let mut out = Vec::new();
-    for &nbo in &[256u32, 512, 1024] {
-        out.push(run_covert_channel(
-            CovertChannelKind::ActivityBased,
-            nbo,
-            symbols_per_point,
-            seed,
-        ));
-        out.push(run_covert_channel(
-            CovertChannelKind::ActivationCountBased,
-            nbo,
-            symbols_per_point,
-            seed,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -160,16 +160,6 @@ impl SideChannelExperiment {
         }
     }
 
-    /// Sweeps every value of key byte 0 (stepping by `step`) with `p0 = 0`,
-    /// reproducing Figures 5 and 9.
-    #[must_use]
-    pub fn sweep_key_byte(&self, step: usize) -> Vec<SideChannelOutcome> {
-        (0..256usize)
-            .step_by(step.max(1))
-            .map(|k0| self.run_for_key_byte(k0 as u8, 0))
-            .collect()
-    }
-
     fn row_counters(&self, runner: &MultiAgentRunner, row_addresses: &[u64]) -> Vec<u64> {
         row_addresses
             .iter()

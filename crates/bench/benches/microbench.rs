@@ -1,27 +1,29 @@
 //! Criterion micro-benchmarks for the hot data structures and kernels of the
-//! simulation stack: mitigation-queue updates, DRAM command issue, address
-//! mapping, scheduler picks, the analytical TB-Window solver and the AES
-//! T-table victim.
+//! simulation stack: the bank's PRAC counter and mitigation-queue update,
+//! DRAM command issue, address mapping, scheduler picks, the analytical
+//! TB-Window solver and the AES T-table victim.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use dram_sim::bank::BankMeta;
 use dram_sim::command::DramCommand;
 use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
 use memctrl::mapping::{AddressMap, MappingKind};
 use prac_core::config::PracConfig;
-use prac_core::queue::{MitigationQueue, SingleEntryQueue};
 use prac_core::security::{CounterResetPolicy, SecurityAnalysis};
 use prac_core::timing::DramTimingSummary;
 use pracleak::aes::Aes128TTable;
 
+/// The device's per-ACT PRAC path: bump the row's counter and update the
+/// single-entry queue, then drain the queue as an RFM does.
 fn bench_mitigation_queue(c: &mut Criterion) {
-    c.bench_function("single_entry_queue_observe_1000", |b| {
+    c.bench_function("bank_note_activation_1000_then_drain", |b| {
         b.iter(|| {
-            let mut queue = SingleEntryQueue::new();
+            let mut meta = BankMeta::default();
             for i in 0u32..1000 {
-                queue.observe_activation(black_box(i % 97), black_box(i));
+                meta.note_activation(black_box(i % 97));
             }
-            black_box(queue.pop_for_mitigation())
+            black_box(meta.mitigate_queue_head())
         });
     });
 }

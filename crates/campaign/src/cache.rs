@@ -44,12 +44,6 @@ impl ResultCache {
         })
     }
 
-    /// Wraps an already-open store (shared with e.g. the serve loop).
-    #[must_use]
-    pub fn from_store(store: Arc<ResultStore>) -> Self {
-        Self { store }
-    }
-
     /// The backing store.
     #[must_use]
     pub fn store_handle(&self) -> Arc<ResultStore> {

@@ -187,6 +187,14 @@ impl MitigationPolicy {
 
 /// Complete PRAC configuration used by both the cycle-accurate model and the
 /// analytical security/energy models.
+///
+/// The Alert Back-Off window between an Alert and the controller's first
+/// RFM is a time, `tABOACT` (180 ns in DDR5-8000B), and lives with the DRAM
+/// timing parameters (`DramTimingParams::t_abo_act`), not here: the
+/// controller's ABO responder waits that long, so the activations an
+/// attacker lands after the Alert are bounded by how many ACTs fit in the
+/// window, not by an ACT count.  `ABODelay` is derived from the PRAC level
+/// ([`PracConfig::abo_delay`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PracConfig {
     /// RowHammer threshold `NRH`: minimum activations to a row that can induce
@@ -197,18 +205,9 @@ pub struct PracConfig {
     pub back_off_threshold: u32,
     /// PRAC level (`Nmit`): RFMs issued per Alert.
     pub prac_level: PracLevel,
-    /// Maximum additional activations the controller may issue to the
-    /// alerting bank between Alert assertion and the first RFM (`ABOACT`).
-    pub abo_act: u32,
-    /// Minimum activations after the RFM before a new Alert may be asserted
-    /// (`ABODelay`); the specification sets this equal to `Nmit`.
-    pub abo_delay: u32,
     /// Bank-Activation threshold `BAT` for proactive ACB-RFMs (Targeted RFM).
     /// Only consulted by [`MitigationPolicy::AboPlusAcbRfm`].
     pub bank_activation_threshold: u32,
-    /// Number of victim rows refreshed by a single RFM mitigation (the blast
-    /// radius covered per mitigation; 4 in the paper's energy model).
-    pub victims_per_mitigation: u32,
     /// Whether per-row activation counters are reset at every refresh window
     /// (tREFW), as proposed by MOAT.  Affects the worst-case analysis and
     /// Figure 14.
@@ -238,8 +237,7 @@ impl PracConfig {
     ///
     /// Returns [`ConfigError::InvalidParameter`] when a threshold is zero or
     /// the Back-Off threshold exceeds the RowHammer threshold in a way that
-    /// would leave the device unprotected, and [`ConfigError::Inconsistent`]
-    /// when `ABODelay` disagrees with the PRAC level.
+    /// would leave the device unprotected.
     pub fn validate(&self) -> Result<()> {
         if self.rowhammer_threshold == 0 {
             return Err(ConfigError::InvalidParameter {
@@ -269,27 +267,19 @@ impl PracConfig {
                 reason: "must be non-zero".to_string(),
             });
         }
-        if self.victims_per_mitigation == 0 {
-            return Err(ConfigError::InvalidParameter {
-                name: "victims_per_mitigation",
-                reason: "must be non-zero".to_string(),
-            });
-        }
-        if self.abo_delay != self.prac_level.rfms_per_alert() {
-            return Err(ConfigError::Inconsistent {
-                reason: format!(
-                    "the JEDEC specification sets ABODelay equal to the PRAC level; \
-                     got ABODelay = {} with {}",
-                    self.abo_delay, self.prac_level
-                ),
-            });
-        }
         self.policy.validate()
     }
 
     /// Number of RFMab commands issued for a single Alert.
     #[must_use]
     pub fn rfms_per_alert(&self) -> u32 {
+        self.prac_level.rfms_per_alert()
+    }
+
+    /// `ABODelay`: activations after an RFM before a new Alert may be
+    /// asserted.  The specification sets it equal to the PRAC level.
+    #[must_use]
+    pub fn abo_delay(&self) -> u32 {
         self.prac_level.rfms_per_alert()
     }
 }
@@ -303,17 +293,15 @@ impl Default for PracConfig {
 /// Builder for [`PracConfig`] following the paper's defaults.
 ///
 /// The default operating point is the one used throughout Section 6:
-/// `NRH = 1024`, `NBO = NRH`, PRAC-1 (one RFM per Alert), `ABOACT = 3`,
-/// `BAT = 75` (the spec's "typically below NBO" example), four victim
-/// refreshes per mitigation, and per-row counter reset every tREFW.
+/// `NRH = 1024`, `NBO = NRH`, PRAC-1 (one RFM per Alert), `BAT = 75` (the
+/// spec's "typically below NBO" example) and per-row counter reset every
+/// tREFW.
 #[derive(Debug, Clone)]
 pub struct PracConfigBuilder {
     rowhammer_threshold: u32,
     back_off_threshold: Option<u32>,
     prac_level: PracLevel,
-    abo_act: u32,
     bank_activation_threshold: Option<u32>,
-    victims_per_mitigation: u32,
     counter_reset_every_trefw: bool,
     policy: MitigationPolicy,
 }
@@ -324,9 +312,7 @@ impl Default for PracConfigBuilder {
             rowhammer_threshold: 1024,
             back_off_threshold: None,
             prac_level: PracLevel::One,
-            abo_act: 3,
             bank_activation_threshold: None,
-            victims_per_mitigation: 4,
             counter_reset_every_trefw: true,
             policy: MitigationPolicy::AboOnly,
         }
@@ -355,25 +341,11 @@ impl PracConfigBuilder {
         self
     }
 
-    /// Sets `ABOACT`, the maximum activations allowed between Alert and RFM.
-    #[must_use]
-    pub fn abo_act(mut self, abo_act: u32) -> Self {
-        self.abo_act = abo_act;
-        self
-    }
-
     /// Overrides the Bank-Activation threshold `BAT` for ACB-RFMs.
     /// Defaults to 75 activations as in the specification example.
     #[must_use]
     pub fn bank_activation_threshold(mut self, bat: u32) -> Self {
         self.bank_activation_threshold = Some(bat);
-        self
-    }
-
-    /// Sets the number of victim rows refreshed per mitigation.
-    #[must_use]
-    pub fn victims_per_mitigation(mut self, victims: u32) -> Self {
-        self.victims_per_mitigation = victims;
         self
     }
 
@@ -416,10 +388,7 @@ impl PracConfigBuilder {
             rowhammer_threshold: self.rowhammer_threshold,
             back_off_threshold,
             prac_level: self.prac_level,
-            abo_act: self.abo_act,
-            abo_delay: self.prac_level.rfms_per_alert(),
             bank_activation_threshold,
-            victims_per_mitigation: self.victims_per_mitigation,
             counter_reset_every_trefw: self.counter_reset_every_trefw,
             policy: self.policy,
         };
@@ -438,7 +407,7 @@ mod tests {
         assert_eq!(cfg.rowhammer_threshold, 1024);
         assert_eq!(cfg.back_off_threshold, 1024);
         assert_eq!(cfg.prac_level, PracLevel::One);
-        assert_eq!(cfg.abo_delay, 1);
+        assert_eq!(cfg.abo_delay(), 1);
         assert!(cfg.counter_reset_every_trefw);
         assert!(cfg.policy.is_activity_dependent());
     }
@@ -456,7 +425,7 @@ mod tests {
     fn abo_delay_tracks_prac_level() {
         for level in PracLevel::all() {
             let cfg = PracConfig::builder().prac_level(level).build();
-            assert_eq!(cfg.abo_delay, level.rfms_per_alert());
+            assert_eq!(cfg.abo_delay(), level.rfms_per_alert());
         }
     }
 

@@ -25,11 +25,6 @@ pub enum ConfigError {
         /// The smallest window (in tREFI) that was probed.
         smallest_window_trefi: f64,
     },
-    /// Two configuration options contradict each other.
-    Inconsistent {
-        /// Description of the contradiction.
-        reason: String,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -46,9 +41,6 @@ impl fmt::Display for ConfigError {
                 "no safe TB-Window exists for rowhammer threshold {rowhammer_threshold} \
                  (searched down to {smallest_window_trefi} tREFI)"
             ),
-            ConfigError::Inconsistent { reason } => {
-                write!(f, "inconsistent configuration: {reason}")
-            }
         }
     }
 }

@@ -13,12 +13,14 @@
 //! ## What lives here
 //!
 //! * [`config`] — PRAC protocol parameters from the JEDEC DDR5 specification
-//!   (Back-Off threshold `NBO`, PRAC level `Nmit`, `ABOACT`, `ABODelay`,
-//!   Bank-Activation threshold `BAT`, `tRFMab`) plus the RowHammer threshold
-//!   and mitigation-policy selection.
-//! * [`queue`] — in-DRAM mitigation-queue designs: the paper's single-entry
-//!   frequency-based queue, a FIFO queue (shown insecure by prior work), and
-//!   an idealised full-priority queue (UPRAC).
+//!   (Back-Off threshold `NBO`, PRAC level `Nmit`, `ABODelay` derived from
+//!   it, Bank-Activation threshold `BAT`) plus the RowHammer threshold and
+//!   mitigation-policy selection.
+//! * [`queue`] — row indices and [`queue::QueueKind`], the mitigation-queue
+//!   designs the storage model prices: the paper's single-entry
+//!   frequency-based queue (the only one the cycle-accurate model runs,
+//!   inline in each DRAM bank), a FIFO queue (shown insecure by prior work)
+//!   and an idealised full-priority queue (UPRAC).
 //! * [`mitigation`] — the pluggable [`mitigation::MitigationEngine`] trait the
 //!   memory controller drives at its decision points, plus the built-in
 //!   engines (ABO-only, ACB-RFM, TPRAC, periodic PRFM, probabilistic PARA and
@@ -69,7 +71,7 @@ pub mod tprac;
 pub use config::{MitigationPolicy, PracConfig, PracConfigBuilder, PracLevel};
 pub use error::{ConfigError, Result};
 pub use mitigation::{BankActivationView, MitigationDecision, MitigationEngine, ProactiveRfmKind};
-pub use queue::{FifoQueue, MitigationQueue, PriorityQueue, QueueKind, SingleEntryQueue};
+pub use queue::QueueKind;
 pub use security::{CounterResetPolicy, SecurityAnalysis, TbWindowSolution};
 pub use timing::DramTimingSummary;
 pub use tprac::{TpracConfig, TpracScheduler, TrefRate};

@@ -565,13 +565,22 @@ impl ParaEngine {
     }
 
     fn draw(&mut self) -> bool {
-        // xorshift64* — the same generator the obfuscation defense uses.
-        let mut x = self.state;
+        self.state = Self::step(self.state);
+        self.fires(self.state)
+    }
+
+    /// One xorshift64* state transition — the same generator the
+    /// obfuscation defense uses.
+    fn step(mut x: u64) -> u64 {
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D) < self.threshold
+        x
+    }
+
+    /// Whether the draw that left the generator in `state` owes an RFM.
+    fn fires(&self, state: u64) -> bool {
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D) < self.threshold
     }
 }
 
@@ -616,9 +625,18 @@ impl MitigationEngine for ParaEngine {
         if self.owed > 0 {
             return Some(channel_ready_at);
         }
-        // Unconsumed activations may owe a draw: wake immediately so the
-        // poll sequence matches the tick engine's.
-        (banks.total_activations() != self.seen_activations).then_some(now + 1)
+        // Replay the unconsumed activations' draws on a copy of the
+        // generator.  A draw that does not fire changes nothing the
+        // controller can see, so whichever later poll consumes it is as good
+        // as the next tick; wake immediately only when one fires, so the RFM
+        // goes out on the tick the per-tick engine issues it.
+        let mut state = self.state;
+        (self.seen_activations..banks.total_activations())
+            .any(|_| {
+                state = Self::step(state);
+                self.fires(state)
+            })
+            .then_some(now + 1)
     }
 }
 
@@ -936,6 +954,25 @@ mod tests {
         assert_eq!(engine.next_event_at(10, &fresh, 50), Some(50));
         engine.rfm_issued(10, 60);
         assert_eq!(engine.next_event_at(10, &fresh, 50), None);
+
+        // Unseen activations whose draws all miss: no wake-up, and a later
+        // poll consumes them without owing anything.
+        let mut engine = ParaEngine::new(4, 3);
+        let mut probe = engine.clone();
+        let misses = (0..64).take_while(|_| !probe.draw()).count() as u64;
+        assert!(misses > 0, "seed 3 should miss on its first draw");
+        let mut view = TestView {
+            per_bank: vec![0],
+            total: misses,
+        };
+        assert_eq!(engine.next_event_at(10, &view, 50), None);
+        // The next activation's draw fires: wake at once.
+        view.total += 1;
+        assert_eq!(engine.next_event_at(10, &view, 50), Some(11));
+        // Consuming only the misses owes nothing.
+        view.total = misses;
+        assert!(engine.poll(200, &view).issue.is_none());
+        assert_eq!(engine.owed(), 0);
     }
 
     #[test]

@@ -95,18 +95,6 @@ impl DramTimingSummary {
     pub fn t_refi_ticks(&self) -> u64 {
         ns_to_ticks(self.t_refi_ns)
     }
-
-    /// tRFMab expressed in simulator ticks.
-    #[must_use]
-    pub fn t_rfmab_ticks(&self) -> u64 {
-        ns_to_ticks(self.t_rfmab_ns)
-    }
-
-    /// tRC expressed in simulator ticks.
-    #[must_use]
-    pub fn t_rc_ticks(&self) -> u64 {
-        ns_to_ticks(self.t_rc_ns)
-    }
 }
 
 impl Default for DramTimingSummary {

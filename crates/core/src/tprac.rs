@@ -23,7 +23,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ConfigError, Result};
-use crate::queue::QueueKind;
 use crate::security::{CounterResetPolicy, SecurityAnalysis};
 use crate::timing::DramTimingSummary;
 
@@ -79,12 +78,6 @@ pub struct TpracConfig {
     pub tb_window_trefi: f64,
     /// Rate of Targeted Refreshes available to skip TB-RFMs.
     pub tref_rate: TrefRate,
-    /// In-DRAM mitigation queue design backing each bank.
-    pub queue_kind: QueueKind,
-    /// Whether RFM postponing is disabled (always true for TPRAC; kept as a
-    /// field so the insecure "postponing allowed" variant can be modelled in
-    /// ablations).
-    pub disable_rfm_postponing: bool,
 }
 
 impl TpracConfig {
@@ -98,8 +91,6 @@ impl TpracConfig {
             tb_window_ticks,
             tb_window_trefi,
             tref_rate: TrefRate::None,
-            queue_kind: QueueKind::SingleEntryFrequency,
-            disable_rfm_postponing: true,
         }
     }
 
@@ -124,13 +115,6 @@ impl TpracConfig {
     #[must_use]
     pub fn with_tref_rate(mut self, rate: TrefRate) -> Self {
         self.tref_rate = rate;
-        self
-    }
-
-    /// Sets the mitigation-queue design.
-    #[must_use]
-    pub fn with_queue_kind(mut self, kind: QueueKind) -> Self {
-        self.queue_kind = kind;
         self
     }
 
@@ -282,7 +266,6 @@ mod tests {
         let cfg = TpracConfig::with_window_trefi(1.0, &timing());
         // 3900 ns at 4 ticks/ns.
         assert_eq!(cfg.tb_window_ticks, 15_600);
-        assert!(cfg.disable_rfm_postponing);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Per-bank state: row buffer, timing windows, PRAC activation counters and
-//! the in-DRAM mitigation queue.
+//! the paper's single-entry in-DRAM mitigation queue.
 //!
 //! The hot timing state (open row + the three earliest-legal-time windows)
 //! lives in a struct-of-arrays [`BankTimingTable`] so the device can scan
 //! and min-reduce across every bank of a channel without striding over the
-//! cold per-bank state (PRAC counter maps and mitigation queues), which
+//! cold per-bank state (PRAC counter maps and mitigation queue entries), which
 //! stays in [`BankMeta`].  [`BankRef`] is the read-only per-bank view the
 //! device hands out.
 
 use std::collections::HashMap;
 
-use prac_core::queue::{MitigationQueue, QueueKind, RowIndex};
+use prac_core::queue::RowIndex;
 
 use crate::command::IssueError;
 use crate::timing::DramTimingParams;
@@ -366,12 +366,16 @@ impl BankTimingTable {
 
 /// Cold per-bank state: PRAC activation counters and the in-DRAM
 /// mitigation queue, plus the activation tallies derived from them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BankMeta {
     /// Per-row PRAC activation counters (sparse; untouched rows are zero).
     counters: HashMap<RowIndex, u32>,
-    /// In-DRAM mitigation queue for this bank.
-    queue: Box<dyn MitigationQueue>,
+    /// The paper's single-entry frequency-based mitigation queue (Section
+    /// 4.1): the most activated row seen since the last drain, with its
+    /// counter value.  Another row replaces it only by exceeding that count,
+    /// so of two equally activated rows the one seen first stays tracked
+    /// (Figure 8(c)).
+    queue: Option<(RowIndex, u32)>,
     /// Number of activations since the bank was last mitigated or reset
     /// (used for ACB-RFM / BAT accounting by the controller via a getter).
     activations_since_rfm: u32,
@@ -380,17 +384,6 @@ pub struct BankMeta {
 }
 
 impl BankMeta {
-    /// Creates the cold state for one bank with the chosen queue design.
-    #[must_use]
-    pub fn new(queue_kind: QueueKind) -> Self {
-        Self {
-            counters: HashMap::new(),
-            queue: queue_kind.instantiate(),
-            activations_since_rfm: 0,
-            total_activations: 0,
-        }
-    }
-
     /// Records an activation of `row`: increments its PRAC counter, shows
     /// the new value to the mitigation queue and bumps the activation
     /// tallies.  Returns the row's new counter value.
@@ -402,7 +395,9 @@ impl BankMeta {
         let counter = self.counters.entry(row).or_insert(0);
         *counter = counter.saturating_add(1);
         let value = *counter;
-        self.queue.observe_activation(row, value);
+        if !matches!(self.queue, Some((tracked, count)) if tracked != row && value <= count) {
+            self.queue = Some((row, value));
+        }
         self.activations_since_rfm = self.activations_since_rfm.saturating_add(1);
         self.total_activations += 1;
         value
@@ -423,7 +418,7 @@ impl BankMeta {
     /// Row currently nominated by the mitigation queue, if any.
     #[must_use]
     pub fn queue_head(&self) -> Option<RowIndex> {
-        self.queue.peek()
+        self.queue.map(|(row, _)| row)
     }
 
     /// Activations performed since the last RFM that reached this bank.
@@ -444,7 +439,7 @@ impl BankMeta {
     /// Called by the device when an RFM or a Targeted Refresh reaches the
     /// bank.  Also clears the per-bank ACB activation count.
     pub fn mitigate_queue_head(&mut self) -> Option<RowIndex> {
-        let row = self.queue.pop_for_mitigation();
+        let row = self.queue.take().map(|(row, _)| row);
         if let Some(row) = row {
             self.counters.insert(row, 0);
         }
@@ -456,7 +451,7 @@ impl BankMeta {
     /// tREFW).
     pub fn reset_counters(&mut self) {
         self.counters.clear();
-        self.queue.reset();
+        self.queue = None;
     }
 
     /// Number of distinct rows with a non-zero PRAC counter.
@@ -554,10 +549,7 @@ mod tests {
     /// One bank as the device runs it: slot 0 of a one-entry timing table
     /// plus its cold state.
     fn bank() -> (BankTimingTable, BankMeta) {
-        (
-            BankTimingTable::new(1),
-            BankMeta::new(QueueKind::SingleEntryFrequency),
-        )
+        (BankTimingTable::new(1), BankMeta::default())
     }
 
     /// Activates `row` the way the device does: the timing check and update
@@ -724,6 +716,19 @@ mod tests {
         assert_eq!(meta.counter(9), 0);
         assert_eq!(meta.queue_head(), None);
         assert_eq!(meta.tracked_rows(), 0);
+    }
+
+    #[test]
+    fn queue_keeps_the_first_of_equally_activated_rows() {
+        // Figure 8(c): a row that only equals the tracked count does not
+        // replace it; one that exceeds it does.
+        let mut meta = BankMeta::default();
+        for row in [1u32, 2, 1, 2] {
+            meta.note_activation(row);
+        }
+        assert_eq!(meta.queue_head(), Some(1));
+        meta.note_activation(2);
+        assert_eq!(meta.queue_head(), Some(2));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! Back-Off protocol and counter-reset handling.
 
 use prac_core::config::PracConfig;
-use prac_core::queue::QueueKind;
 use serde::{Deserialize, Serialize};
 
 use crate::bank::{BankMeta, BankRef, BankTimingTable};
@@ -20,8 +19,6 @@ pub struct DramDeviceConfig {
     pub timing: DramTimingParams,
     /// PRAC protocol parameters (Back-Off threshold, PRAC level, …).
     pub prac: PracConfig,
-    /// In-DRAM mitigation-queue design instantiated per bank.
-    pub queue_kind: QueueKind,
     /// Whether Targeted Refresh is enabled: every `tref_every_n_refreshes`-th
     /// periodic refresh additionally mitigates each bank's queue head.
     /// `None` disables TREF.
@@ -37,7 +34,6 @@ impl DramDeviceConfig {
             organization: DramOrganization::ddr5_32gb_quad_rank(),
             timing: DramTimingParams::ddr5_8000b(),
             prac: PracConfig::paper_default(),
-            queue_kind: QueueKind::SingleEntryFrequency,
             tref_every_n_refreshes: None,
         }
     }
@@ -49,7 +45,6 @@ impl DramDeviceConfig {
             organization: DramOrganization::tiny_for_tests(),
             timing: DramTimingParams::fast_for_tests(),
             prac,
-            queue_kind: QueueKind::SingleEntryFrequency,
             tref_every_n_refreshes: None,
         }
     }
@@ -75,7 +70,7 @@ pub struct DramDevice {
     config: DramDeviceConfig,
     /// Hot per-bank timing state, struct-of-arrays across the channel.
     timings: BankTimingTable,
-    /// Cold per-bank state (PRAC counters, mitigation queues), parallel to
+    /// Cold per-bank state (PRAC counters, queue entries), parallel to
     /// the timing table.
     meta: Vec<BankMeta>,
     /// Channel-wide earliest command time (set by refresh / RFM blocking).
@@ -110,9 +105,7 @@ impl DramDevice {
     #[must_use]
     pub fn new(config: DramDeviceConfig) -> Self {
         let total_banks = config.organization.total_banks() as usize;
-        let meta = (0..total_banks)
-            .map(|_| BankMeta::new(config.queue_kind))
-            .collect();
+        let meta = vec![BankMeta::default(); total_banks];
         let next_counter_reset = if config.prac.counter_reset_every_trefw {
             config.timing.t_refw
         } else {
@@ -465,7 +458,7 @@ impl DramDevice {
         self.stats.rfm_all_bank += 1;
         if self.alert {
             self.alert = false;
-            self.alert_suppressed_for_acts = self.config.prac.abo_delay;
+            self.alert_suppressed_for_acts = self.config.prac.abo_delay();
         }
         end
     }

@@ -14,10 +14,11 @@
 //! * open-row tracking (row-buffer hits vs conflicts),
 //! * per-row activation counters incremented on every activation,
 //! * the Alert Back-Off protocol: the device asserts Alert when any counter
-//!   reaches the Back-Off threshold, honours `ABOACT` and `ABODelay`, and
-//!   performs mitigations when the controller issues RFM All-Bank commands,
-//! * in-DRAM mitigation queues (single-entry frequency-based, FIFO, or
-//!   idealised priority, from [`prac_core::queue`]),
+//!   reaches the Back-Off threshold, honours `ABODelay`, and performs
+//!   mitigations when the controller issues RFM All-Bank commands (the
+//!   `tABOACT` window before the first RFM is the controller's to time),
+//! * the paper's single-entry frequency-based mitigation queue in every
+//!   bank ([`bank::BankMeta`]),
 //! * Targeted Refresh (TREF) piggy-backed on periodic refresh,
 //! * optional per-row counter reset at every refresh window (tREFW),
 //! * activation/refresh/RFM statistics for the energy model.

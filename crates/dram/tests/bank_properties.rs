@@ -22,6 +22,10 @@
 //! 4. **The ACB maximum is exact.**  The device's running maximum of the
 //!    per-bank activations since the last RFM equals the walk over every
 //!    bank after any ACT/PRE/RFMab/REF sequence, with TREF on and off.
+//! 5. **The single-entry queue drains a maximal row.**  Each drain of a
+//!    bank's mitigation queue returns a row carrying the largest counter
+//!    value any activation reached since the previous drain, and that row's
+//!    counter reads 0 afterwards.
 //!
 //! The proptest shim replays a fixed number of deterministically seeded
 //! cases, so failures reproduce bit-for-bit across runs and machines.
@@ -32,7 +36,6 @@ use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
 use dram_sim::timing::DramTimingParams;
 use prac_core::config::PracConfig;
-use prac_core::queue::QueueKind;
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -51,10 +54,7 @@ type Step = (u8, u32, u64);
 /// One idle, precharged bank: the timing table's only slot (index 0) plus
 /// its cold state.
 fn bank() -> (BankTimingTable, BankMeta) {
-    (
-        BankTimingTable::new(1),
-        BankMeta::new(QueueKind::SingleEntryFrequency),
-    )
+    (BankTimingTable::new(1), BankMeta::default())
 }
 
 /// Activates `row` as the device does: timing first, then the PRAC side.
@@ -371,7 +371,53 @@ fn drive_activation_maximum(tref_every_n_refreshes: Option<u32>, steps: &[Device
     }
 }
 
+/// Replays random activations, drains (an RFM or TREF reaching the bank)
+/// and tREFW counter resets against one bank's cold state, checking every
+/// drain against the largest counter value seen since the previous one.
+fn drive_queue(steps: &[(u8, u32)]) {
+    let mut meta = BankMeta::default();
+    // Largest value `note_activation` returned since the last drain/reset.
+    let mut best = 0u32;
+    for &(op, row) in steps {
+        match op % 8 {
+            0..=5 => best = best.max(meta.note_activation(row)),
+            6 => {
+                let head = meta.queue_head();
+                let carried = head.map(|row| meta.counter(row));
+                let drained = meta.mitigate_queue_head();
+                assert_eq!(drained, head, "a drain takes the queue head");
+                if let Some(row) = drained {
+                    assert_eq!(carried, Some(best), "row {row} is not maximal");
+                    assert_eq!(meta.counter(row), 0, "row {row} kept its counter");
+                }
+                assert_eq!(meta.queue_head(), None, "a drain empties the queue");
+                best = 0;
+            }
+            _ => {
+                meta.reset_counters();
+                assert_eq!(meta.queue_head(), None, "a reset empties the queue");
+                best = 0;
+            }
+        }
+        // Between drains the tracked row is one whose counter reached the
+        // largest value seen, and it is still at that value.
+        let tracked = meta.queue_head().map(|row| meta.counter(row));
+        assert_eq!(
+            tracked,
+            (best > 0).then_some(best),
+            "tracked entry after {op}/{row}"
+        );
+    }
+}
+
 proptest! {
+    #[test]
+    fn single_entry_tracks_a_maximal_row(
+        steps in collection::vec((0u8..8, 0u32..64), 1..300),
+    ) {
+        drive_queue(&steps);
+    }
+
     #[test]
     fn activation_maximum_matches_the_bank_walk(
         steps in collection::vec((0u8..1, 0u8..8, 0u8..8, 0u32..64, 0u64..200), 1..300),

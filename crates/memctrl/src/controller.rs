@@ -32,8 +32,6 @@ pub struct ControllerConfig {
     pub mapping: MappingKind,
     /// Row-buffer management policy.
     pub page_policy: PagePolicy,
-    /// FR-FCFS consecutive-row-hit cap (0 disables the cap).
-    pub frfcfs_cap: u32,
     /// Whether periodic refresh is issued every tREFI.
     pub refresh_enabled: bool,
     /// Obfuscation defense: inject random RFMs with this configuration.
@@ -47,7 +45,6 @@ impl Default for ControllerConfig {
         Self {
             mapping: MappingKind::Mop,
             page_policy: PagePolicy::Open,
-            frfcfs_cap: 4,
             refresh_enabled: true,
             obfuscation: None,
             obfuscation_seed: 0x5eed_5eed,
@@ -206,7 +203,7 @@ impl MemoryController {
             .obfuscation
             .map(|cfg| InjectionSequence::new(cfg, config.obfuscation_seed));
         let mapping = AddressMap::new(config.mapping, device_config.organization);
-        let scheduler = FrFcfsScheduler::new(config.frfcfs_cap);
+        let scheduler = FrFcfsScheduler::paper_default();
         let next_refresh = timing.t_refi;
         let device = DramDevice::new(device_config);
         Self {
@@ -850,14 +847,12 @@ mod tests {
             .back_off_threshold(16)
             .policy(policy)
             .build();
-        let mut device_config = DramDeviceConfig::tiny_for_tests(prac);
-        device_config.queue_kind = prac_core::queue::QueueKind::SingleEntryFrequency;
         let config = ControllerConfig {
             mapping: MappingKind::RowInterleaved,
             refresh_enabled: false,
             ..ControllerConfig::default()
         };
-        MemoryController::new(device_config, config)
+        MemoryController::new(DramDeviceConfig::tiny_for_tests(prac), config)
     }
 
     fn physical_for(

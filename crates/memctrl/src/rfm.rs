@@ -56,6 +56,13 @@ impl From<ProactiveRfmKind> for RfmKind {
 }
 
 /// State machine responding to the DRAM's Alert signal.
+///
+/// The ABO window is timed, not counted: after an Alert the first RFM waits
+/// `tABOACT` (the `t_abo_act_ticks` given to [`AboResponder::new`]; 180 ns
+/// in DDR5-8000B), and the controller keeps serving requests meanwhile.
+/// How far a hammered row can overshoot the Back-Off threshold is therefore
+/// bounded by the ACTs that fit in that window (tRC-spaced on one bank),
+/// not by a fixed ACT budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AboResponder {
     /// RFMs issued per Alert (the PRAC level).

@@ -76,12 +76,6 @@ impl EventWheel {
         }
     }
 
-    /// Number of slots (live components) the wheel tracks.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Registers (or replaces) the wake-up of slot `slot`; `None` disarms
     /// it.
     ///

@@ -258,7 +258,6 @@ mod tests {
             organization: dram_sim::org::DramOrganization::ddr5_32gb_quad_rank(),
             timing: dram_sim::timing::DramTimingParams::ddr5_8000b(),
             prac,
-            queue_kind: prac_core::queue::QueueKind::SingleEntryFrequency,
             tref_every_n_refreshes: None,
         };
         let config = SystemConfig {

@@ -581,7 +581,6 @@ mod tests {
             organization: dram_sim::org::DramOrganization::ddr5_32gb_quad_rank(),
             timing: dram_sim::timing::DramTimingParams::ddr5_8000b(),
             prac,
-            queue_kind: prac_core::queue::QueueKind::SingleEntryFrequency,
             tref_every_n_refreshes: None,
         };
         let config = SystemConfig {
@@ -756,7 +755,6 @@ mod tests {
                     .with_channels(channels),
                 timing: dram_sim::timing::DramTimingParams::ddr5_8000b(),
                 prac,
-                queue_kind: prac_core::queue::QueueKind::SingleEntryFrequency,
                 tref_every_n_refreshes: None,
             };
             SystemConfig {
@@ -822,7 +820,6 @@ mod tests {
                 .with_channels(channels),
             timing: dram_sim::timing::DramTimingParams::ddr5_8000b(),
             prac,
-            queue_kind: prac_core::queue::QueueKind::SingleEntryFrequency,
             tref_every_n_refreshes: None,
         };
         let config = SystemConfig {

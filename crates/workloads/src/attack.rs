@@ -718,13 +718,6 @@ impl AttackDescriptor {
             kind,
         }
     }
-
-    /// Whether the pattern pads its aggressor accesses with non-aggressor
-    /// traffic (and therefore stresses sampling defenses specifically).
-    #[must_use]
-    pub fn uses_fillers(&self) -> bool {
-        matches!(self.kind, AttackKind::DecoyBlast { .. })
-    }
 }
 
 /// Seed of the registry's default decoy filler stream.  Fixed so the

@@ -14,15 +14,15 @@
 //!
 //! | Component | Crate | What it provides |
 //! |---|---|---|
-//! | PRAC / TPRAC core | [`prac_core`] | PRAC parameters, the pluggable `MitigationEngine` API, mitigation queues, TB-Window security analysis, energy & storage models |
-//! | DRAM device | [`dram_sim`] | Cycle-accurate DDR5 model with per-row activation counters and Alert Back-Off |
+//! | PRAC / TPRAC core | [`prac_core`] | PRAC parameters, the pluggable `MitigationEngine` API, the storage model's mitigation-queue designs (`QueueKind`), TB-Window security analysis, energy & storage models |
+//! | DRAM device | [`dram_sim`] | Cycle-accurate DDR5 model with per-row activation counters, the paper's single-entry mitigation queue per bank and Alert Back-Off |
 //! | Memory controller | [`memctrl`] | Channel-aware address mapping, FR-FCFS scheduling, refresh, the ABO responder driving the pluggable mitigation engine |
 //! | CPU | [`cpu_sim`] | Trace-driven ROB-limited cores with an L1/L2/LLC hierarchy |
 //! | Workloads | [`workloads`] | Synthetic workload suite bucketed by memory intensity, seedable end-to-end, plus the pluggable `AttackPattern` adversary API and its registry |
 //! | Attacks | [`pracleak`] | PRACLeak covert channels, the AES T-table side channel, and the attack-vs-mitigation adversary driver |
 //! | Full system | [`system_sim`] | The simulation harness: multi-channel `MemorySubsystem`, twin tick/event engines, the scoped-thread `parallel_map` |
 //! | Campaigns | [`campaign`] | Declarative scenario sweeps, result cache, artifacts and the `prac-bench` CLI |
-//! | Microbenches | `bench-harness` | Criterion micro-benchmarks of the simulator kernels and mitigation-queue designs |
+//! | Microbenches | `bench-harness` | Criterion micro-benchmarks of the simulator kernels, including the single-entry queue's activate/drain path |
 //!
 //! (External dependencies resolve to offline shims under `crates/compat/`;
 //! see that directory's README.)
@@ -148,7 +148,7 @@ pub mod prelude {
     pub use prac_core::mitigation::{
         BankActivationView, MitigationDecision, MitigationEngine, ProactiveRfmKind,
     };
-    pub use prac_core::queue::{MitigationQueue, QueueKind, SingleEntryQueue};
+    pub use prac_core::queue::QueueKind;
     pub use prac_core::security::{CounterResetPolicy, SecurityAnalysis, TbWindowSolution};
     pub use prac_core::timing::DramTimingSummary;
     pub use prac_core::tprac::{TpracConfig, TrefRate};
