@@ -347,16 +347,7 @@ fn execute_attack(
         m.insert("device_profile".into(), profile.slug().into());
     }
 
-    // Same bit-identity branch as `ExperimentConfig::build_system_config`:
-    // the JEDEC baseline keeps the seed's authored ns summary, vendor
-    // profiles derive theirs from the profile's tick-level timing.
-    let organization = DramDeviceConfig::paper_default().organization;
-    let timing = if profile == DeviceProfile::JedecBaseline {
-        DramTimingSummary::ddr5_8000b()
-    } else {
-        profile.timing().summary(organization.rows_per_bank)
-    };
-    let resolved = match setup.resolve(nrh, &timing) {
+    let resolved = match setup.resolve(nrh, &profile.timing_summary()) {
         Ok(resolved) => resolved,
         Err(error) => {
             // Same contract as perf cells: a setup that cannot be
@@ -417,6 +408,7 @@ fn execute_attack(
     // flips are silently corrected, colliding flips escape to the host.
     if let Some(ecc) = profile.on_die_ecc() {
         let overshoot = u64::from(mitigated.max_row_activations).saturating_sub(u64::from(nrh));
+        let organization = DramDeviceConfig::paper_default().organization;
         let adjudication =
             ecc.adjudicate(overshoot, workloads::attack::row_bits(&organization), seed);
         m.insert("ecc_raw_flips".into(), adjudication.raw_flips.into());

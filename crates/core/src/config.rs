@@ -11,9 +11,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ConfigError, Result};
-use crate::mitigation::{
-    AboOnlyEngine, AcbEngine, DisabledEngine, MitigationEngine, ParaEngine, PrfmEngine, TpracEngine,
-};
 use crate::tprac::TpracConfig;
 
 /// The PRAC level: number of RFM All-Bank commands the memory controller
@@ -58,13 +55,11 @@ impl std::fmt::Display for PracLevel {
 /// Which RFM-issuing policy the memory controller runs.
 ///
 /// This enum is the *serialisable description* of a policy; its behaviour
-/// lives in the [`crate::mitigation::MitigationEngine`] built by
-/// [`MitigationPolicy::build_engine`].  The first two variants are the
+/// lives in the memory controller's `memctrl::mitigation::Mitigation`, which
+/// has one arm per proactive behaviour.  The first two variants are the
 /// insecure baselines evaluated in the paper (Section 5, "Evaluated
 /// Design"); [`MitigationPolicy::Tprac`] is the proposed defense; the
-/// remaining variants are beyond-paper comparison points.  Downstream code
-/// with a policy that fits none of these can bypass the enum entirely and
-/// inject a custom engine into the controller.
+/// remaining variants are beyond-paper comparison points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub enum MitigationPolicy {
     /// Rely solely on the Alert Back-Off protocol: RFMs are only issued when
@@ -159,28 +154,6 @@ impl MitigationPolicy {
                 reason: "the PARA inverse probability must be at least 1".to_string(),
             }),
             _ => Ok(()),
-        }
-    }
-
-    /// Builds the cycle-exact engine implementing this policy.
-    ///
-    /// `prac` supplies the Bank-Activation threshold for
-    /// [`MitigationPolicy::AboPlusAcbRfm`], and `t_refi_ticks` the refresh
-    /// interval for [`MitigationPolicy::PeriodicRfm`].  Engines whose state
-    /// is clocked start at tick 0, matching controller construction.
-    #[must_use]
-    pub fn build_engine(&self, prac: &PracConfig, t_refi_ticks: u64) -> Box<dyn MitigationEngine> {
-        match self {
-            MitigationPolicy::AboOnly => Box::new(AboOnlyEngine),
-            MitigationPolicy::AboPlusAcbRfm => {
-                Box::new(AcbEngine::new(prac.bank_activation_threshold))
-            }
-            MitigationPolicy::Tprac(tprac) => Box::new(TpracEngine::new(tprac.clone(), 0)),
-            MitigationPolicy::Disabled => Box::new(DisabledEngine),
-            MitigationPolicy::PeriodicRfm { every_trefi } => {
-                Box::new(PrfmEngine::new(*every_trefi, t_refi_ticks, 0))
-            }
-            MitigationPolicy::Para { one_in, seed } => Box::new(ParaEngine::new(*one_in, *seed)),
         }
     }
 }
@@ -532,28 +505,5 @@ mod tests {
             .try_build()
             .unwrap_err();
         assert!(matches!(err, ConfigError::InvalidParameter { name, .. } if name == "one_in"));
-    }
-
-    #[test]
-    fn build_engine_matches_the_policy() {
-        let prac = PracConfig::paper_default();
-        for (policy, label) in [
-            (MitigationPolicy::AboOnly, "ABO-Only"),
-            (MitigationPolicy::AboPlusAcbRfm, "ABO+ACB-RFM"),
-            (MitigationPolicy::Tprac(TpracConfig::default()), "TPRAC"),
-            (MitigationPolicy::Disabled, "Disabled"),
-            (MitigationPolicy::PeriodicRfm { every_trefi: 4 }, "PRFM"),
-            (
-                MitigationPolicy::Para {
-                    one_in: 64,
-                    seed: 5,
-                },
-                "PARA",
-            ),
-        ] {
-            let engine = policy.build_engine(&prac, 15_600);
-            assert_eq!(engine.label(), label);
-            assert_eq!(engine.responds_to_alert(), policy.uses_abo());
-        }
     }
 }

@@ -15,18 +15,15 @@
 //! * [`config`] — PRAC protocol parameters from the JEDEC DDR5 specification
 //!   (Back-Off threshold `NBO`, PRAC level `Nmit`, `ABODelay` derived from
 //!   it, Bank-Activation threshold `BAT`) plus the RowHammer threshold and
-//!   mitigation-policy selection.
+//!   mitigation-policy selection.  The policy is data: the memory controller
+//!   (`memctrl::mitigation`) turns it into behaviour.
 //! * [`queue`] — row indices and [`queue::QueueKind`], the mitigation-queue
 //!   designs the storage model prices: the paper's single-entry
 //!   frequency-based queue (the only one the cycle-accurate model runs,
 //!   inline in each DRAM bank), a FIFO queue (shown insecure by prior work)
 //!   and an idealised full-priority queue (UPRAC).
-//! * [`mitigation`] — the pluggable [`mitigation::MitigationEngine`] trait the
-//!   memory controller drives at its decision points, plus the built-in
-//!   engines (ABO-only, ACB-RFM, TPRAC, periodic PRFM, probabilistic PARA and
-//!   the explicit no-mitigation baseline).
-//! * [`tprac`] — the TPRAC policy: Timing-Based RFMs issued every `TB-Window`,
-//!   Targeted-Refresh co-design, counter-reset handling.
+//! * [`tprac`] — the TPRAC configuration: the `TB-Window` between Timing-Based
+//!   RFMs, the Targeted-Refresh rate and its analytical sizing.
 //! * [`security`] — the Feinting/Wave worst-case analysis (Equations 1–5 of
 //!   the paper) that computes the maximum activations an adversary can land on
 //!   a single row (`TMAX`) and solves for the largest safe `TB-Window`.
@@ -60,7 +57,6 @@
 pub mod config;
 pub mod energy;
 pub mod error;
-pub mod mitigation;
 pub mod obfuscation;
 pub mod overhead;
 pub mod queue;
@@ -70,8 +66,7 @@ pub mod tprac;
 
 pub use config::{MitigationPolicy, PracConfig, PracConfigBuilder, PracLevel};
 pub use error::{ConfigError, Result};
-pub use mitigation::{BankActivationView, MitigationDecision, MitigationEngine, ProactiveRfmKind};
 pub use queue::QueueKind;
 pub use security::{CounterResetPolicy, SecurityAnalysis, TbWindowSolution};
 pub use timing::DramTimingSummary;
-pub use tprac::{TpracConfig, TpracScheduler, TrefRate};
+pub use tprac::{TpracConfig, TrefRate};

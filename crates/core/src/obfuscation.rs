@@ -128,15 +128,22 @@ impl InjectionSequence {
 
     /// Returns `true` when the current tREFI interval should inject an RFM.
     pub fn next_decision(&mut self) -> bool {
-        // xorshift64*
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        let value = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        value < self.threshold
+        xorshift64_star(&mut self.state) < self.threshold
     }
+}
+
+/// One step of the xorshift64* generator: advances `state` and returns the
+/// step's output.  The obfuscation defense's injection decisions and the
+/// controller's PARA draws both use it; a zero state stays zero, so seeds
+/// are clamped to at least 1.
+#[must_use]
+pub fn xorshift64_star(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //!   at every tREFW, which shrinks the attacker's feasible pool and allows a
 //!   longer (cheaper) TB-Window.
 //!
-//! [`TpracScheduler`] is a small, deterministic state machine the memory
-//! controller ticks every cycle; it is deliberately free of any DRAM state so
-//! it can be unit-tested exhaustively and reused by the cycle-accurate model.
+//! This module holds the defense's configuration and its analytical sizing;
+//! the memory controller's periodic-deadline mitigation
+//! (`memctrl::mitigation::Mitigation::Periodic`) issues the TB-RFMs.
 
 use serde::{Deserialize, Serialize};
 
@@ -161,98 +161,6 @@ impl Default for TpracConfig {
     }
 }
 
-/// Events produced by the [`TpracScheduler`] each tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TpracEvent {
-    /// Nothing to do this tick.
-    Idle,
-    /// Issue a Timing-Based RFM (RFMab) now.
-    IssueTbRfm,
-    /// A pending TB-RFM was skipped because a Targeted Refresh already
-    /// mitigated the queue head during this window.
-    SkippedByTref,
-}
-
-/// Deterministic controller-side scheduler for Timing-Based RFMs.
-///
-/// The scheduler owns a single deadline (`next_deadline`) representing the
-/// RFM-interval register of Section 6.8.  Calling [`TpracScheduler::tick`]
-/// with the current time returns the action the controller must take.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TpracScheduler {
-    config: TpracConfig,
-    next_deadline: u64,
-    tref_seen_this_window: bool,
-    issued_tb_rfms: u64,
-    skipped_tb_rfms: u64,
-}
-
-impl TpracScheduler {
-    /// Creates a scheduler whose first TB-RFM is due one window from `now`.
-    #[must_use]
-    pub fn new(config: TpracConfig, now: u64) -> Self {
-        let next_deadline = now + config.tb_window_ticks;
-        Self {
-            config,
-            next_deadline,
-            tref_seen_this_window: false,
-            issued_tb_rfms: 0,
-            skipped_tb_rfms: 0,
-        }
-    }
-
-    /// Records that the DRAM performed a Targeted Refresh, which mitigated the
-    /// head of the mitigation queue and allows the current window's TB-RFM to
-    /// be skipped.
-    pub fn note_targeted_refresh(&mut self) {
-        self.tref_seen_this_window = true;
-    }
-
-    /// Advances the scheduler to `now` and returns the action to take.
-    ///
-    /// The caller is expected to invoke this every controller cycle; if a
-    /// whole window elapses between calls the scheduler still issues exactly
-    /// one event per elapsed window (catch-up happens on subsequent calls).
-    pub fn tick(&mut self, now: u64) -> TpracEvent {
-        if now < self.next_deadline {
-            return TpracEvent::Idle;
-        }
-        self.next_deadline += self.config.tb_window_ticks;
-        if self.tref_seen_this_window {
-            self.tref_seen_this_window = false;
-            self.skipped_tb_rfms += 1;
-            TpracEvent::SkippedByTref
-        } else {
-            self.issued_tb_rfms += 1;
-            TpracEvent::IssueTbRfm
-        }
-    }
-
-    /// Number of TB-RFMs issued so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued_tb_rfms
-    }
-
-    /// Number of TB-RFMs skipped thanks to Targeted Refreshes.
-    #[must_use]
-    pub fn skipped(&self) -> u64 {
-        self.skipped_tb_rfms
-    }
-
-    /// The absolute tick at which the next TB-RFM is due.
-    #[must_use]
-    pub fn next_deadline(&self) -> u64 {
-        self.next_deadline
-    }
-
-    /// The configuration driving this scheduler.
-    #[must_use]
-    pub fn config(&self) -> &TpracConfig {
-        &self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,61 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_issues_one_rfm_per_window() {
-        let cfg = TpracConfig::with_window_trefi(1.0, &timing());
-        let window = cfg.tb_window_ticks;
-        let mut sched = TpracScheduler::new(cfg, 0);
-        let mut issued = 0;
-        for now in 0..window * 5 + 1 {
-            if sched.tick(now) == TpracEvent::IssueTbRfm {
-                issued += 1;
-            }
-        }
-        assert_eq!(issued, 5);
-        assert_eq!(sched.issued(), 5);
-        assert_eq!(sched.skipped(), 0);
-    }
-
-    #[test]
-    fn scheduler_is_independent_of_activity() {
-        // Ticking with or without interleaved "activity" produces identical
-        // TB-RFM times — the core property that closes the timing channel.
-        let cfg = TpracConfig::with_window_trefi(0.5, &timing());
-        let window = cfg.tb_window_ticks;
-        let mut a = TpracScheduler::new(cfg.clone(), 0);
-        let mut b = TpracScheduler::new(cfg, 0);
-        let mut times_a = Vec::new();
-        let mut times_b = Vec::new();
-        for now in 0..window * 4 + 1 {
-            if a.tick(now) == TpracEvent::IssueTbRfm {
-                times_a.push(now);
-            }
-        }
-        for now in 0..window * 4 + 1 {
-            // "b" sees bursts of hypothetical activity (no scheduler input
-            // exists for it, by construction), so the sequences must match.
-            if b.tick(now) == TpracEvent::IssueTbRfm {
-                times_b.push(now);
-            }
-        }
-        assert_eq!(times_a, times_b);
-    }
-
-    #[test]
-    fn tref_skips_exactly_one_window() {
-        let cfg = TpracConfig::with_window_trefi(1.0, &timing());
-        let window = cfg.tb_window_ticks;
-        let mut sched = TpracScheduler::new(cfg, 0);
-        sched.note_targeted_refresh();
-        // First window boundary: skipped.
-        assert_eq!(sched.tick(window), TpracEvent::SkippedByTref);
-        // Second window boundary: issued again.
-        assert_eq!(sched.tick(window * 2), TpracEvent::IssueTbRfm);
-        assert_eq!(sched.skipped(), 1);
-        assert_eq!(sched.issued(), 1);
-    }
-
-    #[test]
     fn tref_rate_sweep_matches_figure12() {
         let sweep = TrefRate::figure12_sweep();
         assert_eq!(sweep.len(), 5);
@@ -379,18 +232,5 @@ mod tests {
     fn display_of_tref_rate_is_readable() {
         assert_eq!(TrefRate::EveryTrefi(2).to_string(), "1 TREF per 2 tREFI");
         assert_eq!(TrefRate::None.to_string(), "no TREF");
-    }
-
-    #[test]
-    fn scheduler_catches_up_after_long_gap() {
-        let cfg = TpracConfig::with_window_trefi(1.0, &timing());
-        let window = cfg.tb_window_ticks;
-        let mut sched = TpracScheduler::new(cfg, 0);
-        // Jump three windows ahead in a single call: one event now, the
-        // remaining ones on subsequent ticks.
-        assert_eq!(sched.tick(window * 3), TpracEvent::IssueTbRfm);
-        assert_eq!(sched.tick(window * 3), TpracEvent::IssueTbRfm);
-        assert_eq!(sched.tick(window * 3), TpracEvent::IssueTbRfm);
-        assert_eq!(sched.tick(window * 3), TpracEvent::Idle);
     }
 }

@@ -28,9 +28,10 @@
 //! single-error-correcting codes cannot repair).
 
 use prac_core::config::PracLevel;
-use prac_core::timing::ns_to_ticks;
+use prac_core::timing::{ns_to_ticks, DramTimingSummary};
 use serde::{Deserialize, Serialize};
 
+use crate::org::DramOrganization;
 use crate::timing::DramTimingParams;
 
 /// A named device timing profile.
@@ -119,6 +120,23 @@ impl DeviceProfile {
                 refresh_stagger: 0,
                 ..base
             },
+        }
+    }
+
+    /// The nanosecond timing summary the security solver sizes mitigations
+    /// with, for the paper device's rows per bank.
+    ///
+    /// [`DeviceProfile::JedecBaseline`] returns
+    /// [`DramTimingSummary::ddr5_8000b`], whose ns constants are authored
+    /// directly rather than derived from ticks, so the default path stays
+    /// bit-identical; vendor profiles derive theirs from [`Self::timing`].
+    #[must_use]
+    pub fn timing_summary(self) -> DramTimingSummary {
+        match self {
+            DeviceProfile::JedecBaseline => DramTimingSummary::ddr5_8000b(),
+            DeviceProfile::VendorA | DeviceProfile::VendorB => self
+                .timing()
+                .summary(DramOrganization::ddr5_32gb_quad_rank().rows_per_bank),
         }
     }
 
@@ -238,6 +256,23 @@ mod tests {
             DramTimingParams::ddr5_8000b()
         );
         assert!(DeviceProfile::JedecBaseline.on_die_ecc().is_none());
+        assert_eq!(
+            DeviceProfile::JedecBaseline.timing_summary(),
+            DramTimingSummary::ddr5_8000b()
+        );
+    }
+
+    #[test]
+    fn vendor_timing_summaries_derive_from_their_tick_timing() {
+        let rows = DramOrganization::ddr5_32gb_quad_rank().rows_per_bank;
+        for profile in [DeviceProfile::VendorA, DeviceProfile::VendorB] {
+            let summary = profile.timing_summary();
+            assert_eq!(summary, profile.timing().summary(rows));
+            assert_ne!(
+                summary.t_rfmab_ns,
+                DramTimingSummary::ddr5_8000b().t_rfmab_ns
+            );
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The memory controller proper: request queues, command generation, refresh
-//! scheduling and the pluggable mitigation engine.
+//! scheduling and the proactive mitigation.
 
 use dram_sim::command::{DramCommand, IssueError};
 use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
-use prac_core::config::MitigationPolicy;
-use prac_core::mitigation::{BankActivationView, MitigationEngine};
+use prac_core::config::{MitigationPolicy, PracConfig};
 use prac_core::obfuscation::{InjectionSequence, ObfuscationConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::mapping::{AddressMap, MappingKind};
+use crate::mitigation::{Activity, Mitigation};
 use crate::request::{CompletedRequest, MemoryRequest, RequestKind};
 use crate::rfm::{AboResponder, RfmKind};
 use crate::scheduler::{FrFcfsIndex, FrFcfsScheduler, SchedulerCandidate, QUEUE_CAPACITY};
@@ -68,10 +68,8 @@ struct PendingRequest {
 /// The memory controller: accepts [`MemoryRequest`]s, drives the
 /// [`DramDevice`] one command per tick, and reports completions.
 ///
-/// Proactive mitigation behaviour is delegated to a pluggable
-/// [`MitigationEngine`], normally built from the device's
-/// [`MitigationPolicy`]; [`MemoryController::with_mitigation_engine`] injects
-/// an arbitrary engine instead.
+/// Proactive RFMs come from the [`Mitigation`] the device's
+/// [`MitigationPolicy`] describes.
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     device: DramDevice,
@@ -104,12 +102,12 @@ pub struct MemoryController {
     /// Next tick at which a periodic refresh is due.
     next_refresh: u64,
     /// Alert Back-Off responder: shared controller infrastructure, armed
-    /// unless the mitigation engine opts out (the explicit no-mitigation
+    /// unless the policy turns ABO off (the explicit no-mitigation
     /// baseline).  Under TPRAC it should never fire if the TB-Window is
     /// configured correctly.
     abo: AboResponder,
-    /// The pluggable proactive-mitigation engine.
-    mitigation: Box<dyn MitigationEngine>,
+    /// The proactive mitigation.
+    mitigation: Mitigation,
     /// Obfuscation injection sequence, evaluated once per tREFI.
     injection: Option<InjectionSequence>,
     /// Next tick at which the injection decision is made.
@@ -137,68 +135,15 @@ const NOT_ISSUED: u64 = u64::MAX;
 /// Maximum number of RFM-log entries retained.
 const RFM_LOG_CAP: usize = 1 << 20;
 
-/// [`BankActivationView`] over the live device, handed to the mitigation
-/// engine at every decision point.
-struct DeviceView<'a> {
-    device: &'a DramDevice,
-}
-
-impl BankActivationView for DeviceView<'_> {
-    fn bank_count(&self) -> usize {
-        self.device.bank_count() as usize
-    }
-
-    fn activations_since_rfm(&self, bank: usize) -> u32 {
-        self.device
-            .bank(u32::try_from(bank).expect("bank index fits u32"))
-            .activations_since_rfm()
-    }
-
-    fn max_activations_since_rfm(&self) -> u32 {
-        let max = self.device.max_activations_since_rfm();
-        debug_assert_eq!(
-            max,
-            (0..self.device.bank_count())
-                .map(|bank| self.device.bank(bank).activations_since_rfm())
-                .max()
-                .unwrap_or(0),
-            "the device's running maximum disagrees with the bank walk"
-        );
-        max
-    }
-
-    fn total_activations(&self) -> u64 {
-        self.device.stats().activations
-    }
-}
-
 impl MemoryController {
     /// Creates a controller in front of a freshly-initialised device, with
-    /// the mitigation engine built from the device's [`MitigationPolicy`].
+    /// the mitigation its [`MitigationPolicy`] describes.
     #[must_use]
     pub fn new(device_config: DramDeviceConfig, config: ControllerConfig) -> Self {
-        let engine = device_config
-            .prac
-            .policy
-            .build_engine(&device_config.prac, device_config.timing.t_refi);
-        Self::with_mitigation_engine(device_config, config, engine)
-    }
-
-    /// Creates a controller driving an explicitly supplied mitigation
-    /// engine.  This is the extension point for defenses that have no
-    /// [`MitigationPolicy`] variant: implement
-    /// [`prac_core::mitigation::MitigationEngine`] and inject it here.  The
-    /// device-side configuration (Back-Off threshold, counter reset, queue
-    /// design) still comes from `device_config`.
-    #[must_use]
-    pub fn with_mitigation_engine(
-        device_config: DramDeviceConfig,
-        config: ControllerConfig,
-        mitigation: Box<dyn MitigationEngine>,
-    ) -> Self {
         let policy = device_config.prac.policy.clone();
         let timing = device_config.timing;
         let abo = AboResponder::new(&device_config.prac, timing.t_abo_act);
+        let mitigation = Mitigation::new(&device_config.prac, timing.t_refi);
         let injection = config
             .obfuscation
             .map(|cfg| InjectionSequence::new(cfg, config.obfuscation_seed));
@@ -235,22 +180,18 @@ impl MemoryController {
     /// configuration (the divergence point of a pause/fork).
     ///
     /// Rebuilds exactly the policy-dependent pieces
-    /// [`MemoryController::with_mitigation_engine`] derives from the PRAC
-    /// configuration — the mitigation engine, the ABO responder, the
-    /// declarative policy and the device-side PRAC parameters — while
-    /// leaving all accumulated state (queues, scheduler streaks, bank
-    /// counters, statistics, the obfuscation sequence) untouched.  A fresh
-    /// engine is correct at the fork point because every built-in engine
-    /// derives its schedule from absolute deadlines anchored at tick 0 and
-    /// the fork point lies before the target policy's first possible
-    /// divergence (the campaign layer computes that horizon).
-    pub fn refit_mitigation(
-        &mut self,
-        prac: prac_core::config::PracConfig,
-        tref_every_n_refreshes: Option<u32>,
-    ) {
+    /// [`MemoryController::new`] derives from the PRAC configuration — the
+    /// mitigation, the ABO responder, the declarative policy and the
+    /// device-side PRAC parameters — while leaving all accumulated state
+    /// (queues, scheduler streaks, bank counters, statistics, the
+    /// obfuscation sequence) untouched.  A fresh mitigation is correct at
+    /// the fork point because every one derives its schedule from absolute
+    /// deadlines anchored at tick 0 and the fork point lies before the
+    /// target policy's first possible divergence (the campaign layer
+    /// computes that horizon).
+    pub fn refit_mitigation(&mut self, prac: PracConfig, tref_every_n_refreshes: Option<u32>) {
         let timing = self.device.config().timing;
-        self.mitigation = prac.policy.build_engine(&prac, timing.t_refi);
+        self.mitigation = Mitigation::new(&prac, timing.t_refi);
         self.abo = AboResponder::new(&prac, timing.t_abo_act);
         self.policy = prac.policy.clone();
         self.device.refit_prac(prac, tref_every_n_refreshes);
@@ -289,17 +230,10 @@ impl MemoryController {
         &self.stats
     }
 
-    /// The mitigation policy in force (the declarative description; the
-    /// behaviour lives in [`MemoryController::mitigation_engine`]).
+    /// The mitigation policy in force.
     #[must_use]
     pub fn policy(&self) -> &MitigationPolicy {
         &self.policy
-    }
-
-    /// The mitigation engine driving proactive RFMs.
-    #[must_use]
-    pub fn mitigation_engine(&self) -> &dyn MitigationEngine {
-        self.mitigation.as_ref()
     }
 
     /// Chronological log of issued RFMs as `(tick, kind)` pairs.  Recording
@@ -478,9 +412,8 @@ impl MemoryController {
             if self.issue_command(DramCommand::Refresh, now).is_ok() {
                 self.stats.refreshes_issued += 1;
                 self.next_refresh += self.device.config().timing.t_refi;
-                self.mitigation.note_refresh(now);
                 if performs_tref {
-                    self.mitigation.note_targeted_refresh(now);
+                    self.mitigation.note_targeted_refresh();
                 }
                 return;
             }
@@ -499,14 +432,14 @@ impl MemoryController {
         self.collect_completions_into(now, completed);
     }
 
-    /// Runs the ABO responder and the mitigation engine; returns `true` when
-    /// an RFM was issued this tick (consuming the command slot).
+    /// Runs the ABO responder and the mitigation; returns `true` when an
+    /// RFM was issued this tick (consuming the command slot).
     fn drive_rfm_engines(&mut self, now: u64) -> bool {
-        // Alert Back-Off: shared infrastructure for every engine that keeps
+        // Alert Back-Off: shared infrastructure for every policy that keeps
         // it armed (under TPRAC it should never fire; if it does — e.g. a
         // deliberately misconfigured window — the response is identical,
         // which is what Figure 9(b) relies on).
-        if self.mitigation.responds_to_alert() {
+        if self.policy.uses_abo() {
             if self.device.alert_asserted() {
                 self.abo.on_alert(now);
             }
@@ -519,21 +452,16 @@ impl MemoryController {
             }
         }
 
-        // Proactive mitigation: one engine decision per visited tick.
-        let decision = self.mitigation.poll(
-            now,
-            &DeviceView {
-                device: &self.device,
-            },
-        );
+        // Proactive mitigation: one decision per visited tick.
+        let decision = self.mitigation.poll(now, self.activity());
         self.stats.tb_rfms_skipped += u64::from(decision.skipped);
         if let Some(kind) = decision.issue {
-            if let Some(end) = self.try_issue_rfm(now, RfmKind::from(kind)) {
-                self.mitigation.rfm_issued(now, end);
+            if self.try_issue_rfm(now, kind).is_some() {
+                self.mitigation.rfm_issued();
                 return true;
             }
-            // Channel busy: the engine decides whether to defer or drop.
-            self.mitigation.rfm_rejected(now);
+            // Channel busy: the mitigation decides whether to defer or drop.
+            self.mitigation.rfm_rejected();
             return false;
         }
 
@@ -549,6 +477,27 @@ impl MemoryController {
             }
         }
         false
+    }
+
+    /// The device counters the mitigation reads.  The device keeps the
+    /// largest per-bank count since the last RFM as a running maximum; under
+    /// ACB, its only reader, debug builds check it against a walk over the
+    /// banks.
+    fn activity(&self) -> Activity {
+        let max_since_rfm = self.device.max_activations_since_rfm();
+        debug_assert!(
+            !matches!(self.mitigation, Mitigation::Acb { .. })
+                || max_since_rfm
+                    == (0..self.device.bank_count())
+                        .map(|bank| self.device.bank(bank).activations_since_rfm())
+                        .max()
+                        .unwrap_or(0),
+            "the device's running maximum disagrees with the bank walk"
+        );
+        Activity {
+            max_since_rfm,
+            total: self.device.stats().activations,
+        }
     }
 
     /// The command the FR-FCFS demand scheduler would attempt right now, as
@@ -686,9 +635,8 @@ impl MemoryController {
     /// * in-flight request completions,
     /// * periodic refresh (gated by the channel-blocking window),
     /// * the ABO responder (a freshly asserted Alert, or an owed RFM),
-    /// * the mitigation engine's own registration
-    ///   ([`MitigationEngine::next_event_at`]: proactive-RFM eligibility,
-    ///   timing deadlines, deferred-RFM retries),
+    /// * the mitigation's own registration ([`Mitigation::next_event_at`]:
+    ///   proactive-RFM eligibility, timing deadlines, deferred-RFM retries),
     /// * the obfuscation injection check,
     /// * the next command the FR-FCFS demand scheduler would attempt.
     ///
@@ -717,7 +665,7 @@ impl MemoryController {
         if self.config.refresh_enabled {
             earlier(&mut wake, self.next_refresh.max(channel_ready).max(soonest));
         }
-        if self.mitigation.responds_to_alert() {
+        if self.policy.uses_abo() {
             if self.device.alert_asserted() && self.abo.pending() == 0 {
                 // The responder has not seen this Alert yet; it reacts next
                 // tick.
@@ -730,14 +678,11 @@ impl MemoryController {
                 );
             }
         }
-        if let Some(engine_wake) = self.mitigation.next_event_at(
-            now,
-            &DeviceView {
-                device: &self.device,
-            },
-            channel_ready,
-        ) {
-            earlier(&mut wake, engine_wake.max(soonest));
+        if let Some(mitigation_wake) =
+            self.mitigation
+                .next_event_at(now, self.activity(), channel_ready)
+        {
+            earlier(&mut wake, mitigation_wake.max(soonest));
         }
         if self.injection.is_some() {
             earlier(&mut wake, self.next_injection_check.max(soonest));
@@ -1068,7 +1013,7 @@ mod tests {
         hammer_pairs(&mut ctrl, pa_a, pa_b, 40, 0);
         assert_eq!(ctrl.stats().total_rfms(), 0);
         assert_eq!(ctrl.device().stats().alerts_asserted, 0);
-        assert!(!ctrl.mitigation_engine().responds_to_alert());
+        assert!(!ctrl.policy().uses_abo());
     }
 
     #[test]
@@ -1132,27 +1077,6 @@ mod tests {
         let mut replay = build();
         hammer_pairs(&mut replay, pa_a, pa_b, 20, 0);
         assert_eq!(busy.rfm_log(), replay.rfm_log());
-    }
-
-    #[test]
-    fn custom_engines_can_be_injected_directly() {
-        use prac_core::mitigation::PrfmEngine;
-        let prac = PracConfig::builder().rowhammer_threshold(1024).build();
-        let device_config = DramDeviceConfig::tiny_for_tests(prac);
-        let t_refi = device_config.timing.t_refi;
-        let config = ControllerConfig {
-            refresh_enabled: false,
-            ..ControllerConfig::default()
-        };
-        // A downstream defense: PRFM wired in without any policy variant.
-        let engine = Box::new(PrfmEngine::new(1, t_refi, 0));
-        let mut ctrl = MemoryController::with_mitigation_engine(device_config, config, engine);
-        let _ = ctrl.run_until(0, t_refi * 3 + 10);
-        assert_eq!(ctrl.stats().periodic_rfms, 3);
-        assert_eq!(ctrl.mitigation_engine().label(), "PRFM");
-        // The declarative policy still reports what the device was built
-        // with; behaviour came from the injected engine.
-        assert_eq!(ctrl.policy(), &MitigationPolicy::AboOnly);
     }
 
     #[test]

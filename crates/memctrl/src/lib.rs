@@ -16,11 +16,10 @@
 //! * **Refresh management**: periodic all-bank refresh every tREFI.
 //! * **RFM management**: the Alert Back-Off responder (ABO-RFM) as shared
 //!   controller infrastructure, the obfuscation defense's random RFM
-//!   injection, and a pluggable [`prac_core::mitigation::MitigationEngine`]
-//!   driving every proactive policy — ACB-RFMs, TPRAC's Timing-Based RFMs
-//!   with Targeted-Refresh co-design, periodic PRFM, probabilistic PARA, or
-//!   any engine injected via
-//!   [`controller::MemoryController::with_mitigation_engine`].
+//!   injection, and one [`mitigation::Mitigation`] enum for every proactive
+//!   policy — ACB-RFMs, TPRAC's Timing-Based RFMs with Targeted-Refresh
+//!   co-design, periodic PRFM and probabilistic PARA — built from the
+//!   device's [`prac_core::config::MitigationPolicy`].
 //! * **Per-request latency recording**, the observable the PRACLeak attacks
 //!   monitor.
 
@@ -30,6 +29,7 @@
 
 pub mod controller;
 pub mod mapping;
+pub mod mitigation;
 pub mod request;
 pub mod rfm;
 pub mod scheduler;

@@ -5,16 +5,15 @@
 //!   level's worth of RFMab commands (1, 2 or 4).  These are the activity-
 //!   dependent **ABO-RFMs** PRACLeak exploits.  The responder is controller
 //!   infrastructure (the JEDEC protocol applies under every policy that
-//!   keeps ABO armed), which is why it lives here rather than behind the
-//!   [`prac_core::mitigation::MitigationEngine`] trait.
+//!   keeps ABO armed), which is why it lives here rather than in
+//!   [`crate::mitigation::Mitigation`].
 //! * Proactive RFMs (**ACB-RFMs**, TPRAC's **TB-RFMs**, periodic **PRFM**
 //!   and probabilistic **PARA** RFMs) are requested by the controller's
-//!   pluggable [`prac_core::mitigation::MitigationEngine`].
+//!   [`crate::mitigation::Mitigation`].
 //! * [`RfmKind`] labels every issued RFM so the statistics can distinguish
 //!   the sources (and the attacks can check which kind they observed).
 
 use prac_core::config::PracConfig;
-use prac_core::mitigation::ProactiveRfmKind;
 use serde::{Deserialize, Serialize};
 
 /// Why an RFM All-Bank command was issued.
@@ -41,17 +40,6 @@ impl RfmKind {
     #[must_use]
     pub fn is_activity_dependent(self) -> bool {
         matches!(self, RfmKind::AboRfm | RfmKind::AcbRfm | RfmKind::ParaRfm)
-    }
-}
-
-impl From<ProactiveRfmKind> for RfmKind {
-    fn from(kind: ProactiveRfmKind) -> Self {
-        match kind {
-            ProactiveRfmKind::ActivationBased => RfmKind::AcbRfm,
-            ProactiveRfmKind::TimingBased => RfmKind::TbRfm,
-            ProactiveRfmKind::Periodic => RfmKind::PeriodicRfm,
-            ProactiveRfmKind::Probabilistic => RfmKind::ParaRfm,
-        }
     }
 }
 
@@ -152,23 +140,6 @@ mod tests {
         assert!(!RfmKind::TbRfm.is_activity_dependent());
         assert!(!RfmKind::PeriodicRfm.is_activity_dependent());
         assert!(!RfmKind::InjectedRfm.is_activity_dependent());
-    }
-
-    #[test]
-    fn proactive_kinds_map_onto_rfm_kinds() {
-        assert_eq!(
-            RfmKind::from(ProactiveRfmKind::ActivationBased),
-            RfmKind::AcbRfm
-        );
-        assert_eq!(RfmKind::from(ProactiveRfmKind::TimingBased), RfmKind::TbRfm);
-        assert_eq!(
-            RfmKind::from(ProactiveRfmKind::Periodic),
-            RfmKind::PeriodicRfm
-        );
-        assert_eq!(
-            RfmKind::from(ProactiveRfmKind::Probabilistic),
-            RfmKind::ParaRfm
-        );
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   every tick; one is polled, the other ticked and then asked for its
 //!   wake-up.  Completions and wake-ups must agree on every tick.
 //! * **skipping** — the polled controller visits only the ticks its wake-ups
-//!   and the request arrivals name, the other is ticked on every cycle.
+//!   and the request arrivals name, plus the next tick while requests wait
+//!   and its queue has room; the other is ticked on every cycle.
 //!   Completions, controller and DRAM statistics and RFM logs must agree.
 //!
 //! The full device × setup × traffic × seed sweep is `#[ignore]`d for debug
@@ -239,9 +240,13 @@ impl Backlog {
     }
 
     /// The next tick the backlog needs a visit at: `now + 1` while requests
-    /// wait for queue space, else the next arrival.
-    fn next_visit(&self, now: u64) -> Option<u64> {
-        if self.waiting.is_empty() {
+    /// wait and the controller has room for one, else the next arrival.  A
+    /// full queue frees a slot only at a completion, which the controller's
+    /// own wake-up names, so waiting requests need no visit of their own
+    /// until then (the simulation engine's forwarding slot arms only for
+    /// channels with space, too).
+    fn next_visit(&self, ctrl: &MemoryController, now: u64) -> Option<u64> {
+        if self.waiting.is_empty() || !ctrl.can_accept() {
             self.arrivals.front().map(|&(tick, _, _)| tick)
         } else {
             Some(now + 1)
@@ -330,7 +335,7 @@ fn race_skipping(
         polled_feed.feed(&mut polled, now);
         let wake = polled.poll(now, &mut polled_done);
         visited += 1;
-        now = [wake, polled_feed.next_visit(now)]
+        now = [wake, polled_feed.next_visit(&polled, now)]
             .into_iter()
             .flatten()
             .min()

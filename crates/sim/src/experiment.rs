@@ -35,8 +35,8 @@ use crate::system::{SystemConfig, SystemResult, SystemSimulation};
 ///
 /// This is declarative *data* (serialisable, hashable into campaign cache
 /// keys); the runtime behaviour lives in the
-/// [`prac_core::mitigation::MitigationEngine`] the resolved
-/// [`MitigationPolicy`] builds.
+/// [`memctrl::mitigation::Mitigation`] each controller builds from the
+/// resolved [`MitigationPolicy`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MitigationSetup {
     /// PRAC-enabled DRAM with mitigation disabled outright: the Alert signal
@@ -491,16 +491,7 @@ impl ExperimentConfig {
                 ),
             });
         }
-        // The JEDEC baseline keeps the exact seed summary (its ns constants
-        // are authored directly, not derived from ticks), so the default
-        // path stays bit-identical; vendor profiles derive theirs from the
-        // profile's tick-level timing set.
-        let timing = if self.profile == DeviceProfile::JedecBaseline {
-            DramTimingSummary::ddr5_8000b()
-        } else {
-            let organization = DramDeviceConfig::paper_default().organization;
-            self.profile.timing().summary(organization.rows_per_bank)
-        };
+        let timing = self.profile.timing_summary();
         let resolved = self.setup.resolve(self.rowhammer_threshold, &timing)?;
         let prac = PracConfig::builder()
             .rowhammer_threshold(self.rowhammer_threshold)

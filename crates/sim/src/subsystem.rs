@@ -1,6 +1,6 @@
 //! The multi-channel memory subsystem: one [`MemoryController`] (with its
 //! own PRAC-enabled [`dram_sim::device::DramDevice`] and its own
-//! [`prac_core::mitigation::MitigationEngine`]) per channel, behind a single
+//! [`memctrl::mitigation::Mitigation`]) per channel, behind a single
 //! address router.
 //!
 //! # Topology
@@ -19,7 +19,7 @@
 //! owns its bank.  The channel bits sit right above the cache-line offset:
 //! consecutive cache lines rotate across channels.  Channels are fully
 //! independent, exactly as in hardware: each has its own command bus,
-//! refresh schedule, Alert Back-Off responder, and mitigation engine, so
+//! refresh schedule, Alert Back-Off responder, and mitigation, so
 //! per-channel ABO alerts, RFM budgets and TB-RFM stalls never interfere
 //! across channels.
 //!

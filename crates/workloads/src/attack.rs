@@ -1,5 +1,5 @@
-//! The pluggable attack-pattern API: the adversary-side mirror of
-//! `prac_core::mitigation`.
+//! The pluggable attack-pattern API: the adversary side of the mitigation
+//! policies.
 //!
 //! A RowHammer access pattern is no longer a closed enum: the
 //! [`AttackPattern`] trait describes an adversary as a deterministic stream
@@ -18,8 +18,8 @@
 //!
 //! # Determinism contract
 //!
-//! Mirroring the [`MitigationEngine`](../../prac_core/mitigation/index.html)
-//! rules:
+//! Mirroring the determinism rules of the memory controller's mitigations
+//! (`memctrl::mitigation`):
 //!
 //! 1. **The stream is a pure function of the configuration.** Calling
 //!    `next_access` repeatedly must replay the same addresses for the same
@@ -129,10 +129,6 @@ impl AttackAccess {
 /// Implementations must be `Send` so attack cells can run on the campaign
 /// runner's worker threads.
 pub trait AttackPattern: std::fmt::Debug + Send {
-    /// Deep-copies the pattern behind its trait object, complete with its
-    /// stream position (the fork primitive).
-    fn clone_box(&self) -> Box<dyn AttackPattern>;
-
     /// Short human-readable label (reports, logs).
     fn label(&self) -> &'static str;
 
@@ -202,17 +198,7 @@ impl SingleSidedPattern {
     }
 }
 
-impl Clone for Box<dyn AttackPattern> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
 impl AttackPattern for SingleSidedPattern {
-    fn clone_box(&self) -> Box<dyn AttackPattern> {
-        Box::new(self.clone())
-    }
-
     fn label(&self) -> &'static str {
         "single-sided"
     }
@@ -255,10 +241,6 @@ impl DoubleSidedPattern {
 }
 
 impl AttackPattern for DoubleSidedPattern {
-    fn clone_box(&self) -> Box<dyn AttackPattern> {
-        Box::new(self.clone())
-    }
-
     fn label(&self) -> &'static str {
         "double-sided"
     }
@@ -308,10 +290,6 @@ impl ManySidedPattern {
 }
 
 impl AttackPattern for ManySidedPattern {
-    fn clone_box(&self) -> Box<dyn AttackPattern> {
-        Box::new(self.clone())
-    }
-
     fn label(&self) -> &'static str {
         "many-sided"
     }
@@ -367,10 +345,6 @@ impl HalfDoublePattern {
 }
 
 impl AttackPattern for HalfDoublePattern {
-    fn clone_box(&self) -> Box<dyn AttackPattern> {
-        Box::new(self.clone())
-    }
-
     fn label(&self) -> &'static str {
         "half-double"
     }
@@ -446,10 +420,6 @@ impl DecoyBlastPattern {
 }
 
 impl AttackPattern for DecoyBlastPattern {
-    fn clone_box(&self) -> Box<dyn AttackPattern> {
-        Box::new(self.clone())
-    }
-
     fn label(&self) -> &'static str {
         "decoy-blast"
     }
@@ -520,10 +490,6 @@ impl RfmPressurePattern {
 }
 
 impl AttackPattern for RfmPressurePattern {
-    fn clone_box(&self) -> Box<dyn AttackPattern> {
-        Box::new(self.clone())
-    }
-
     fn label(&self) -> &'static str {
         "rfm-pressure"
     }

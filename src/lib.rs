@@ -14,9 +14,9 @@
 //!
 //! | Component | Crate | What it provides |
 //! |---|---|---|
-//! | PRAC / TPRAC core | [`prac_core`] | PRAC parameters, the pluggable `MitigationEngine` API, the storage model's mitigation-queue designs (`QueueKind`), TB-Window security analysis, energy & storage models |
+//! | PRAC / TPRAC core | [`prac_core`] | PRAC parameters and the `MitigationPolicy` each run selects, the storage model's mitigation-queue designs (`QueueKind`), TB-Window security analysis, energy & storage models |
 //! | DRAM device | [`dram_sim`] | Cycle-accurate DDR5 model with per-row activation counters, the paper's single-entry mitigation queue per bank and Alert Back-Off |
-//! | Memory controller | [`memctrl`] | Channel-aware address mapping, FR-FCFS scheduling, refresh, the ABO responder driving the pluggable mitigation engine |
+//! | Memory controller | [`memctrl`] | Channel-aware address mapping, FR-FCFS scheduling, refresh, the ABO responder and the `Mitigation` enum behind every proactive policy |
 //! | CPU | [`cpu_sim`] | Trace-driven ROB-limited cores with an L1/L2/LLC hierarchy |
 //! | Workloads | [`workloads`] | Synthetic workload suite bucketed by memory intensity, seedable end-to-end, plus the pluggable `AttackPattern` adversary API and its registry |
 //! | Attacks | [`pracleak`] | PRACLeak covert channels, the AES T-table side channel, and the attack-vs-mitigation adversary driver |
@@ -145,9 +145,6 @@ pub mod prelude {
     pub use dram_sim::{DramDevice, DramDeviceConfig, DramOrganization, DramTimingParams};
     pub use memctrl::{AddressMap, ControllerConfig, MemoryController, MemoryRequest, PagePolicy};
     pub use prac_core::config::{MitigationPolicy, PracConfig, PracLevel};
-    pub use prac_core::mitigation::{
-        BankActivationView, MitigationDecision, MitigationEngine, ProactiveRfmKind,
-    };
     pub use prac_core::queue::QueueKind;
     pub use prac_core::security::{CounterResetPolicy, SecurityAnalysis, TbWindowSolution};
     pub use prac_core::timing::DramTimingSummary;
