@@ -2,7 +2,7 @@
 //! a mitigated PRAC memory system and reports security metrics.
 //!
 //! This is the execution layer behind the `attacks` campaign: one
-//! [`run_adversary`] call drives a [`workloads::attack::AttackPattern`]
+//! [`run_adversary`] call drives a [`workloads::attack::AttackStream`]
 //! through a [`crate::agents::PatternAgent`] on the
 //! [`crate::agents::MultiAgentRunner`] (serialized dependent accesses, the
 //! flush+access attacker model every experiment in this crate uses) and
@@ -74,8 +74,8 @@ impl AdversaryOutcome {
 
 /// Runs `attack` for `accesses` serialized accesses (or until `max_ticks`)
 /// against the memory system described by `setup`.  `seed` is mixed into
-/// the pattern's own seeded streams (see [`AttackKind::build`]), so sweeps
-/// can draw independent filler streams per cell.
+/// the kind's own filler seed (see [`AttackKind::stream`]), so sweeps can
+/// draw independent filler streams per cell.
 #[must_use]
 pub fn run_adversary(
     attack: &AttackKind,
@@ -87,9 +87,9 @@ pub fn run_adversary(
     let controller = setup.build_controller();
     let org = controller.device().config().organization;
     let t_refi = controller.device().config().timing.t_refi;
-    let pattern = attack.build(&org, t_refi, seed);
+    let stream = attack.stream(&org, t_refi, seed);
     let mapping = AddressMap::new(setup.mapping, org);
-    let mut agent = PatternAgent::new(pattern, mapping, accesses);
+    let mut agent = PatternAgent::new(stream, mapping, accesses);
     let mut runner = MultiAgentRunner::new(controller);
     let elapsed_ticks = runner.run(&mut [&mut agent], max_ticks);
     let controller_stats = *runner.controller().stats();
@@ -190,16 +190,15 @@ mod tests {
 
     #[test]
     fn every_registered_attack_runs_against_the_default_setup() {
-        for descriptor in attack_registry() {
-            let outcome =
-                run_adversary(&descriptor.kind, &AttackSetup::new(1024), 300, MAX_TICKS, 7);
-            assert!(outcome.completed, "{}: {outcome:?}", descriptor.slug);
-            assert_eq!(outcome.accesses_completed, 300, "{}", descriptor.slug);
-            assert!(outcome.activations > 0, "{}", descriptor.slug);
+        for kind in attack_registry() {
+            let outcome = run_adversary(&kind, &AttackSetup::new(1024), 300, MAX_TICKS, 7);
+            assert!(outcome.completed, "{}: {outcome:?}", kind.slug());
+            assert_eq!(outcome.accesses_completed, 300, "{}", kind.slug());
+            assert!(outcome.activations > 0, "{}", kind.slug());
             assert!(
                 outcome.aggressor_coverage > 0.0,
                 "{}: no aggressor touched",
-                descriptor.slug
+                kind.slug()
             );
         }
     }
@@ -210,14 +209,14 @@ mod tests {
         // some row past NRH on an undefended device — the property the
         // `attacks` campaign relies on to make `nrh_breached` meaningful.
         let nrh = 256;
-        for descriptor in attack_registry() {
-            let budget = descriptor.kind.accesses_to_breach(nrh);
-            let outcome = run_adversary(&descriptor.kind, &undefended(nrh), budget, MAX_TICKS, 0);
-            assert!(outcome.completed, "{}: {outcome:?}", descriptor.slug);
+        for kind in attack_registry() {
+            let budget = kind.accesses_to_breach(nrh);
+            let outcome = run_adversary(&kind, &undefended(nrh), budget, MAX_TICKS, 0);
+            assert!(outcome.completed, "{}: {outcome:?}", kind.slug());
             assert!(
                 outcome.breached(nrh),
                 "{}: budget {budget} failed to breach NRH {nrh}: {outcome:?}",
-                descriptor.slug
+                kind.slug()
             );
         }
     }

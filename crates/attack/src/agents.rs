@@ -31,7 +31,7 @@ use memctrl::controller::MemoryController;
 use memctrl::mapping::AddressMap;
 use memctrl::request::MemoryRequest;
 use serde::{Deserialize, Serialize};
-use workloads::attack::{AttackAccess, AttackPattern};
+use workloads::attack::{AttackAccess, AttackStream};
 
 /// Identifier of an agent within a [`MultiAgentRunner`].
 pub type AgentId = u32;
@@ -179,49 +179,38 @@ impl MemoryAgent for SerializedAccessAgent {
     }
 }
 
-/// A memory agent driving a pluggable [`AttackPattern`]: the bridge between
-/// the declarative adversary API in `workloads::attack` and the serialized
-/// access model of the [`MultiAgentRunner`].  The pattern emits DRAM
-/// coordinates; the agent encodes them through the experiment's address
-/// mapping, honours the pattern's burst gating
-/// ([`AttackAccess::not_before`]), and tracks which aggressor rows were
-/// actually reached so harnesses can report aggressor coverage.
+/// A memory agent driving an [`AttackStream`]: the bridge between the
+/// declarative adversary in `workloads::attack` and the serialized access
+/// model of the [`MultiAgentRunner`].  The stream emits DRAM coordinates;
+/// the agent encodes them through the experiment's address mapping,
+/// honours the stream's burst gating ([`AttackAccess::not_before`]), and
+/// marks which hot rows were actually reached so harnesses can report
+/// aggressor coverage.
 #[derive(Debug)]
 pub struct PatternAgent {
-    pattern: Box<dyn AttackPattern>,
+    stream: AttackStream,
     mapping: AddressMap,
     remaining_accesses: u64,
-    /// An access pulled from the pattern but gated into the future.
+    /// An access pulled from the stream but gated into the future.
     pending: Option<AttackAccess>,
     completed: u64,
-    hot_rows: std::collections::HashSet<(u32, u32, u32, u32, u32)>,
-    touched_rows: std::collections::HashSet<(u32, u32, u32, u32, u32)>,
-}
-
-fn row_key(address: &dram_sim::org::DramAddress) -> (u32, u32, u32, u32, u32) {
-    (
-        address.channel,
-        address.rank,
-        address.bank_group,
-        address.bank,
-        address.row,
-    )
+    /// One flag per hot row of the stream: reached by an aggressor access.
+    touched: Vec<bool>,
 }
 
 impl PatternAgent {
-    /// Creates an agent performing `total_accesses` accesses of `pattern`,
+    /// Creates an agent performing `total_accesses` accesses of `stream`,
     /// encoded through `mapping`.
     #[must_use]
-    pub fn new(pattern: Box<dyn AttackPattern>, mapping: AddressMap, total_accesses: u64) -> Self {
-        let hot_rows = pattern.hot_rows().iter().map(row_key).collect();
+    pub fn new(stream: AttackStream, mapping: AddressMap, total_accesses: u64) -> Self {
+        let touched = vec![false; stream.hot_rows().len()];
         Self {
-            pattern,
+            stream,
             mapping,
             remaining_accesses: total_accesses,
             pending: None,
             completed: 0,
-            hot_rows,
-            touched_rows: std::collections::HashSet::new(),
+            touched,
         }
     }
 
@@ -231,21 +220,21 @@ impl PatternAgent {
         self.completed
     }
 
-    /// Number of aggressor rows the pattern declares.
+    /// Number of aggressor rows the stream declares.
     #[must_use]
     pub fn aggressor_rows(&self) -> usize {
-        self.hot_rows.len()
+        self.touched.len()
     }
 
-    /// Fraction of the pattern's aggressor rows the agent has issued at
-    /// least one access to (`0.0` for a pattern with no hot rows).
+    /// Fraction of the stream's aggressor rows the agent has issued at
+    /// least one access to (`0.0` for a stream with no hot rows).
     #[must_use]
     pub fn aggressor_coverage(&self) -> f64 {
-        if self.hot_rows.is_empty() {
+        if self.touched.is_empty() {
             return 0.0;
         }
-        let touched = self.touched_rows.intersection(&self.hot_rows).count();
-        touched as f64 / self.hot_rows.len() as f64
+        let touched = self.touched.iter().filter(|&&hit| hit).count();
+        touched as f64 / self.touched.len() as f64
     }
 }
 
@@ -256,15 +245,15 @@ impl MemoryAgent for PatternAgent {
         }
         let access = match self.pending.take() {
             Some(access) => access,
-            None => self.pattern.next_access(now),
+            None => self.stream.next_access(now),
         };
         if access.not_before > now {
             self.pending = Some(access);
             return AgentAction::Idle;
         }
         self.remaining_accesses -= 1;
-        if access.aggressor {
-            self.touched_rows.insert(row_key(&access.address));
+        if let Some(index) = access.hot_row {
+            self.touched[index] = true;
         }
         AgentAction::Access(self.mapping.encode(&access.address))
     }
@@ -277,7 +266,7 @@ impl MemoryAgent for PatternAgent {
         self.remaining_accesses == 0
     }
 
-    /// A gated access waits for its `not_before`; otherwise the pattern is
+    /// A gated access waits for its `not_before`; otherwise the stream is
     /// asked on the next tick.
     fn wake_at(&self, now: u64) -> u64 {
         self.pending

@@ -11,8 +11,8 @@
 //! * [`agents`] — memory "agents" (attacker, victim, trojan, spy) that issue
 //!   serialized dependent requests to the [`memctrl::MemoryController`] and
 //!   record per-access latencies, plus the multi-agent runner and the
-//!   [`agents::PatternAgent`] bridge driving any pluggable
-//!   [`workloads::attack::AttackPattern`].  The runner is event-driven: it
+//!   [`agents::PatternAgent`] bridge driving any
+//!   [`workloads::attack::AttackStream`].  The runner is event-driven: it
 //!   jumps from tick to tick along the wake-ups the controller's `poll`
 //!   returns and the agents' `wake_at` wake-ups.  An agent's `wake_at` must never return a
 //!   tick at or before `now`, nor one after the first tick its

@@ -188,9 +188,8 @@ fn pattern_agent(
 ) -> Recorder<PatternAgent> {
     let org = controller.device().config().organization;
     let t_refi = controller.device().config().timing.t_refi;
-    let pattern = attack.build(&org, t_refi, seed);
     Recorder::new(PatternAgent::new(
-        pattern,
+        attack.stream(&org, t_refi, seed),
         AddressMap::new(setup.mapping, org),
         accesses,
     ))
@@ -275,8 +274,8 @@ fn runners_agree_on_every_pattern_under_default_and_tprac() {
         counter_reset: true,
     };
     for (label, setup) in setups(256, &[tprac]) {
-        for descriptor in attack_registry() {
-            race_attack(&descriptor.kind, &setup, 400, 0, &label);
+        for kind in attack_registry() {
+            race_attack(&kind, &setup, 400, 0, &label);
         }
     }
 }
@@ -287,14 +286,13 @@ fn runners_agree_on_every_pattern_under_default_and_tprac() {
 #[test]
 #[ignore = "heavy sweep; run in release via the CI runner-equivalence step"]
 fn runners_agree_across_attack_and_mitigation_registries() {
-    let mitigations: Vec<MitigationSetup> =
-        mitigation_registry().into_iter().map(|m| m.setup).collect();
+    let mitigations = mitigation_registry();
     for nrh in [256, 1024] {
         for (label, setup) in setups(nrh, &mitigations) {
-            for descriptor in attack_registry() {
-                let accesses = descriptor.kind.accesses_to_breach(nrh) * 5 / 4;
+            for kind in attack_registry() {
+                let accesses = kind.accesses_to_breach(nrh) * 5 / 4;
                 for seed in [0, 7] {
-                    race_attack(&descriptor.kind, &setup, accesses, seed, &label);
+                    race_attack(&kind, &setup, accesses, seed, &label);
                 }
             }
         }

@@ -205,8 +205,8 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| "--attack requires a pattern slug".to_string())?;
                 options.attack = Some(AttackKind::parse_slug(value).ok_or_else(|| {
                     let known: Vec<String> = workloads::attack_registry()
-                        .into_iter()
-                        .map(|descriptor| descriptor.slug)
+                        .iter()
+                        .map(AttackKind::slug)
                         .collect();
                     format!(
                         "unknown attack pattern `{value}` (known: {})",
@@ -353,17 +353,17 @@ pub fn run_cli(args: &[String]) -> i32 {
             let registry = system_sim::mitigation_registry();
             println!("{} registered mitigation setups:\n", registry.len());
             println!("{:<14} {:<34} {:<9}  summary", "slug", "label", "timing");
-            for descriptor in registry {
+            for setup in registry {
                 println!(
                     "{:<14} {:<34} {:<9}  {}",
-                    descriptor.slug,
-                    descriptor.label,
-                    if descriptor.is_activity_dependent() {
+                    setup.slug(),
+                    setup.label(),
+                    if setup.is_activity_dependent() {
                         "leaky"
                     } else {
                         "constant"
                     },
-                    descriptor.summary
+                    setup.summary()
                 );
             }
             0
@@ -372,10 +372,12 @@ pub fn run_cli(args: &[String]) -> i32 {
             let registry = workloads::attack_registry();
             println!("{} registered attack patterns:\n", registry.len());
             println!("{:<16} {:<24} summary", "slug", "label");
-            for descriptor in registry {
+            for kind in registry {
                 println!(
                     "{:<16} {:<24} {}",
-                    descriptor.slug, descriptor.label, descriptor.summary
+                    kind.slug(),
+                    kind.label(),
+                    kind.summary()
                 );
             }
             0

@@ -136,7 +136,7 @@ pub fn find_campaign(name: &str, profile: &Profile) -> Option<Campaign> {
 }
 
 /// Appends one performance cell per (workload × setup) pair.  Scenario
-/// names embed the descriptor's stable slug.
+/// names embed the setup's stable slug.
 #[allow(clippy::too_many_arguments)]
 fn push_perf_matrix(
     campaign: &mut Campaign,
@@ -549,7 +549,6 @@ fn defenses(profile: &Profile) -> Campaign {
     );
     let setups: Vec<MitigationSetup> = system_sim::mitigation_registry()
         .into_iter()
-        .map(|descriptor| descriptor.setup)
         .filter(|setup| *setup != MitigationSetup::BaselineNoAbo)
         .collect();
     push_perf_matrix(
@@ -596,15 +595,12 @@ fn scaling(profile: &Profile) -> Campaign {
     );
     let buckets = profile.intensity_buckets();
     for channels in [1u32, 2, 4] {
-        for descriptor in system_sim::mitigation_registry() {
+        for setup in system_sim::mitigation_registry() {
             for workload in &buckets {
                 campaign.push(Scenario::new(
-                    format!(
-                        "ch{channels}/{}/{}",
-                        workload.workload.name, descriptor.slug
-                    ),
+                    format!("ch{channels}/{}/{}", workload.workload.name, setup.slug()),
                     ScenarioSpec::Perf(Box::new(PerfScenario {
-                        setup: descriptor.setup.clone(),
+                        setup: setup.clone(),
                         rowhammer_threshold: 1024,
                         prac_level: PracLevel::One,
                         workload: workload.clone(),
@@ -624,12 +620,12 @@ fn scaling(profile: &Profile) -> Campaign {
     // or 2 shrinks bank-level parallelism while the per-rank constraints
     // (tFAW window, refresh stagger under the vendor profiles) bind harder.
     for ranks in [1u32, 2] {
-        for descriptor in system_sim::mitigation_registry() {
+        for setup in system_sim::mitigation_registry() {
             for workload in &buckets {
                 campaign.push(Scenario::new(
-                    format!("rank{ranks}/{}/{}", workload.workload.name, descriptor.slug),
+                    format!("rank{ranks}/{}/{}", workload.workload.name, setup.slug()),
                     ScenarioSpec::Perf(Box::new(PerfScenario {
-                        setup: descriptor.setup.clone(),
+                        setup: setup.clone(),
                         rowhammer_threshold: 1024,
                         prac_level: PracLevel::One,
                         workload: workload.clone(),
@@ -676,13 +672,13 @@ fn attacks(profile: &Profile) -> Campaign {
             // cell the pattern's own breach budget plus 25% slack (RFM
             // stalls never consume accesses, so slack only buys margin on
             // the per-row dilution estimate).
-            let accesses = attack.kind.accesses_to_breach(nrh) * 5 / 4;
-            for mitigation in system_sim::mitigation_registry() {
+            let accesses = attack.accesses_to_breach(nrh) * 5 / 4;
+            for setup in system_sim::mitigation_registry() {
                 campaign.push(Scenario::new(
-                    format!("nrh{nrh}/{}/{}", attack.slug, mitigation.slug),
+                    format!("nrh{nrh}/{}/{}", attack.slug(), setup.slug()),
                     ScenarioSpec::Attack {
-                        attack: attack.kind,
-                        setup: mitigation.setup.clone(),
+                        attack,
+                        setup,
                         nrh,
                         accesses,
                         profile: DeviceProfile::JedecBaseline,
@@ -702,11 +698,11 @@ fn attacks(profile: &Profile) -> Campaign {
             continue;
         }
         for attack in attack_registry() {
-            let accesses = attack.kind.accesses_to_breach(ecc_nrh) * 5 / 4;
+            let accesses = attack.accesses_to_breach(ecc_nrh) * 5 / 4;
             campaign.push(Scenario::new(
-                format!("ecc/{}/{}", device_profile.slug(), attack.slug),
+                format!("ecc/{}/{}", device_profile.slug(), attack.slug()),
                 ScenarioSpec::Attack {
-                    attack: attack.kind,
+                    attack,
                     setup: MitigationSetup::BaselineNoAbo,
                     nrh: ecc_nrh,
                     accesses,

@@ -14,7 +14,7 @@
 //! result cache re-run only the cells that changed; bumping the revision
 //! when simulation semantics change retires every stale cache entry at once.
 
-use dram_sim::DeviceProfile;
+use dram_sim::{DeviceProfile, DramOrganization};
 use prac_core::config::PracLevel;
 use prac_core::queue::QueueKind;
 use prac_core::tprac::TrefRate;
@@ -545,23 +545,30 @@ fn setup_from_json(value: &Value) -> Result<MitigationSetup, String> {
     }
 }
 
+/// Parses an attack kind and refuses one that would run a different
+/// configuration from the one it names on the paper organisation (see
+/// [`AttackKind::validate`]) before anything is allocated or simulated.
 fn attack_from_json(value: &Value) -> Result<AttackKind, String> {
-    match str_field(value, "pattern")? {
-        "single_sided" => Ok(AttackKind::SingleSided),
-        "double_sided" => Ok(AttackKind::DoubleSided),
-        "many_sided" => Ok(AttackKind::ManySided {
+    let attack = match str_field(value, "pattern")? {
+        "single_sided" => AttackKind::SingleSided,
+        "double_sided" => AttackKind::DoubleSided,
+        "many_sided" => AttackKind::ManySided {
             sides: int_field(value, "sides")?,
-        }),
-        "half_double" => Ok(AttackKind::HalfDouble),
-        "decoy_blast" => Ok(AttackKind::DecoyBlast {
+        },
+        "half_double" => AttackKind::HalfDouble,
+        "decoy_blast" => AttackKind::DecoyBlast {
             decoys: int_field(value, "decoys")?,
             seed: u64_field(value, "decoy_seed")?,
-        }),
-        "rfm_pressure" => Ok(AttackKind::RfmPressure {
+        },
+        "rfm_pressure" => AttackKind::RfmPressure {
             duty_percent: int_field(value, "duty_percent")?,
-        }),
-        other => Err(format!("unknown attack pattern `{other}`")),
-    }
+        },
+        other => return Err(format!("unknown attack pattern `{other}`")),
+    };
+    attack
+        .validate(&DramOrganization::ddr5_32gb_quad_rank())
+        .map_err(|error| error.to_string())?;
+    Ok(attack)
 }
 
 fn workload_spec_from_json(value: &Value) -> Result<WorkloadSpec, String> {
@@ -824,11 +831,11 @@ mod tests {
     #[test]
     fn attack_cells_serialise_canonically_per_kind() {
         let mut keys = std::collections::HashSet::new();
-        for descriptor in workloads::attack::attack_registry() {
+        for attack in workloads::attack::attack_registry() {
             let scenario = Scenario::new(
                 "cell",
                 ScenarioSpec::Attack {
-                    attack: descriptor.kind,
+                    attack,
                     setup: MitigationSetup::AboOnly,
                     nrh: 1024,
                     accesses: 1_000,
@@ -845,7 +852,7 @@ mod tests {
             assert!(
                 keys.insert(scenario.key()),
                 "key collision for {}",
-                descriptor.slug
+                attack.slug()
             );
             // Canonical round trip, like every other kind.
             let text = json.to_string();
@@ -1007,6 +1014,39 @@ mod tests {
             r#"{"kind":"attack","attack":{"pattern":"many_sided","sides":4294967300},"setup":{"policy":"abo_only"},"nrh":1024,"accesses":1,"seed":0}"#
         )
         .contains("out of range `sides`"));
+        // Attack kinds that fit their field but would run a different
+        // configuration: too few or too many aggressors (a served u32::MAX
+        // would otherwise allocate ~100 GB of hot rows), or a duty outside
+        // 1-100%.
+        let attack = |fields: &str| {
+            error(&format!(
+                r#"{{"kind":"attack","attack":{{{fields}}},"setup":{{"policy":"abo_only"}},"nrh":1024,"accesses":1,"seed":0}}"#
+            ))
+        };
+        for sides in [0u64, 1, 32_769, 4_294_967_295] {
+            let message = attack(&format!(r#""pattern":"many_sided","sides":{sides}"#));
+            assert!(message.contains("`sides`"), "{sides}: {message}");
+        }
+        for duty in [0u64, 101, 4_294_967_295] {
+            let message = attack(&format!(
+                r#""pattern":"rfm_pressure","duty_percent":{duty}"#
+            ));
+            assert!(message.contains("`duty_percent`"), "{duty}: {message}");
+        }
+        // The co-runner of a perf cell is refused the same way.
+        let mut perf = perf_scenario(1024).spec.to_json().to_string();
+        perf.insert_str(
+            perf.len() - 1,
+            r#","attack":{"pattern":"many_sided","sides":1}"#,
+        );
+        assert!(
+            ScenarioSpec::from_json(&serde_json::from_str(&perf).unwrap())
+                .unwrap_err()
+                .contains("`sides`")
+        );
+        // The largest set that fits one bank still parses.
+        let fits = r#"{"kind":"attack","attack":{"pattern":"many_sided","sides":32768},"setup":{"policy":"abo_only"},"nrh":1024,"accesses":1,"seed":0}"#;
+        assert!(ScenarioSpec::from_json(&serde_json::from_str(fits).unwrap()).is_ok());
         // usize (`symbols`) is as wide as u64 on 64-bit targets, so the
         // parser's own "non-integer" check is its only bound there.
     }

@@ -67,13 +67,13 @@ fn assert_fork_equivalent(config: &ExperimentConfig, context: &str) {
 #[test]
 fn fork_equivalence_across_mitigation_and_attack_registries() {
     let attacks: Vec<Option<AttackKind>> = std::iter::once(None)
-        .chain(attack_registry().into_iter().map(|a| Some(a.kind)))
+        .chain(attack_registry().into_iter().map(Some))
         .collect();
     for engine in [EngineKind::Tick, EngineKind::Event] {
         for mitigation in mitigation_registry() {
             for attack in &attacks {
-                let context = format!("{engine:?} / {} / {attack:?}", mitigation.slug);
-                let config = config_for(mitigation.setup.clone(), *attack, 1, engine);
+                let context = format!("{engine:?} / {} / {attack:?}", mitigation.slug());
+                let config = config_for(mitigation.clone(), *attack, 1, engine);
                 assert_fork_equivalent(&config, &context);
             }
         }
@@ -88,9 +88,9 @@ fn fork_equivalence_across_channel_counts() {
     for engine in [EngineKind::Tick, EngineKind::Event] {
         for mitigation in mitigation_registry() {
             for channels in [2, 4] {
-                let context = format!("{engine:?} / {} / {channels}ch", mitigation.slug);
+                let context = format!("{engine:?} / {} / {channels}ch", mitigation.slug());
                 let config = config_for(
-                    mitigation.setup.clone(),
+                    mitigation.clone(),
                     Some(AttackKind::DoubleSided),
                     channels,
                     engine,
@@ -109,14 +109,9 @@ fn fork_equivalence_across_channel_counts() {
 fn fork_equivalence_on_a_two_rank_device() {
     for engine in [EngineKind::Tick, EngineKind::Event] {
         for mitigation in mitigation_registry() {
-            let context = format!("{engine:?} / {} / 2 ranks", mitigation.slug);
-            let config = config_for(
-                mitigation.setup.clone(),
-                Some(AttackKind::DoubleSided),
-                1,
-                engine,
-            )
-            .with_ranks(2);
+            let context = format!("{engine:?} / {} / 2 ranks", mitigation.slug());
+            let config = config_for(mitigation.clone(), Some(AttackKind::DoubleSided), 1, engine)
+                .with_ranks(2);
             assert_fork_equivalent(&config, &context);
         }
     }

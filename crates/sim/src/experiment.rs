@@ -1,17 +1,17 @@
-//! Mitigation descriptors and workload runners for the performance
-//! experiments (Figures 10–14).
+//! Mitigation setups and workload runners for the performance experiments
+//! (Figures 10–14).
 //!
 //! Every performance figure compares one or more *protected* configurations
 //! against the same baseline: a PRAC-enabled DDR5 system with mitigation
 //! disabled outright (no Alert Back-Off, no proactive RFMs of any kind).
-//! The types here are the descriptor layer of the pluggable mitigation API:
-//! a [`MitigationSetup`] is the serialisable description of one
-//! configuration, its [`MitigationDescriptor`] carries the stable
-//! identifiers and the recipe that resolves it (plus a RowHammer threshold)
-//! into a full [`SystemConfig`], and [`mitigation_registry`] enumerates
-//! every built-in setup so callers — the campaign registry, the CLI, and the
-//! engine-equivalence differential harness — discover new defenses without
-//! code changes.
+//! A [`MitigationSetup`] is the serialisable description of one
+//! configuration: it carries its stable slug, label and summary, and
+//! resolves (against a RowHammer threshold) into a full [`SystemConfig`].
+//! [`mitigation_registry`] lists every built-in setup, so callers — the
+//! campaign registry, the CLI, and the engine-equivalence differential
+//! harness — discover new defenses without code changes.  An optional
+//! attacker co-runner replays an [`AttackKind`]'s
+//! [`workloads::attack::AttackStream`] as one extra core's trace.
 
 use cpu_sim::config::CpuConfig;
 use cpu_sim::trace::{Trace, TraceOp};
@@ -79,8 +79,6 @@ pub struct ResolvedMitigation {
     pub policy: MitigationPolicy,
     /// Whether per-row counters reset every tREFW.
     pub counter_reset: bool,
-    /// The Back-Off threshold `NBO` programmed into the device.
-    pub back_off_threshold: u32,
     /// Targeted-Refresh cadence for the device (`None` disables TREF).
     pub tref_every_n_refreshes: Option<u32>,
 }
@@ -134,14 +132,45 @@ impl MitigationSetup {
         }
     }
 
-    /// The descriptor for this setup.
+    /// One-line description for listings.
     #[must_use]
-    pub fn descriptor(&self) -> MitigationDescriptor {
-        MitigationDescriptor::of(self.clone())
+    pub fn summary(&self) -> &'static str {
+        match self {
+            MitigationSetup::BaselineNoAbo => {
+                "no mitigation at all: the normalisation baseline of every figure"
+            }
+            MitigationSetup::AboOnly => {
+                "reactive Alert Back-Off only; leaks activity through RFM timing"
+            }
+            MitigationSetup::AboPlusAcbRfm => {
+                "ABO plus proactive Bank-Activation RFMs; still activity dependent"
+            }
+            MitigationSetup::Tprac { .. } => {
+                "activity-independent Timing-Based RFMs (the paper's defense)"
+            }
+            MitigationSetup::Prfm { .. } => {
+                "periodic RFM every N tREFI; activity independent, no counters"
+            }
+            MitigationSetup::Para { .. } => {
+                "probabilistic per-activation RFMs; seeded, activity dependent"
+            }
+        }
     }
 
-    /// Resolves the declarative setup against a RowHammer threshold (`NBO`
-    /// is set equal to it).
+    /// Whether the resolved policy's RFM timing depends on memory activity
+    /// (and is therefore exploitable as a timing channel).
+    #[must_use]
+    pub fn is_activity_dependent(&self) -> bool {
+        match self {
+            MitigationSetup::BaselineNoAbo => false,
+            MitigationSetup::AboOnly | MitigationSetup::AboPlusAcbRfm => true,
+            MitigationSetup::Tprac { .. } | MitigationSetup::Prfm { .. } => false,
+            MitigationSetup::Para { .. } => true,
+        }
+    }
+
+    /// Resolves the declarative setup against a RowHammer threshold (the
+    /// device's `NBO` is set equal to it).
     ///
     /// # Errors
     ///
@@ -159,19 +188,16 @@ impl MitigationSetup {
             MitigationSetup::BaselineNoAbo => ResolvedMitigation {
                 policy: MitigationPolicy::Disabled,
                 counter_reset: true,
-                back_off_threshold: rowhammer_threshold,
                 tref_every_n_refreshes: None,
             },
             MitigationSetup::AboOnly => ResolvedMitigation {
                 policy: MitigationPolicy::AboOnly,
                 counter_reset: true,
-                back_off_threshold: rowhammer_threshold,
                 tref_every_n_refreshes: None,
             },
             MitigationSetup::AboPlusAcbRfm => ResolvedMitigation {
                 policy: MitigationPolicy::AboPlusAcbRfm,
                 counter_reset: true,
-                back_off_threshold: rowhammer_threshold,
                 tref_every_n_refreshes: None,
             },
             MitigationSetup::Tprac {
@@ -193,7 +219,6 @@ impl MitigationSetup {
                 ResolvedMitigation {
                     policy: MitigationPolicy::Tprac(tprac),
                     counter_reset: *counter_reset,
-                    back_off_threshold: rowhammer_threshold,
                     tref_every_n_refreshes,
                 }
             }
@@ -202,7 +227,6 @@ impl MitigationSetup {
                     every_trefi: *every_trefi,
                 },
                 counter_reset: true,
-                back_off_threshold: rowhammer_threshold,
                 tref_every_n_refreshes: None,
             },
             MitigationSetup::Para { one_in, seed } => ResolvedMitigation {
@@ -211,7 +235,6 @@ impl MitigationSetup {
                     seed: *seed,
                 },
                 counter_reset: true,
-                back_off_threshold: rowhammer_threshold,
                 tref_every_n_refreshes: None,
             },
         };
@@ -232,65 +255,6 @@ impl MitigationSetup {
     }
 }
 
-/// A registered mitigation configuration: the declarative
-/// [`MitigationSetup`] plus its stable identifiers and a one-line summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MitigationDescriptor {
-    /// The declarative setup this descriptor describes.
-    pub setup: MitigationSetup,
-    /// Stable kebab-case slug (scenario names, CLI).
-    pub slug: String,
-    /// Human-readable label (reports, plots).
-    pub label: String,
-    /// One-line description for listings.
-    pub summary: &'static str,
-}
-
-impl MitigationDescriptor {
-    /// Builds the descriptor of a setup.
-    #[must_use]
-    pub fn of(setup: MitigationSetup) -> Self {
-        let summary = match &setup {
-            MitigationSetup::BaselineNoAbo => {
-                "no mitigation at all: the normalisation baseline of every figure"
-            }
-            MitigationSetup::AboOnly => {
-                "reactive Alert Back-Off only; leaks activity through RFM timing"
-            }
-            MitigationSetup::AboPlusAcbRfm => {
-                "ABO plus proactive Bank-Activation RFMs; still activity dependent"
-            }
-            MitigationSetup::Tprac { .. } => {
-                "activity-independent Timing-Based RFMs (the paper's defense)"
-            }
-            MitigationSetup::Prfm { .. } => {
-                "periodic RFM every N tREFI; activity independent, no counters"
-            }
-            MitigationSetup::Para { .. } => {
-                "probabilistic per-activation RFMs; seeded, activity dependent"
-            }
-        };
-        Self {
-            slug: setup.slug(),
-            label: setup.label(),
-            summary,
-            setup,
-        }
-    }
-
-    /// Whether the resolved policy's RFM timing depends on memory activity
-    /// (and is therefore exploitable as a timing channel).
-    #[must_use]
-    pub fn is_activity_dependent(&self) -> bool {
-        match &self.setup {
-            MitigationSetup::BaselineNoAbo => false,
-            MitigationSetup::AboOnly | MitigationSetup::AboPlusAcbRfm => true,
-            MitigationSetup::Tprac { .. } | MitigationSetup::Prfm { .. } => false,
-            MitigationSetup::Para { .. } => true,
-        }
-    }
-}
-
 /// Seed of the registry's default PARA decision stream.  Fixed so that the
 /// registered scenario is deterministic; sweeps that want other streams set
 /// the `seed` field of [`MitigationSetup::Para`] explicitly.
@@ -301,8 +265,8 @@ pub const PARA_DEFAULT_SEED: u64 = 0x9A4A_5EED;
 /// defenses.  The engine-equivalence differential suite iterates this
 /// registry, so a setup added here is automatically raced tick-vs-event.
 #[must_use]
-pub fn mitigation_registry() -> Vec<MitigationDescriptor> {
-    [
+pub fn mitigation_registry() -> Vec<MitigationSetup> {
+    vec![
         MitigationSetup::BaselineNoAbo,
         MitigationSetup::AboOnly,
         MitigationSetup::AboPlusAcbRfm,
@@ -324,9 +288,6 @@ pub fn mitigation_registry() -> Vec<MitigationDescriptor> {
             seed: PARA_DEFAULT_SEED,
         },
     ]
-    .into_iter()
-    .map(MitigationDescriptor::of)
-    .collect()
 }
 
 /// Full experiment configuration: mitigation setup + sweep parameters.
@@ -466,7 +427,7 @@ impl ExperimentConfig {
     }
 
     /// Derives the DRAM-device and controller configurations for this
-    /// experiment by resolving the setup's descriptor.
+    /// experiment by resolving its mitigation setup.
     ///
     /// # Errors
     ///
@@ -495,7 +456,7 @@ impl ExperimentConfig {
         let resolved = self.setup.resolve(self.rowhammer_threshold, &timing)?;
         let prac = PracConfig::builder()
             .rowhammer_threshold(self.rowhammer_threshold)
-            .back_off_threshold(resolved.back_off_threshold)
+            .back_off_threshold(self.rowhammer_threshold)
             .prac_level(self.prac_level)
             .counter_reset_every_trefw(resolved.counter_reset)
             .policy(resolved.policy)
@@ -594,26 +555,27 @@ pub fn workload_traces(
 }
 
 /// Generates the adversarial co-runner's trace: flush+reload pairs
-/// following the attack pattern's address stream, encoded through the
-/// system's address mapping.  The flush after every load forces the next
-/// access to the same line back to DRAM — the `clflush`-armed attacker of
-/// the RowHammer literature — so even single-row patterns hammer through
-/// the cache hierarchy they share with the benign cores.
+/// following the attack's [`workloads::attack::AttackStream`], encoded
+/// through the system's address mapping.  The flush after every load
+/// forces the next access to the same line back to DRAM — the
+/// `clflush`-armed attacker of the RowHammer literature — so even
+/// single-row patterns hammer through the cache hierarchy they share with
+/// the benign cores.
 ///
-/// Trace mode flattens the pattern's burst timing
-/// ([`workloads::attack::AttackAccess::not_before`] advances the pattern's
-/// internal clock but cannot stall the core model) — the determinism
+/// Trace mode flattens the stream's burst timing
+/// ([`workloads::attack::AttackAccess::not_before`] advances a local clock
+/// but cannot stall the core model) — the determinism
 /// contract guarantees the *addresses* are identical either way.  The
 /// cycle-exact burst-honouring attacker model lives in
 /// `pracleak::adversary` instead.
 fn attacker_trace(attack: &AttackKind, system: &SystemConfig, seed: u64) -> Trace {
     let org = system.device.organization;
     let mapping = AddressMap::new(system.controller.mapping, org);
-    let mut pattern = attack.build(&org, system.device.timing.t_refi, seed);
+    let mut stream = attack.stream(&org, system.device.timing.t_refi, seed);
     let mut now = 0u64;
     let ops = (0..system.instructions_per_core.div_ceil(2))
         .flat_map(|_| {
-            let access = pattern.next_access(now);
+            let access = stream.next_access(now);
             now = now.max(access.not_before) + 1;
             let address = mapping.encode(&access.address);
             [TraceOp::Load(address), TraceOp::Flush(address)]
@@ -694,32 +656,30 @@ mod tests {
         let registry = mitigation_registry();
         assert!(registry.len() >= 8, "{} registered setups", registry.len());
         let mut slugs = std::collections::HashSet::new();
-        for descriptor in &registry {
+        for setup in &registry {
             assert!(
-                slugs.insert(descriptor.slug.clone()),
+                slugs.insert(setup.slug()),
                 "duplicate slug {}",
-                descriptor.slug
+                setup.slug()
             );
-            assert!(!descriptor.summary.is_empty());
+            assert!(!setup.summary().is_empty());
         }
         // The registry starts with the normalisation baseline.
-        assert_eq!(registry[0].setup, MitigationSetup::BaselineNoAbo);
+        assert_eq!(registry[0], MitigationSetup::BaselineNoAbo);
     }
 
     #[test]
     fn registry_setups_all_resolve_at_the_paper_threshold() {
         let timing = DramTimingSummary::ddr5_8000b();
-        for descriptor in mitigation_registry() {
-            let resolved = descriptor
-                .setup
+        for setup in mitigation_registry() {
+            let resolved = setup
                 .resolve(1024, &timing)
-                .unwrap_or_else(|e| panic!("{} failed to resolve: {e}", descriptor.slug));
-            assert_eq!(resolved.back_off_threshold, 1024);
+                .unwrap_or_else(|e| panic!("{} failed to resolve: {e}", setup.slug()));
             assert_eq!(
                 resolved.policy.is_activity_dependent(),
-                descriptor.is_activity_dependent(),
-                "{}: descriptor and policy disagree on activity dependence",
-                descriptor.slug
+                setup.is_activity_dependent(),
+                "{}: setup and policy disagree on activity dependence",
+                setup.slug()
             );
         }
     }

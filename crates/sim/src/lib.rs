@@ -18,16 +18,16 @@
 //!   engine whose slab-backed [`event::EventWheel`] jumps straight to each
 //!   component's next wake-up while producing bit-identical results
 //!   (asserted by `tests/engine_equivalence.rs`).
-//! * [`experiment`] — the mitigation-descriptor layer of the pluggable
-//!   defense API: declarative [`experiment::MitigationSetup`]s (baseline,
-//!   ABO-Only, ABO+ACB-RFM, TPRAC with/without TREF and counter reset, and
-//!   the beyond-paper PRFM and PARA engines), the
-//!   [`experiment::mitigation_registry`] that enumerates them for the CLI,
-//!   the campaigns and the differential harness, and helpers that run a
+//! * [`experiment`] — the declarative defenses: [`experiment::MitigationSetup`]s
+//!   (baseline, ABO-Only, ABO+ACB-RFM, TPRAC with/without TREF and counter
+//!   reset, and the beyond-paper PRFM and PARA engines), the
+//!   [`experiment::mitigation_registry`] of setups the CLI, the campaigns
+//!   and the differential harness enumerate, and helpers that run a
 //!   workload under a configuration and report normalised performance.
 //!   [`experiment::ExperimentConfig`] also carries the adversarial
-//!   co-runner knob (`attack`): when set, one extra core replays a
-//!   registered `workloads::attack` pattern next to the benign workload.
+//!   co-runner knob (`attack`): when set, one extra core replays the
+//!   stream of a `workloads::attack::AttackKind` next to the benign
+//!   workload.
 //! * [`energy`] — converts run results into the Table 5 energy-overhead rows
 //!   via the `prac-core` energy model.
 //! * [`snapshot`] — pause and fork:
@@ -57,7 +57,7 @@ pub use energy::energy_overhead_for;
 pub use event::EngineKind;
 pub use experiment::{
     mitigation_registry, run_workload, run_workload_normalized, workload_traces, ExperimentConfig,
-    MitigationDescriptor, MitigationSetup, ResolvedMitigation, PARA_DEFAULT_SEED,
+    MitigationSetup, ResolvedMitigation, PARA_DEFAULT_SEED,
 };
 pub use parallel::parallel_map;
 pub use snapshot::{fork_horizon, PausedSimulation, PrefixOutcome};
@@ -65,5 +65,5 @@ pub use subsystem::{ChannelStats, MemorySubsystem};
 pub use system::{simulations_built, SystemConfig, SystemResult, SystemSimulation};
 // The attacker-side registry mirrors `mitigation_registry` and is consumed
 // by the same layers (campaigns, CLI, differential tests), so re-export it
-// from the simulation facade alongside the defender-side descriptors.
-pub use workloads::attack::{attack_registry, AttackDescriptor, AttackKind, AttackPattern};
+// from the simulation facade alongside the defender-side setups.
+pub use workloads::attack::{attack_registry, AttackKind};

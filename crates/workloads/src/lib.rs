@@ -21,10 +21,11 @@
 //!   reduced "quick" suite for fast runs,
 //! * [`patterns`] — low-level address-pattern iterators (streaming,
 //!   strided, random-over-footprint, hot-set),
-//! * [`attack`] — the pluggable adversary API: the [`attack::AttackPattern`]
-//!   trait, the built-in RowHammer access patterns (single-sided through
-//!   decoy-blast and RFM-pressure), and the [`attack::attack_registry`] the
-//!   campaigns and the CLI enumerate.
+//! * [`attack`] — the adversary: the declarative [`attack::AttackKind`]
+//!   (single-sided through decoy-blast and RFM-pressure), the one
+//!   [`attack::AttackStream`] every kind builds, and the
+//!   [`attack::attack_registry`] of kinds the campaigns and the CLI
+//!   enumerate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +36,6 @@ pub mod generator;
 pub mod patterns;
 pub mod suite;
 
-pub use attack::{attack_registry, AttackAccess, AttackDescriptor, AttackKind, AttackPattern};
+pub use attack::{attack_registry, AttackAccess, AttackKind, AttackStream};
 pub use generator::{AccessPattern, SyntheticWorkload};
 pub use suite::{full_suite, quick_suite, MemoryIntensity, WorkloadGroup, WorkloadSpec};

@@ -18,7 +18,7 @@
 //! | DRAM device | [`dram_sim`] | Cycle-accurate DDR5 model with per-row activation counters, the paper's single-entry mitigation queue per bank and Alert Back-Off |
 //! | Memory controller | [`memctrl`] | Channel-aware address mapping, FR-FCFS scheduling, refresh, the ABO responder and the `Mitigation` enum behind every proactive policy |
 //! | CPU | [`cpu_sim`] | Trace-driven ROB-limited cores with an L1/L2/LLC hierarchy |
-//! | Workloads | [`workloads`] | Synthetic workload suite bucketed by memory intensity, seedable end-to-end, plus the pluggable `AttackPattern` adversary API and its registry |
+//! | Workloads | [`workloads`] | Synthetic workload suite bucketed by memory intensity, seedable end-to-end, plus the `AttackKind` adversary, its one `AttackStream` and the registry of kinds |
 //! | Attacks | [`pracleak`] | PRACLeak covert channels, the AES T-table side channel, and the attack-vs-mitigation adversary driver |
 //! | Full system | [`system_sim`] | The simulation harness: multi-channel `MemorySubsystem`, twin tick/event engines, the scoped-thread `parallel_map` |
 //! | Campaigns | [`campaign`] | Declarative scenario sweeps, result cache, artifacts and the `prac-bench` CLI |
@@ -154,11 +154,11 @@ pub mod prelude {
     };
     pub use system_sim::{
         mitigation_registry, ChannelStats, EngineKind, ExperimentConfig, MemorySubsystem,
-        MitigationDescriptor, MitigationSetup, SystemResult,
+        MitigationSetup, SystemResult,
     };
     pub use workloads::{
-        attack_registry, AccessPattern, AttackAccess, AttackDescriptor, AttackKind, AttackPattern,
-        MemoryIntensity, SyntheticWorkload,
+        attack_registry, AccessPattern, AttackAccess, AttackKind, AttackStream, MemoryIntensity,
+        SyntheticWorkload,
     };
 }
 

@@ -1,5 +1,5 @@
-//! Property suite for the pluggable attack patterns: every registered
-//! pattern must emit only addresses that decode to valid [`DramAddress`]es
+//! Property suite for the attack streams: every registered attack kind's
+//! stream must emit only addresses that decode to valid [`DramAddress`]es
 //! under **every** address mapping and channel count.
 //!
 //! Concretely, for each `attack_registry()` entry × mapping policy
@@ -7,7 +7,7 @@
 //!
 //! * every emitted coordinate is within the organisation's bounds,
 //! * encoding the coordinate to a physical address and decoding it back is
-//!   the identity (the pattern never produces an address the mapping cannot
+//!   the identity (the stream never produces an address the mapping cannot
 //!   represent), and
 //! * the physical address lies inside the subsystem's capacity.
 //!
@@ -39,47 +39,48 @@ proptest! {
     ) {
         let registry = attack_registry();
         prop_assert!(registry.len() >= 6);
-        let descriptor = &registry[pattern_index % registry.len()];
+        let kind = registry[pattern_index % registry.len()];
+        let slug = kind.slug();
         let channels = 1u32 << channel_exp; // 1, 2, 4
         let org = DramOrganization::ddr5_32gb_quad_rank().with_channels(channels);
         prop_assert!(org.is_valid());
         let mapping = AddressMap::new(mapping_kinds()[mapping_index % 3], org);
-        let mut pattern = descriptor.kind.build(&org, T_REFI_TICKS, seed);
+        let mut stream = kind.stream(&org, T_REFI_TICKS, seed);
 
         // The declared hot rows are themselves valid, encodable coordinates.
-        let hot = pattern.hot_rows();
-        prop_assert!(!hot.is_empty(), "{}: empty hot-row set", descriptor.slug);
+        let hot = stream.hot_rows();
+        prop_assert!(!hot.is_empty(), "{}: empty hot-row set", slug);
         for row in &hot {
             let physical = mapping.encode(row);
-            prop_assert_eq!(mapping.decode(physical), *row, "{}: hot row", &descriptor.slug);
+            prop_assert_eq!(mapping.decode(physical), *row, "{}: hot row", &slug);
         }
 
         let mut now = 0u64;
         for _ in 0..512 {
-            let access = pattern.next_access(now);
+            let access = stream.next_access(now);
             now = now.max(access.not_before) + 1;
             let address = access.address;
 
             // In bounds for the organisation.
-            prop_assert!(address.channel < org.channels, "{}: channel", &descriptor.slug);
-            prop_assert!(address.rank < org.ranks, "{}: rank", &descriptor.slug);
-            prop_assert!(address.bank_group < org.bank_groups, "{}: bank group", &descriptor.slug);
-            prop_assert!(address.bank < org.banks_per_group, "{}: bank", &descriptor.slug);
-            prop_assert!(address.row < org.rows_per_bank, "{}: row", &descriptor.slug);
-            prop_assert!(address.column < org.columns_per_row, "{}: column", &descriptor.slug);
+            prop_assert!(address.channel < org.channels, "{}: channel", &slug);
+            prop_assert!(address.rank < org.ranks, "{}: rank", &slug);
+            prop_assert!(address.bank_group < org.bank_groups, "{}: bank group", &slug);
+            prop_assert!(address.bank < org.banks_per_group, "{}: bank", &slug);
+            prop_assert!(address.row < org.rows_per_bank, "{}: row", &slug);
+            prop_assert!(address.column < org.columns_per_row, "{}: column", &slug);
 
             // Encode → decode is the identity and stays inside the capacity.
             let physical = mapping.encode(&address);
             prop_assert!(
                 physical < org.capacity_bytes(),
                 "{}: physical {physical:#x} outside capacity",
-                &descriptor.slug
+                &slug
             );
             prop_assert_eq!(
                 mapping.decode(physical),
                 address,
                 "{}: encode/decode round trip",
-                &descriptor.slug
+                &slug
             );
         }
     }

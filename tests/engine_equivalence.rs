@@ -23,10 +23,7 @@ use workloads::{quick_suite, MemoryIntensity, WorkloadSpec};
 /// raced tick-vs-event here; a registry entry can never ship without
 /// differential coverage.
 fn all_setups() -> Vec<MitigationSetup> {
-    let setups: Vec<MitigationSetup> = mitigation_registry()
-        .into_iter()
-        .map(|descriptor| descriptor.setup)
-        .collect();
+    let setups = mitigation_registry();
     // Guard against the registry accidentally shrinking below the paper's
     // own sweep (baseline + 2 insecure + 3 TPRAC variants + PRFM + PARA).
     assert!(setups.len() >= 8, "registry lost entries: {setups:?}");
@@ -182,11 +179,11 @@ fn engines_agree_across_channel_counts() {
 fn engines_agree_with_an_adversarial_corunner() {
     let workloads = representative_workloads();
     let low_intensity = &workloads[workloads.len() - 1];
-    for descriptor in workloads::attack_registry() {
+    for attack in workloads::attack_registry() {
         let run = |engine: EngineKind| {
             let config = ExperimentConfig::new(MitigationSetup::AboOnly, 6_000)
                 .with_cores(1)
-                .with_attack(Some(descriptor.kind))
+                .with_attack(Some(attack))
                 .with_engine(engine);
             run_workload(&config, &low_intensity.workload, 0xA77)
                 .expect("ABO-only resolves at NRH 1024")
@@ -194,9 +191,10 @@ fn engines_agree_with_an_adversarial_corunner() {
         let ticked = run(EngineKind::Tick);
         let evented = run(EngineKind::Event);
         assert_eq!(
-            ticked, evented,
+            ticked,
+            evented,
             "attack {} diverged between engines",
-            descriptor.slug
+            attack.slug()
         );
         assert_eq!(ticked.core_stats.len(), 2, "benign core + attacker core");
     }

@@ -99,27 +99,47 @@ fn tprac_tb_rfm_times_are_independent_of_access_pattern() {
     }
 }
 
+/// Non-interference, the paper's property of activity-independent RFMs:
+/// under TPRAC and under PRFM the controller's RFM log (every RFM's issue
+/// time) is the same whatever the victim's secret key byte, and no ABO ever
+/// fires, so the RFM timing channel carries nothing about the key.  Under
+/// ABO-Only the log moves with the key.
+///
+/// Measured on the paper attack (NBO 256, 200 encryptions): TPRAC logs
+/// 1,080 identical entries per key, PRFM 135, and ABO-Only 16 that move
+/// with the key.  ABO+ACB-RFM (66 entries) and PARA (29) also gave
+/// identical logs for these five keys, but nothing in those policies
+/// guarantees it, so it is not asserted.  Attacker latencies are not compared: contention between the
+/// victim's and the attacker's requests is a separate channel that the
+/// RFM schedule does not cover.
 #[test]
 fn defended_side_channel_observes_no_key_correlation() {
-    let nbo = 128;
-    let attack = SideChannelExperiment {
-        nbo,
-        encryptions: 100,
-        policy: tprac_policy(nbo),
-        seed: 77,
+    const KEYS: [u8; 5] = [0x00, 0x10, 0x70, 0xa0, 0xf0];
+    let runs = |policy: MitigationPolicy| {
+        let attack = SideChannelExperiment::paper_attack().with_policy(policy);
+        KEYS.map(|k0| attack.run_for_key_byte(k0, 0))
     };
-    let mut recovered = 0;
-    let keys = [0x20u8, 0x80, 0xD0];
-    for &k0 in &keys {
-        let outcome = attack.run_for_key_byte(k0, 0);
-        assert_eq!(outcome.abo_rfms, 0);
-        if outcome.nibble_recovered() {
-            recovered += 1;
+    let constant = [
+        ("TPRAC", tprac_policy(256)),
+        ("PRFM", MitigationPolicy::PeriodicRfm { every_trefi: 2 }),
+    ];
+    for (name, policy) in constant {
+        let outcomes = runs(policy);
+        assert!(!outcomes[0].rfm_times_ns.is_empty(), "{name}: no RFMs");
+        for (k0, outcome) in KEYS.iter().zip(&outcomes) {
+            assert_eq!(outcome.abo_rfms, 0, "{name}, k0 {k0:#04x}: an ABO fired");
+            assert_eq!(
+                outcome.rfm_times_ns, outcomes[0].rfm_times_ns,
+                "{name}: the RFM log moved with k0 {k0:#04x}"
+            );
         }
     }
+    let leaky = runs(MitigationPolicy::AboOnly);
     assert!(
-        recovered < keys.len(),
-        "TPRAC must break the key correlation"
+        leaky
+            .iter()
+            .any(|outcome| outcome.rfm_times_ns != leaky[0].rfm_times_ns),
+        "ABO-Only's RFM log must move with the key"
     );
 }
 
