@@ -88,7 +88,7 @@ pub fn run_adversary(
     let org = controller.device().config().organization;
     let t_refi = controller.device().config().timing.t_refi;
     let stream = attack.stream(&org, t_refi, seed);
-    let mapping = AddressMap::new(setup.mapping, org);
+    let mapping = AddressMap::new(controller.config().mapping, org);
     let mut agent = PatternAgent::new(stream, mapping, accesses);
     let mut runner = MultiAgentRunner::new(controller);
     let elapsed_ticks = runner.run(&mut [&mut agent], max_ticks);

@@ -30,6 +30,7 @@
 use memctrl::controller::MemoryController;
 use memctrl::mapping::AddressMap;
 use memctrl::request::MemoryRequest;
+use prac_core::timing::ticks_to_ns;
 use serde::{Deserialize, Serialize};
 use workloads::attack::{AttackAccess, AttackStream};
 
@@ -57,7 +58,7 @@ impl RecordedAccess {
     /// Observed latency in nanoseconds.
     #[must_use]
     pub fn latency_ns(&self) -> f64 {
-        self.latency_ticks() as f64 * 0.25
+        ticks_to_ns(self.latency_ticks())
     }
 }
 
@@ -417,7 +418,6 @@ mod tests {
     use super::*;
     use dram_sim::device::DramDeviceConfig;
     use memctrl::controller::{ControllerConfig, PagePolicy};
-    use memctrl::mapping::MappingKind;
     use prac_core::config::PracConfig;
 
     fn controller(nbo: u32) -> MemoryController {
@@ -427,7 +427,6 @@ mod tests {
             .build();
         let device = DramDeviceConfig::tiny_for_tests(prac);
         let config = ControllerConfig {
-            mapping: MappingKind::RowInterleaved,
             page_policy: PagePolicy::Closed,
             refresh_enabled: false,
             ..ControllerConfig::default()

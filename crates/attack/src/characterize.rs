@@ -8,6 +8,7 @@
 //! access observes a latency spike even though it targets an unrelated bank.
 
 use prac_core::config::PracLevel;
+use prac_core::timing::ticks_to_ns;
 use serde::{Deserialize, Serialize};
 
 use crate::agents::{MultiAgentRunner, SerializedAccessAgent};
@@ -94,7 +95,7 @@ pub fn run_characterization(
         .history
         .iter()
         .map(|a| LatencySample {
-            time_ns: a.completion_tick as f64 * 0.25,
+            time_ns: ticks_to_ns(a.completion_tick),
             latency_ns: a.latency_ns(),
         })
         .collect();

@@ -17,6 +17,7 @@
 //!   `k` exactly — `log2(NBO)` bits per window.
 
 use prac_core::config::PracLevel;
+use prac_core::timing::ticks_to_ns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -157,17 +158,23 @@ pub fn run_covert_channel(
     }
 }
 
+/// The bit window of the activity-based channel at Back-Off threshold
+/// `nbo`, in ticks: `nbo` serialized activations (each ~ tRC + read
+/// latency at the controller) plus the RFM stall, with ~30% slack for
+/// queueing.
+#[must_use]
+pub fn activity_window_ticks(nbo: u32) -> u64 {
+    let per_access_ticks = 4 * (52 + 36 + 20);
+    (u64::from(nbo) * per_access_ticks * 13) / 10 + 1_400
+}
+
 fn run_activity_based(nbo: u32, payload_bits: usize, seed: u64) -> CovertChannelResult {
     let setup = AttackSetup::new(nbo).with_prac_level(PracLevel::One);
     let controller = setup.build_controller();
 
     let mut rng = StdRng::seed_from_u64(seed);
     let bits: Vec<bool> = (0..payload_bits).map(|_| rng.gen_bool(0.5)).collect();
-
-    // Window: NBO serialized activations (each ~ tRC + read latency at the
-    // controller) plus the RFM stall, with ~30% slack for queueing.
-    let per_access_ticks = 4 * (52 + 36 + 20);
-    let window_ticks = (u64::from(nbo) * per_access_ticks * 13) / 10 + 1_400;
+    let window_ticks = activity_window_ticks(nbo);
 
     // Sender row in bank-group 0; receiver rotates over rows in bank-group 2.
     let sender_row = setup.row_address(&controller, 0, 99, 0);
@@ -198,7 +205,7 @@ fn run_activity_based(nbo: u32, payload_bits: usize, seed: u64) -> CovertChannel
         .filter(|(sent, got)| sent != got)
         .count() as u64;
 
-    let period_us = window_ticks as f64 * 0.25 / 1000.0;
+    let period_us = ticks_to_ns(window_ticks) / 1000.0;
     CovertChannelResult {
         kind: CovertChannelKind::ActivityBased,
         nbo,
@@ -269,7 +276,7 @@ fn run_activation_count_based(nbo: u32, payload_symbols: usize, seed: u64) -> Co
     }
 
     let symbols_count = symbols.len().max(1) as u64;
-    let period_us = total_period_ticks as f64 * 0.25 / 1000.0 / symbols_count as f64;
+    let period_us = ticks_to_ns(total_period_ticks) / 1000.0 / symbols_count as f64;
     let bits_transmitted = symbols_count * u64::from(bits_per_symbol);
     CovertChannelResult {
         kind: CovertChannelKind::ActivationCountBased,

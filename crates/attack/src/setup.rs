@@ -24,9 +24,6 @@ pub struct AttackSetup {
     /// so a real attacker filters them out trivially; removing them keeps the
     /// decoders in this reproduction simple without changing the channel.
     pub refresh_enabled: bool,
-    /// Address-mapping policy (bank-striped by default so that victim and
-    /// attacker pages can share a DRAM row).
-    pub mapping: MappingKind,
     /// Whether per-row PRAC counters reset every tREFW.
     pub counter_reset: bool,
     /// Targeted-Refresh cadence of the device (`None` disables TREF).  Only
@@ -44,7 +41,6 @@ impl AttackSetup {
             prac_level: PracLevel::One,
             policy: MitigationPolicy::AboOnly,
             refresh_enabled: false,
-            mapping: MappingKind::BankStriped,
             counter_reset: true,
             tref_every_n_refreshes: None,
         }
@@ -85,8 +81,9 @@ impl AttackSetup {
         self
     }
 
-    /// Builds the memory controller (full DDR5 organisation, closed-page
-    /// policy so every serialized access is an activation).
+    /// Builds the memory controller (full DDR5 organisation, bank-striped
+    /// mapping so that victim and attacker pages can share a DRAM row,
+    /// closed-page policy so every serialized access is an activation).
     #[must_use]
     pub fn build_controller(&self) -> MemoryController {
         let prac = PracConfig::builder()
@@ -102,10 +99,9 @@ impl AttackSetup {
             ..DramDeviceConfig::paper_default()
         };
         let controller_config = ControllerConfig {
-            mapping: self.mapping,
+            mapping: MappingKind::BankStriped,
             page_policy: PagePolicy::Closed,
             refresh_enabled: self.refresh_enabled,
-            ..ControllerConfig::default()
         };
         MemoryController::new(device, controller_config)
     }

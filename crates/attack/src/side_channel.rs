@@ -25,6 +25,7 @@
 //! RFM the attacker observes is uncorrelated with the key.
 
 use prac_core::config::{MitigationPolicy, PracLevel};
+use prac_core::timing::ticks_to_ns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -156,7 +157,7 @@ impl SideChannelExperiment {
             attacker_latencies_ns: latencies,
             abo_rfms: runner.controller().stats().abo_rfms,
             tb_rfms: runner.controller().stats().tb_rfms,
-            rfm_times_ns: rfm_log.iter().map(|(t, _)| *t as f64 * 0.25).collect(),
+            rfm_times_ns: rfm_log.iter().map(|&(t, _)| ticks_to_ns(t)).collect(),
         }
     }
 

@@ -181,7 +181,6 @@ impl Race {
 /// The agent `run_adversary` builds for one cell.
 fn pattern_agent(
     attack: &AttackKind,
-    setup: &AttackSetup,
     controller: &MemoryController,
     accesses: u64,
     seed: u64,
@@ -190,7 +189,7 @@ fn pattern_agent(
     let t_refi = controller.device().config().timing.t_refi;
     Recorder::new(PatternAgent::new(
         attack.stream(&org, t_refi, seed),
-        AddressMap::new(setup.mapping, org),
+        AddressMap::new(controller.config().mapping, org),
         accesses,
     ))
 }
@@ -216,8 +215,8 @@ fn race_attack(attack: &AttackKind, setup: &AttackSetup, accesses: u64, seed: u6
     let context = format!("{label} / {} / seed {seed}", attack.slug());
     let max_ticks = accesses * TICKS_PER_ACCESS;
     let controller = setup.build_controller();
-    let mut event_agent = pattern_agent(attack, setup, &controller, accesses, seed);
-    let mut oracle_agent = pattern_agent(attack, setup, &controller, accesses, seed);
+    let mut event_agent = pattern_agent(attack, &controller, accesses, seed);
+    let mut oracle_agent = pattern_agent(attack, &controller, accesses, seed);
     let observed = Race::new(controller).run(
         &mut [&mut event_agent],
         &mut [&mut oracle_agent],
@@ -431,7 +430,7 @@ fn event_runner_visits_under_a_tenth_of_the_ticks() {
     let setup = campaign_setup(&tprac, 1024).expect("configurable at NRH 1024");
     let accesses = 2_000;
     let controller = setup.build_controller();
-    let mut agent = pattern_agent(&AttackKind::DoubleSided, &setup, &controller, accesses, 0);
+    let mut agent = pattern_agent(&AttackKind::DoubleSided, &controller, accesses, 0);
     let mut runner = MultiAgentRunner::new(controller);
     let elapsed_ticks = runner.run(&mut [&mut agent], accesses * TICKS_PER_ACCESS);
     assert_eq!(agent.inner.completed(), accesses);

@@ -27,8 +27,6 @@
 //! * [`security`] — the Feinting/Wave worst-case analysis (Equations 1–5 of
 //!   the paper) that computes the maximum activations an adversary can land on
 //!   a single row (`TMAX`) and solves for the largest safe `TB-Window`.
-//! * [`obfuscation`] — the alternative obfuscation-based defense of Section 7.1
-//!   (random RFM injection) and its leakage estimate.
 //! * [`energy`] — the energy-overhead model behind Table 5.
 //! * [`overhead`] — storage-overhead accounting (Section 6.8).
 //!
@@ -57,7 +55,6 @@
 pub mod config;
 pub mod energy;
 pub mod error;
-pub mod obfuscation;
 pub mod overhead;
 pub mod queue;
 pub mod security;

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{ConfigError, Result};
 use crate::security::{CounterResetPolicy, SecurityAnalysis};
-use crate::timing::DramTimingSummary;
+use crate::timing::{ticks_to_ns, DramTimingSummary};
 
 /// Rate at which the DRAM performs Targeted Refreshes (TREFs), expressed as
 /// one TREF every `n` tREFI.
@@ -137,7 +137,7 @@ impl TpracConfig {
     /// (`tRFMab / TB-Window`), before accounting for skipped windows.
     #[must_use]
     pub fn bandwidth_loss_bound(&self, timing: &DramTimingSummary) -> f64 {
-        timing.t_rfmab_ns / (self.tb_window_ticks as f64 * 0.25)
+        timing.t_rfmab_ns / ticks_to_ns(self.tb_window_ticks)
     }
 
     /// Fraction of TB-RFMs that can be skipped thanks to Targeted Refreshes

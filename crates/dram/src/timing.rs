@@ -5,7 +5,7 @@
 //! the 32 Gb DDR5-8000B device of Table 3 with the PRAC-adjusted precharge
 //! and write-recovery timings already applied.
 
-use prac_core::timing::{ns_to_ticks, DramTimingSummary};
+use prac_core::timing::{ns_to_ticks, ticks_to_ns, DramTimingSummary};
 use serde::{Deserialize, Serialize};
 
 /// Full timing parameter set used by the per-bank state machine.
@@ -100,12 +100,12 @@ impl DramTimingParams {
     #[must_use]
     pub fn summary(&self, rows_per_bank: u32) -> DramTimingSummary {
         DramTimingSummary {
-            t_rc_ns: self.t_rc as f64 * 0.25,
-            t_refi_ns: self.t_refi as f64 * 0.25,
-            t_refw_ns: self.t_refw as f64 * 0.25,
-            t_rfc_ns: self.t_rfc as f64 * 0.25,
-            t_rfmab_ns: self.t_rfmab as f64 * 0.25,
-            t_abo_act_ns: self.t_abo_act as f64 * 0.25,
+            t_rc_ns: ticks_to_ns(self.t_rc),
+            t_refi_ns: ticks_to_ns(self.t_refi),
+            t_refw_ns: ticks_to_ns(self.t_refw),
+            t_rfc_ns: ticks_to_ns(self.t_rfc),
+            t_rfmab_ns: ticks_to_ns(self.t_rfmab),
+            t_abo_act_ns: ticks_to_ns(self.t_abo_act),
             rows_per_bank,
         }
     }

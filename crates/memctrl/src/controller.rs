@@ -5,7 +5,6 @@ use dram_sim::command::{DramCommand, IssueError};
 use dram_sim::device::{DramDevice, DramDeviceConfig};
 use dram_sim::org::DramAddress;
 use prac_core::config::{MitigationPolicy, PracConfig};
-use prac_core::obfuscation::{InjectionSequence, ObfuscationConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::mapping::{AddressMap, MappingKind};
@@ -34,10 +33,6 @@ pub struct ControllerConfig {
     pub page_policy: PagePolicy,
     /// Whether periodic refresh is issued every tREFI.
     pub refresh_enabled: bool,
-    /// Obfuscation defense: inject random RFMs with this configuration.
-    pub obfuscation: Option<ObfuscationConfig>,
-    /// Seed for the obfuscation injection sequence.
-    pub obfuscation_seed: u64,
 }
 
 impl Default for ControllerConfig {
@@ -46,8 +41,6 @@ impl Default for ControllerConfig {
             mapping: MappingKind::Mop,
             page_policy: PagePolicy::Open,
             refresh_enabled: true,
-            obfuscation: None,
-            obfuscation_seed: 0x5eed_5eed,
         }
     }
 }
@@ -108,10 +101,6 @@ pub struct MemoryController {
     abo: AboResponder,
     /// The proactive mitigation.
     mitigation: Mitigation,
-    /// Obfuscation injection sequence, evaluated once per tREFI.
-    injection: Option<InjectionSequence>,
-    /// Next tick at which the injection decision is made.
-    next_injection_check: u64,
     /// History of issued RFMs as (tick, kind).  Recording stops after
     /// [`RFM_LOG_CAP`] entries (the *first* ~1 M RFMs are kept, later ones
     /// are dropped) to keep memory use flat on pathological runs.
@@ -144,9 +133,6 @@ impl MemoryController {
         let timing = device_config.timing;
         let abo = AboResponder::new(&device_config.prac, timing.t_abo_act);
         let mitigation = Mitigation::new(&device_config.prac, timing.t_refi);
-        let injection = config
-            .obfuscation
-            .map(|cfg| InjectionSequence::new(cfg, config.obfuscation_seed));
         let mapping = AddressMap::new(config.mapping, device_config.organization);
         let scheduler = FrFcfsScheduler::paper_default();
         let next_refresh = timing.t_refi;
@@ -166,8 +152,6 @@ impl MemoryController {
             next_refresh,
             abo,
             mitigation,
-            injection,
-            next_injection_check: timing.t_refi,
             config,
             rfm_log: Vec::new(),
             next_completion: u64::MAX,
@@ -183,12 +167,11 @@ impl MemoryController {
     /// [`MemoryController::new`] derives from the PRAC configuration — the
     /// mitigation, the ABO responder, the declarative policy and the
     /// device-side PRAC parameters — while leaving all accumulated state
-    /// (queues, scheduler streaks, bank counters, statistics, the
-    /// obfuscation sequence) untouched.  A fresh mitigation is correct at
-    /// the fork point because every one derives its schedule from absolute
-    /// deadlines anchored at tick 0 and the fork point lies before the
-    /// target policy's first possible divergence (the campaign layer
-    /// computes that horizon).
+    /// (queues, scheduler streaks, bank counters, statistics) untouched.
+    /// A fresh mitigation is correct at the fork point because every one
+    /// derives its schedule from absolute deadlines anchored at tick 0 and
+    /// the fork point lies before the target policy's first possible
+    /// divergence (the campaign layer computes that horizon).
     pub fn refit_mitigation(&mut self, prac: PracConfig, tref_every_n_refreshes: Option<u32>) {
         let timing = self.device.config().timing;
         self.mitigation = Mitigation::new(&prac, timing.t_refi);
@@ -462,19 +445,6 @@ impl MemoryController {
             }
             // Channel busy: the mitigation decides whether to defer or drop.
             self.mitigation.rfm_rejected();
-            return false;
-        }
-
-        // Obfuscation: one injection decision per tREFI.
-        if let Some(injection) = &mut self.injection {
-            if now >= self.next_injection_check {
-                self.next_injection_check += self.device.config().timing.t_refi;
-                if injection.next_decision()
-                    && self.try_issue_rfm(now, RfmKind::InjectedRfm).is_some()
-                {
-                    return true;
-                }
-            }
         }
         false
     }
@@ -637,7 +607,6 @@ impl MemoryController {
     /// * the ABO responder (a freshly asserted Alert, or an owed RFM),
     /// * the mitigation's own registration ([`Mitigation::next_event_at`]:
     ///   proactive-RFM eligibility, timing deadlines, deferred-RFM retries),
-    /// * the obfuscation injection check,
     /// * the next command the FR-FCFS demand scheduler would attempt.
     ///
     /// An oracle for the wake-up [`MemoryController::poll`] returns: it
@@ -683,9 +652,6 @@ impl MemoryController {
                 .next_event_at(now, self.activity(), channel_ready)
         {
             earlier(&mut wake, mitigation_wake.max(soonest));
-        }
-        if self.injection.is_some() {
-            earlier(&mut wake, self.next_injection_check.max(soonest));
         }
         if let Some((_, cmd)) = choice {
             // When the attempted command is rejected for timing, the device
@@ -793,7 +759,6 @@ mod tests {
             .policy(policy)
             .build();
         let config = ControllerConfig {
-            mapping: MappingKind::RowInterleaved,
             refresh_enabled: false,
             ..ControllerConfig::default()
         };
@@ -936,7 +901,6 @@ mod tests {
             .build();
         let device_config = DramDeviceConfig::tiny_for_tests(prac);
         let config = ControllerConfig {
-            mapping: MappingKind::RowInterleaved,
             refresh_enabled: false,
             ..ControllerConfig::default()
         };
@@ -988,7 +952,6 @@ mod tests {
             .build();
         let device_config = DramDeviceConfig::tiny_for_tests(prac);
         let config = ControllerConfig {
-            mapping: MappingKind::RowInterleaved,
             refresh_enabled: false,
             ..ControllerConfig::default()
         };
@@ -1053,7 +1016,6 @@ mod tests {
                 .build();
             let device_config = DramDeviceConfig::tiny_for_tests(prac);
             let config = ControllerConfig {
-                mapping: MappingKind::RowInterleaved,
                 refresh_enabled: false,
                 ..ControllerConfig::default()
             };
@@ -1094,25 +1056,6 @@ mod tests {
     }
 
     #[test]
-    fn obfuscation_injects_random_rfms() {
-        let prac = PracConfig::builder().rowhammer_threshold(1024).build();
-        let device_config = DramDeviceConfig::tiny_for_tests(prac);
-        let t_refi = device_config.timing.t_refi;
-        let config = ControllerConfig {
-            refresh_enabled: false,
-            obfuscation: Some(ObfuscationConfig::new(1.0).unwrap()),
-            ..ControllerConfig::default()
-        };
-        let mut ctrl = MemoryController::new(device_config, config);
-        let _ = ctrl.run_until(0, t_refi * 5 + 10);
-        assert!(
-            ctrl.stats().injected_rfms >= 4,
-            "expected injected RFMs every tREFI, got {}",
-            ctrl.stats().injected_rfms
-        );
-    }
-
-    #[test]
     fn run_until_matches_ticking_every_cycle() {
         let timing = DramTimingSummary::ddr5_8000b();
         let policies = [
@@ -1127,9 +1070,7 @@ mod tests {
                 .policy(policy)
                 .build();
             let config = ControllerConfig {
-                mapping: MappingKind::RowInterleaved,
                 page_policy: PagePolicy::Closed,
-                obfuscation: Some(ObfuscationConfig::new(0.5).unwrap()),
                 ..ControllerConfig::default()
             };
             let mut skipping =

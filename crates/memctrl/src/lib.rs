@@ -14,12 +14,12 @@
 //! * **Scheduling**: First-Ready First-Come-First-Served (FR-FCFS) with a cap
 //!   on consecutive row-buffer hits, plus open/closed page policies.
 //! * **Refresh management**: periodic all-bank refresh every tREFI.
-//! * **RFM management**: the Alert Back-Off responder (ABO-RFM) as shared
-//!   controller infrastructure, the obfuscation defense's random RFM
-//!   injection, and one [`mitigation::Mitigation`] enum for every proactive
-//!   policy — ACB-RFMs, TPRAC's Timing-Based RFMs with Targeted-Refresh
-//!   co-design, periodic PRFM and probabilistic PARA — built from the
-//!   device's [`prac_core::config::MitigationPolicy`].
+//! * **RFM management**: two RFM sources — the Alert Back-Off responder
+//!   (ABO-RFM) as shared controller infrastructure, and one
+//!   [`mitigation::Mitigation`] enum for every proactive policy — ACB-RFMs,
+//!   TPRAC's Timing-Based RFMs with Targeted-Refresh co-design, periodic
+//!   PRFM and probabilistic PARA — built from the device's
+//!   [`prac_core::config::MitigationPolicy`].
 //! * **Per-request latency recording**, the observable the PRACLeak attacks
 //!   monitor.
 

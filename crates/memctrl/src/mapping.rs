@@ -1,6 +1,6 @@
 //! Physical-address → DRAM-coordinate mapping.
 //!
-//! One [`AddressMap`] serves the three layouts [`MappingKind`] names:
+//! One [`AddressMap`] serves the two layouts [`MappingKind`] names:
 //!
 //! * [`MappingKind::Mop`] — Minimalist Open-Page (the paper's Table 3
 //!   policy): a run of four consecutive cache lines stays in the same row to
@@ -12,14 +12,11 @@
 //!   This is the mapping property the activation-count covert channel and
 //!   the AES side channel rely on (two processes sharing one physical DRAM
 //!   row).
-//! * [`MappingKind::RowInterleaved`] — a simple row:rank:bank-group:bank:
-//!   column layout used as a baseline in tests.
 //!
-//! All three are one layout of the within-channel cache-line index, low →
-//! high: `[column-low, bank-group, bank, rank, column-high, row]`.  They
-//! differ only in how many column bits sit below the bank bits (MOP two,
-//! bank-striped none, row-interleaved all of them) and in that
-//! row-interleaved puts the bank field below the bank-group field.
+//! Both are one layout of the within-channel cache-line index, low → high:
+//! `[column-low, bank-group, bank, rank, column-high, row]`.  They differ
+//! only in how many column bits sit below the bank bits: MOP two,
+//! bank-striped none.
 //!
 //! # Channel bits
 //!
@@ -44,8 +41,6 @@ pub enum MappingKind {
     Mop,
     /// Cache lines striped across banks.
     BankStriped,
-    /// Row-interleaved baseline.
-    RowInterleaved,
 }
 
 /// Column bits of a MOP run: four consecutive cache lines share a row.
@@ -60,12 +55,8 @@ const MOP_RUN_BITS: u32 = 2;
 pub struct AddressMap {
     org: DramOrganization,
     /// Field widths of the within-channel line index, low → high:
-    /// `[column-low, lower bank field, upper bank field, rank, column-high,
-    /// row]`.
+    /// `[column-low, bank-group, bank, rank, column-high, row]`.
     widths: [u32; 6],
-    /// The lower bank field is the bank and the upper one the bank group
-    /// (row-interleaved); otherwise the other way round.
-    bank_below_group: bool,
 }
 
 impl AddressMap {
@@ -81,26 +72,17 @@ impl AddressMap {
         let column_low = match kind {
             MappingKind::Mop => MOP_RUN_BITS.min(column),
             MappingKind::BankStriped => 0,
-            MappingKind::RowInterleaved => column,
-        };
-        let bank_below_group = kind == MappingKind::RowInterleaved;
-        let (group, bank) = (log2(org.bank_groups), log2(org.banks_per_group));
-        let (lower, upper) = if bank_below_group {
-            (bank, group)
-        } else {
-            (group, bank)
         };
         Self {
             org,
             widths: [
                 column_low,
-                lower,
-                upper,
+                log2(org.bank_groups),
+                log2(org.banks_per_group),
                 log2(org.ranks),
                 column - column_low,
                 log2(org.rows_per_bank),
             ],
-            bank_below_group,
         }
     }
 
@@ -110,16 +92,11 @@ impl AddressMap {
     pub fn decode(&self, physical_address: u64) -> DramAddress {
         let line = self.line(physical_address);
         let f = extract_fields(line >> log2(self.org.channels), &self.widths);
-        let (bank_group, bank) = if self.bank_below_group {
-            (f[2], f[1])
-        } else {
-            (f[1], f[2])
-        };
         DramAddress {
             channel: self.channel_of(line),
             rank: f[3],
-            bank_group,
-            bank,
+            bank_group: f[1],
+            bank: f[2],
             row: f[5],
             column: f[0] | (f[4] << self.widths[0]),
         }
@@ -141,17 +118,12 @@ impl AddressMap {
             "channel {} out of range",
             address.channel
         );
-        let (lower, upper) = if self.bank_below_group {
-            (address.bank, address.bank_group)
-        } else {
-            (address.bank_group, address.bank)
-        };
         let column_low = self.widths[0];
         let inner = pack_fields(
             &[
                 address.column & ((1 << column_low) - 1),
-                lower,
-                upper,
+                address.bank_group,
+                address.bank,
                 address.rank,
                 address.column >> column_low,
                 address.row,
@@ -218,11 +190,7 @@ mod tests {
         DramOrganization::ddr5_32gb_quad_rank()
     }
 
-    const KINDS: [MappingKind; 3] = [
-        MappingKind::Mop,
-        MappingKind::BankStriped,
-        MappingKind::RowInterleaved,
-    ];
+    const KINDS: [MappingKind; 2] = [MappingKind::Mop, MappingKind::BankStriped];
 
     #[test]
     fn mop_keeps_short_runs_in_one_row() {
@@ -308,17 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn row_interleaved_keeps_whole_row_contiguous() {
-        let m = AddressMap::new(MappingKind::RowInterleaved, org());
-        let base = 0u64;
-        let first = m.decode(base);
-        for i in 1..u64::from(org().columns_per_row) {
-            let next = m.decode(base + i * 64);
-            assert!(first.same_row(&next));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "power-of-two")]
     fn invalid_organisation_is_rejected() {
         let mut o = DramOrganization::tiny_for_tests();
@@ -394,7 +351,7 @@ mod tests {
     /// bits), so any change to a layout fails here first.
     #[test]
     fn decodes_match_the_pinned_layouts() {
-        use MappingKind::{BankStriped, Mop, RowInterleaved};
+        use MappingKind::{BankStriped, Mop};
         const PINNED: &[(MappingKind, u32, u32, u64, [u32; 6])] = &[
             (Mop, 1, 4, 0x0, [0, 0, 0, 0, 0, 0]),
             (Mop, 1, 4, 0xc0, [0, 0, 0, 0, 0, 3]),
@@ -480,50 +437,8 @@ mod tests {
             (BankStriped, 4, 2, 0x400001c0, [3, 0, 1, 0, 512, 0]),
             (BankStriped, 4, 2, 0x8000030c0, [3, 1, 0, 2, 16384, 0]),
             (BankStriped, 4, 2, 0xfffffffc0, [3, 1, 7, 3, 32767, 127]),
-            (RowInterleaved, 1, 4, 0x0, [0, 0, 0, 0, 0, 0]),
-            (RowInterleaved, 1, 4, 0xc0, [0, 0, 0, 0, 0, 3]),
-            (RowInterleaved, 1, 4, 0x140, [0, 0, 0, 0, 0, 5]),
-            (RowInterleaved, 1, 4, 0x12345640, [0, 1, 0, 2, 291, 89]),
-            (RowInterleaved, 1, 4, 0x400001c0, [0, 0, 0, 0, 1024, 7]),
-            (RowInterleaved, 1, 4, 0x8000030c0, [0, 0, 0, 1, 32768, 67]),
-            (RowInterleaved, 1, 4, 0xfffffffc0, [0, 3, 7, 3, 65535, 127]),
-            (RowInterleaved, 1, 2, 0x0, [0, 0, 0, 0, 0, 0]),
-            (RowInterleaved, 1, 2, 0xc0, [0, 0, 0, 0, 0, 3]),
-            (RowInterleaved, 1, 2, 0x140, [0, 0, 0, 0, 0, 5]),
-            (RowInterleaved, 1, 2, 0x12345640, [0, 1, 0, 2, 582, 89]),
-            (RowInterleaved, 1, 2, 0x400001c0, [0, 0, 0, 0, 2048, 7]),
-            (RowInterleaved, 1, 2, 0x8000030c0, [0, 0, 0, 1, 65536, 67]),
-            (RowInterleaved, 1, 2, 0xfffffffc0, [0, 1, 7, 3, 131071, 127]),
-            (RowInterleaved, 2, 4, 0x0, [0, 0, 0, 0, 0, 0]),
-            (RowInterleaved, 2, 4, 0xc0, [1, 0, 0, 0, 0, 1]),
-            (RowInterleaved, 2, 4, 0x140, [1, 0, 0, 0, 0, 2]),
-            (RowInterleaved, 2, 4, 0x12345640, [1, 2, 4, 1, 145, 44]),
-            (RowInterleaved, 2, 4, 0x400001c0, [1, 0, 0, 0, 512, 3]),
-            (RowInterleaved, 2, 4, 0x8000030c0, [1, 0, 0, 0, 16384, 97]),
-            (RowInterleaved, 2, 4, 0xfffffffc0, [1, 3, 7, 3, 32767, 127]),
-            (RowInterleaved, 2, 2, 0x0, [0, 0, 0, 0, 0, 0]),
-            (RowInterleaved, 2, 2, 0xc0, [1, 0, 0, 0, 0, 1]),
-            (RowInterleaved, 2, 2, 0x140, [1, 0, 0, 0, 0, 2]),
-            (RowInterleaved, 2, 2, 0x12345640, [1, 0, 4, 1, 291, 44]),
-            (RowInterleaved, 2, 2, 0x400001c0, [1, 0, 0, 0, 1024, 3]),
-            (RowInterleaved, 2, 2, 0x8000030c0, [1, 0, 0, 0, 32768, 97]),
-            (RowInterleaved, 2, 2, 0xfffffffc0, [1, 1, 7, 3, 65535, 127]),
-            (RowInterleaved, 4, 4, 0x0, [0, 0, 0, 0, 0, 0]),
-            (RowInterleaved, 4, 4, 0xc0, [3, 0, 0, 0, 0, 0]),
-            (RowInterleaved, 4, 4, 0x140, [1, 0, 0, 0, 0, 1]),
-            (RowInterleaved, 4, 4, 0x12345640, [1, 3, 2, 0, 72, 86]),
-            (RowInterleaved, 4, 4, 0x400001c0, [3, 0, 0, 0, 256, 1]),
-            (RowInterleaved, 4, 4, 0x8000030c0, [3, 0, 0, 0, 8192, 48]),
-            (RowInterleaved, 4, 4, 0xfffffffc0, [3, 3, 7, 3, 16383, 127]),
-            (RowInterleaved, 4, 2, 0x0, [0, 0, 0, 0, 0, 0]),
-            (RowInterleaved, 4, 2, 0xc0, [3, 0, 0, 0, 0, 0]),
-            (RowInterleaved, 4, 2, 0x140, [1, 0, 0, 0, 0, 1]),
-            (RowInterleaved, 4, 2, 0x12345640, [1, 1, 2, 0, 145, 86]),
-            (RowInterleaved, 4, 2, 0x400001c0, [3, 0, 0, 0, 512, 1]),
-            (RowInterleaved, 4, 2, 0x8000030c0, [3, 0, 0, 0, 16384, 48]),
-            (RowInterleaved, 4, 2, 0xfffffffc0, [3, 1, 7, 3, 32767, 127]),
         ];
-        assert_eq!(PINNED.len(), 3 * 3 * 2 * 7);
+        assert_eq!(PINNED.len(), 2 * 3 * 2 * 7);
         for &(kind, channels, ranks, pa, [channel, rank, bank_group, bank, row, column]) in PINNED {
             let m = AddressMap::new(kind, org().with_channels(channels).with_ranks(ranks));
             let expected = DramAddress {
@@ -551,11 +466,7 @@ mod proptests {
         DramOrganization::ddr5_32gb_quad_rank()
     }
 
-    const KINDS: [MappingKind; 3] = [
-        MappingKind::Mop,
-        MappingKind::BankStriped,
-        MappingKind::RowInterleaved,
-    ];
+    const KINDS: [MappingKind; 2] = [MappingKind::Mop, MappingKind::BankStriped];
 
     proptest! {
         #[test]
@@ -569,14 +480,6 @@ mod proptests {
         #[test]
         fn bank_striped_bijective(line in 0u64..(1u64 << 31)) {
             let m = AddressMap::new(MappingKind::BankStriped, org());
-            let pa = line * 64;
-            let decoded = m.decode(pa);
-            prop_assert_eq!(m.encode(&decoded), pa);
-        }
-
-        #[test]
-        fn row_interleaved_bijective(line in 0u64..(1u64 << 31)) {
-            let m = AddressMap::new(MappingKind::RowInterleaved, org());
             let pa = line * 64;
             let decoded = m.decode(pa);
             prop_assert_eq!(m.encode(&decoded), pa);
@@ -596,7 +499,7 @@ mod proptests {
         fn multi_channel_bijective(
             line in 0u64..(1u64 << 31),
             channels in 1u32..4u32,
-            kind_index in 0usize..3,
+            kind_index in 0..KINDS.len(),
         ) {
             let o = org().with_channels(1 << channels);
             let m = AddressMap::new(KINDS[kind_index], o);
@@ -625,7 +528,7 @@ mod proptests {
             line in 0u64..(1u64 << 31),
             channels_log2 in 0u32..3,
             ranks_log2 in 0u32..2,
-            kind_index in 0usize..3,
+            kind_index in 0..KINDS.len(),
         ) {
             let o = org()
                 .with_channels(1 << channels_log2)

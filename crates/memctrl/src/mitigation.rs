@@ -39,7 +39,6 @@
 //! than the first tick at which `poll` would return a non-idle decision.
 
 use prac_core::config::{MitigationPolicy, PracConfig};
-use prac_core::obfuscation::xorshift64_star;
 
 use crate::rfm::RfmKind;
 
@@ -301,6 +300,18 @@ impl Para {
             .any(|_| xorshift64_star(&mut state) < self.threshold)
             .then_some(now + 1)
     }
+}
+
+/// One step of the xorshift64* generator behind PARA's draws: advances
+/// `state` and returns the step's output.  A zero state stays zero, so
+/// seeds are clamped to at least 1.
+fn xorshift64_star(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Memory requests and their completion records.
 
+use prac_core::timing::ticks_to_ns;
 use serde::{Deserialize, Serialize};
 
 /// Whether a request reads or writes its cache line.
@@ -77,7 +78,7 @@ impl CompletedRequest {
     /// End-to-end latency in nanoseconds.
     #[must_use]
     pub fn latency_ns(&self) -> f64 {
-        self.latency_ticks() as f64 * 0.25
+        ticks_to_ns(self.latency_ticks())
     }
 }
 

@@ -30,8 +30,6 @@ pub enum RfmKind {
     PeriodicRfm,
     /// PARA-style probabilistic per-activation RFM (activity dependent).
     ParaRfm,
-    /// Randomly injected RFM from the obfuscation defense.
-    InjectedRfm,
 }
 
 impl RfmKind {
@@ -139,7 +137,6 @@ mod tests {
         assert!(RfmKind::ParaRfm.is_activity_dependent());
         assert!(!RfmKind::TbRfm.is_activity_dependent());
         assert!(!RfmKind::PeriodicRfm.is_activity_dependent());
-        assert!(!RfmKind::InjectedRfm.is_activity_dependent());
     }
 
     #[test]

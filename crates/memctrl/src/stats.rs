@@ -1,6 +1,7 @@
 //! Controller-side statistics: request latencies, row-buffer behaviour and
 //! RFM accounting.
 
+use prac_core::timing::ticks_to_ns;
 use serde::{Deserialize, Serialize};
 
 use crate::rfm::RfmKind;
@@ -30,8 +31,6 @@ pub struct ControllerStats {
     pub periodic_rfms: u64,
     /// PARA-style probabilistic RFMs issued.
     pub para_rfms: u64,
-    /// Randomly injected (obfuscation) RFMs issued.
-    pub injected_rfms: u64,
     /// TB-RFMs skipped thanks to Targeted Refreshes.
     pub tb_rfms_skipped: u64,
     /// Sum of completed-request latencies, in ticks.
@@ -50,12 +49,7 @@ impl ControllerStats {
     /// Total RFMs issued, of any kind.
     #[must_use]
     pub fn total_rfms(&self) -> u64 {
-        self.abo_rfms
-            + self.acb_rfms
-            + self.tb_rfms
-            + self.periodic_rfms
-            + self.para_rfms
-            + self.injected_rfms
+        self.abo_rfms + self.acb_rfms + self.tb_rfms + self.periodic_rfms + self.para_rfms
     }
 
     /// Average request latency in ticks (0 when nothing completed).
@@ -72,7 +66,7 @@ impl ControllerStats {
     /// Average request latency in nanoseconds.
     #[must_use]
     pub fn average_latency_ns(&self) -> f64 {
-        self.average_latency_ticks() * 0.25
+        self.average_latency_ticks() * ticks_to_ns(1)
     }
 
     /// Row-buffer hit rate over all completed requests.
@@ -94,7 +88,6 @@ impl ControllerStats {
             RfmKind::TbRfm => self.tb_rfms += 1,
             RfmKind::PeriodicRfm => self.periodic_rfms += 1,
             RfmKind::ParaRfm => self.para_rfms += 1,
-            RfmKind::InjectedRfm => self.injected_rfms += 1,
         }
     }
 
@@ -123,7 +116,6 @@ impl ControllerStats {
             tb_rfms,
             periodic_rfms,
             para_rfms,
-            injected_rfms,
             tb_rfms_skipped,
             total_latency_ticks,
             max_latency_ticks,
@@ -139,7 +131,6 @@ impl ControllerStats {
         self.tb_rfms += tb_rfms;
         self.periodic_rfms += periodic_rfms;
         self.para_rfms += para_rfms;
-        self.injected_rfms += injected_rfms;
         self.tb_rfms_skipped += tb_rfms_skipped;
         self.total_latency_ticks += total_latency_ticks;
         self.max_latency_ticks = self.max_latency_ticks.max(max_latency_ticks);
@@ -165,16 +156,14 @@ mod tests {
         s.record_rfm(RfmKind::TbRfm);
         s.record_rfm(RfmKind::TbRfm);
         s.record_rfm(RfmKind::AcbRfm);
-        s.record_rfm(RfmKind::InjectedRfm);
         s.record_rfm(RfmKind::PeriodicRfm);
         s.record_rfm(RfmKind::ParaRfm);
         assert_eq!(s.abo_rfms, 1);
         assert_eq!(s.tb_rfms, 2);
         assert_eq!(s.acb_rfms, 1);
-        assert_eq!(s.injected_rfms, 1);
         assert_eq!(s.periodic_rfms, 1);
         assert_eq!(s.para_rfms, 1);
-        assert_eq!(s.total_rfms(), 7);
+        assert_eq!(s.total_rfms(), 6);
     }
 
     #[test]

@@ -74,11 +74,10 @@ impl MemorySubsystem {
     /// DIMM population.  Each channel's mitigation engine is an independent
     /// instance, so engine state (TB-RFM schedules, PARA draws, ACB
     /// counters) is strictly per-channel, and **seeded randomness is
-    /// per-channel too**: configured seeds (PARA decision streams, the
-    /// obfuscation injection schedule) are mixed with the channel index so
-    /// channels draw independent streams, as independent hardware would —
-    /// channel 0 keeps the configured seed unchanged, so single-channel
-    /// runs are unaffected.
+    /// per-channel too**: a configured PARA seed is mixed with the channel
+    /// index so channels draw independent decision streams, as independent
+    /// hardware would — channel 0 keeps the configured seed unchanged, so
+    /// single-channel runs are unaffected.
     #[must_use]
     pub fn new(device_config: DramDeviceConfig, controller_config: ControllerConfig) -> Self {
         let channels = device_config.organization.channels.max(1);
@@ -93,9 +92,7 @@ impl MemorySubsystem {
                         seed: seed ^ mix,
                     };
                 }
-                let mut controller = controller_config.clone();
-                controller.obfuscation_seed ^= mix;
-                MemoryController::new(device, controller).for_channel(channel)
+                MemoryController::new(device, controller_config.clone()).for_channel(channel)
             })
             .collect();
         Self {
@@ -109,8 +106,7 @@ impl MemorySubsystem {
     /// per-channel derivations [`MemorySubsystem::new`] performs: PARA
     /// seeds are re-mixed with the channel index so every channel keeps an
     /// independent decision stream, and each controller refits its engine,
-    /// ABO responder and device-side PRAC parameters in place.  The
-    /// obfuscation seed is policy-independent and stays untouched.
+    /// ABO responder and device-side PRAC parameters in place.
     pub fn refit_mitigation(
         &mut self,
         prac: &prac_core::config::PracConfig,
@@ -273,7 +269,6 @@ impl MemorySubsystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memctrl::mapping::MappingKind;
     use prac_core::config::PracConfig;
 
     fn subsystem(channels: u32) -> MemorySubsystem {
@@ -284,7 +279,6 @@ mod tests {
         let mut device = DramDeviceConfig::tiny_for_tests(prac);
         device.organization = device.organization.with_channels(channels);
         let config = ControllerConfig {
-            mapping: MappingKind::RowInterleaved,
             refresh_enabled: false,
             ..ControllerConfig::default()
         };
@@ -389,11 +383,7 @@ mod tests {
             .build();
         let mut device = DramDeviceConfig::tiny_for_tests(prac);
         device.organization = device.organization.with_channels(4);
-        let config = ControllerConfig {
-            obfuscation_seed: 0x5eed_5eed,
-            ..ControllerConfig::default()
-        };
-        let sub = MemorySubsystem::new(device, config);
+        let sub = MemorySubsystem::new(device, ControllerConfig::default());
         // Channel 0 keeps the configured seed verbatim (single-channel
         // bit-identity); the other channels draw from distinct streams.
         let seeds: Vec<u64> = sub
@@ -407,14 +397,6 @@ mod tests {
         assert_eq!(seeds[0], 0xABCD);
         let unique: std::collections::HashSet<u64> = seeds.iter().copied().collect();
         assert_eq!(unique.len(), 4, "per-channel PARA seeds must differ");
-        let obf_seeds: Vec<u64> = sub
-            .controllers()
-            .iter()
-            .map(|c| c.config().obfuscation_seed)
-            .collect();
-        assert_eq!(obf_seeds[0], 0x5eed_5eed);
-        let unique: std::collections::HashSet<u64> = obf_seeds.iter().copied().collect();
-        assert_eq!(unique.len(), 4, "per-channel injection seeds must differ");
     }
 
     /// Only due channels may be polled — and polling a channel before its

@@ -24,6 +24,7 @@ use memctrl::controller::ControllerConfig;
 use memctrl::request::{CompletedRequest, MemoryRequest, RequestKind};
 use memctrl::rfm::RfmKind;
 use memctrl::stats::ControllerStats;
+use prac_core::timing::ticks_to_ns;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{EngineKind, EventWheel};
@@ -131,7 +132,7 @@ impl SystemResult {
     /// Execution time in nanoseconds.
     #[must_use]
     pub fn execution_time_ns(&self) -> f64 {
-        self.elapsed_ticks as f64 * 0.25
+        ticks_to_ns(self.elapsed_ticks)
     }
 
     /// Average misses-per-kilo-instruction across cores.

@@ -3,7 +3,6 @@
 //! the public umbrella API.
 
 use prac_core::energy::{EnergyInputs, EnergyModel};
-use prac_core::obfuscation::ObfuscationConfig;
 use prac_core::overhead::StorageModel;
 use prac_core::security::{figure7_windows, CounterResetPolicy};
 use prac_timing::prelude::*;
@@ -112,21 +111,4 @@ fn storage_overhead_matches_section_6_8() {
     // the paper's single-entry design matters.
     let ideal = model.tprac_overhead(&timing, QueueKind::Priority);
     assert!(ideal.dram_bits_total() > tprac.dram_bits_total() * 10_000);
-}
-
-#[test]
-fn obfuscation_defense_trades_bandwidth_for_partial_secrecy() {
-    let timing = DramTimingSummary::ddr5_8000b();
-    let off = ObfuscationConfig::new(0.0).unwrap();
-    let half = ObfuscationConfig::new(0.5).unwrap();
-    let full = ObfuscationConfig::new(1.0).unwrap();
-    // More injection, more bandwidth loss.
-    assert!(off.bandwidth_loss(&timing) < half.bandwidth_loss(&timing));
-    assert!(half.bandwidth_loss(&timing) < full.bandwidth_loss(&timing));
-    // More injection, less residual leakage — but never zero (Section 7.1's
-    // argument for why TPRAC is still needed).
-    let victim_rfms = 16;
-    assert_eq!(off.residual_leakage(&timing, victim_rfms), 1.0);
-    let leak_half = half.residual_leakage(&timing, victim_rfms);
-    assert!(leak_half < 1.0 && leak_half > 0.0);
 }

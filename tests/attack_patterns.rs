@@ -21,19 +21,15 @@ use proptest::prelude::*;
 
 const T_REFI_TICKS: u64 = 15_600;
 
-fn mapping_kinds() -> [MappingKind; 3] {
-    [
-        MappingKind::Mop,
-        MappingKind::BankStriped,
-        MappingKind::RowInterleaved,
-    ]
+fn mapping_kinds() -> [MappingKind; 2] {
+    [MappingKind::Mop, MappingKind::BankStriped]
 }
 
 proptest! {
     #[test]
     fn every_pattern_decodes_validly_across_mappings_and_channels(
         pattern_index in 0usize..6,
-        mapping_index in 0usize..3,
+        mapping_index in 0usize..2,
         channel_exp in 0u32..3,
         seed in 0u64..1 << 16,
     ) {
@@ -44,7 +40,7 @@ proptest! {
         let channels = 1u32 << channel_exp; // 1, 2, 4
         let org = DramOrganization::ddr5_32gb_quad_rank().with_channels(channels);
         prop_assert!(org.is_valid());
-        let mapping = AddressMap::new(mapping_kinds()[mapping_index % 3], org);
+        let mapping = AddressMap::new(mapping_kinds()[mapping_index % 2], org);
         let mut stream = kind.stream(&org, T_REFI_TICKS, seed);
 
         // The declared hot rows are themselves valid, encodable coordinates.

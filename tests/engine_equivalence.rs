@@ -204,8 +204,8 @@ fn engines_agree_with_an_adversarial_corunner() {
 /// of one bank drives the PRAC counters over a small Back-Off threshold, so
 /// this differential run exercises the paths benign workloads never reach —
 /// Alert assertion, the tABOACT-delayed ABO response, ABODelay suppression,
-/// the per-tREFW counter reset (the test device's tREFW is ~200 k ticks),
-/// and the obfuscation defense's per-tREFI injection decisions.
+/// and the per-tREFW counter reset (the test device's tREFW is ~200 k
+/// ticks).
 #[test]
 fn engines_agree_under_adversarial_hammering() {
     use cpu_sim::config::CpuConfig;
@@ -213,7 +213,6 @@ fn engines_agree_under_adversarial_hammering() {
     use dram_sim::device::DramDeviceConfig;
     use memctrl::controller::ControllerConfig;
     use prac_core::config::{MitigationPolicy, PracConfig};
-    use prac_core::obfuscation::ObfuscationConfig;
 
     let hammer_trace = |base: u64| {
         // 8 KB stride lands each access in a different row of the same
@@ -226,7 +225,7 @@ fn engines_agree_under_adversarial_hammering() {
             .collect();
         Trace::new("hammer", ops)
     };
-    let build = |obfuscated: bool, engine: EngineKind| {
+    let build = |engine: EngineKind| {
         let prac = PracConfig::builder()
             .rowhammer_threshold(24)
             .back_off_threshold(24)
@@ -237,18 +236,7 @@ fn engines_agree_under_adversarial_hammering() {
         let config = SystemConfig {
             cpu,
             device: DramDeviceConfig::tiny_for_tests(prac),
-            controller: ControllerConfig {
-                obfuscation: obfuscated
-                    .then(|| ObfuscationConfig::new(0.5).expect("valid injection probability")),
-                // The injection decision is made once per tREFI — the same
-                // cadence as periodic refresh, which wins the command slot
-                // and leaves the channel blocked for tRFC, so (as in the
-                // attack benches) obfuscation is exercised with refresh off.
-                // The refresh+Alert interaction is covered by the
-                // `obfuscated == false` variant.
-                refresh_enabled: !obfuscated,
-                ..ControllerConfig::default()
-            },
+            controller: ControllerConfig::default(),
             instructions_per_core: 6_000,
             max_ticks: 50_000_000,
             engine,
@@ -257,33 +245,22 @@ fn engines_agree_under_adversarial_hammering() {
         SystemSimulation::new(config, traces)
     };
 
-    for obfuscated in [false, true] {
-        let ticked = build(obfuscated, EngineKind::Tick).run();
-        let evented = build(obfuscated, EngineKind::Event).run();
-        assert_eq!(
-            ticked, evented,
-            "engines diverged under hammering (obfuscated: {obfuscated})"
-        );
-        assert!(ticked.completed, "hammering run hit the tick cap");
-        assert!(
-            ticked.dram_stats.alerts_asserted > 0,
-            "the adversarial trace must actually trigger Alerts"
-        );
-        assert!(
-            ticked.controller_stats.abo_rfms > 0,
-            "Alerts must be answered with ABO-RFMs"
-        );
-        assert!(
-            ticked.dram_stats.counter_resets > 0,
-            "the run must span at least one tREFW counter reset"
-        );
-        if obfuscated {
-            assert!(
-                ticked.controller_stats.injected_rfms > 0,
-                "the obfuscation defense must inject RFMs"
-            );
-        }
-    }
+    let ticked = build(EngineKind::Tick).run();
+    let evented = build(EngineKind::Event).run();
+    assert_eq!(ticked, evented, "engines diverged under hammering");
+    assert!(ticked.completed, "hammering run hit the tick cap");
+    assert!(
+        ticked.dram_stats.alerts_asserted > 0,
+        "the adversarial trace must actually trigger Alerts"
+    );
+    assert!(
+        ticked.controller_stats.abo_rfms > 0,
+        "Alerts must be answered with ABO-RFMs"
+    );
+    assert!(
+        ticked.dram_stats.counter_resets > 0,
+        "the run must span at least one tREFW counter reset"
+    );
 }
 
 /// A run that hits the tick cap mid-flight: the event engine's truncation

@@ -85,7 +85,7 @@ fn render_result(line: &mut String, result: &SystemResult) {
     }
     write!(
         line,
-        " ctrl=[r{} w{} hit{} miss{} conf{} ref{} abo{} acb{} tb{} per{} para{} inj{} skip{} lat{} max{}]",
+        " ctrl=[r{} w{} hit{} miss{} conf{} ref{} abo{} acb{} tb{} per{} para{} skip{} lat{} max{}]",
         c.reads_completed,
         c.writes_completed,
         c.row_hits,
@@ -97,7 +97,6 @@ fn render_result(line: &mut String, result: &SystemResult) {
         c.tb_rfms,
         c.periodic_rfms,
         c.para_rfms,
-        c.injected_rfms,
         c.tb_rfms_skipped,
         c.total_latency_ticks,
         c.max_latency_ticks,

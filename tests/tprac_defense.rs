@@ -6,6 +6,7 @@
 use prac_core::security::CounterResetPolicy;
 use prac_timing::prelude::*;
 use pracleak::agents::{MultiAgentRunner, SerializedAccessAgent};
+use pracleak::covert::{activity_window_ticks, ActivitySender};
 
 fn tprac_policy(nbo: u32) -> MitigationPolicy {
     let timing = DramTimingSummary::ddr5_8000b();
@@ -141,6 +142,92 @@ fn defended_side_channel_observes_no_key_correlation() {
             .any(|outcome| outcome.rfm_times_ns != leaky[0].rfm_times_ns),
         "ABO-Only's RFM log must move with the key"
     );
+}
+
+/// Non-interference on the activity-based covert channel: an
+/// `ActivitySender` transmits an all-zero, an all-one and a mixed payload
+/// while a `SerializedAccessAgent` receiver runs on another bank group of
+/// the same channel, with refresh off, with refresh on, and with refresh
+/// on plus a Targeted Refresh every 4th refresh.  Under TPRAC and under
+/// PRFM the controller's RFM log (tick and kind) is the same for every
+/// payload and no ABO fires, so the RFM schedule carries nothing the
+/// sender does.  Under ABO-Only the log moves with the payload: 0, 8 and 4
+/// RFMs, with refresh off and on.  With a Targeted Refresh every 4th
+/// refresh, every TREF mitigates the sender's row before its 256th
+/// activation, so no Alert fires for any payload and ABO-Only is not
+/// checked in that mode.
+///
+/// Measured at NBO 256 (TPRAC: 251 entries, 231 with TREF; PRFM every 2
+/// tREFI: 41): ABO+ACB-RFM's and PARA's (1 in 64) logs move with the
+/// payload in every mode; their RFM counts for the all-zero, all-one and
+/// mixed payloads are 2, 27 and 13 (ACB) and 4, 36-37 and 21 (PARA), and
+/// 0, 17 and 8 for ACB with TREF.  Neither policy claims otherwise, so
+/// neither is asserted.  Receiver latencies are not compared: they differ
+/// under TPRAC as well, through ordinary contention for the channel,
+/// which is outside the paper's claim.
+#[test]
+fn defended_covert_channel_rfm_log_ignores_the_payload() {
+    const NBO: u32 = 256;
+    // The receiver probes every ~2 µs, longer than TPRAC's 1.3 µs TB-Window
+    // at this NBO, so some windows see no receiver activation at all.
+    const RECEIVER_THINK_TICKS: u64 = 8_000;
+    let window_ticks = activity_window_ticks(NBO);
+    let payloads = [
+        vec![false; 8],
+        vec![true; 8],
+        (0..8).map(|bit| bit % 2 == 0).collect::<Vec<_>>(),
+    ];
+    let run = |setup: &AttackSetup, bits: &[bool]| {
+        let controller = setup.build_controller();
+        let sender_row = setup.row_address(&controller, 0, 99, 0);
+        let receiver_rows = (0..64)
+            .map(|r| setup.row_address(&controller, 2, 5_000 + r, 0))
+            .collect();
+        let mut sender = ActivitySender::new(sender_row, bits.to_vec(), NBO, window_ticks);
+        let mut receiver = SerializedAccessAgent::new(receiver_rows, u64::MAX)
+            .with_think_time(RECEIVER_THINK_TICKS);
+        let mut runner = MultiAgentRunner::new(controller);
+        let total_ticks = window_ticks * (bits.len() as u64 + 1);
+        runner.run(&mut [&mut sender, &mut receiver], total_ticks);
+        let controller = runner.controller();
+        (controller.rfm_log().to_vec(), controller.stats().abo_rfms)
+    };
+    let refresh_modes = [
+        ("refresh off", false, None),
+        ("refresh on", true, None),
+        ("refresh on, TREF every 4", true, Some(4)),
+    ];
+    for (mode, refresh, tref_every) in refresh_modes {
+        let runs = |policy: &MitigationPolicy| {
+            let setup = AttackSetup::new(NBO)
+                .with_policy(policy.clone())
+                .with_refresh(refresh)
+                .with_tref_every(tref_every);
+            payloads.each_ref().map(|bits| run(&setup, bits))
+        };
+        let constant = [
+            ("TPRAC", tprac_policy(NBO)),
+            ("PRFM", MitigationPolicy::PeriodicRfm { every_trefi: 2 }),
+        ];
+        for (name, policy) in constant {
+            let outcomes = runs(&policy);
+            assert!(!outcomes[0].0.is_empty(), "{name}, {mode}: no RFMs");
+            for (bits, (log, abo_rfms)) in payloads.iter().zip(&outcomes) {
+                assert_eq!(*abo_rfms, 0, "{name}, {mode}, {bits:?}: an ABO fired");
+                assert_eq!(
+                    *log, outcomes[0].0,
+                    "{name}, {mode}: the RFM log moved with payload {bits:?}"
+                );
+            }
+        }
+        if tref_every.is_none() {
+            let leaky = runs(&MitigationPolicy::AboOnly);
+            assert!(
+                leaky.iter().any(|(log, _)| *log != leaky[0].0),
+                "{mode}: ABO-Only's RFM log must move with the payload"
+            );
+        }
+    }
 }
 
 #[test]
