@@ -87,23 +87,11 @@ impl SideChannelExperiment {
             .collect();
 
         // --- Victim phase -------------------------------------------------
-        // Build the victim's DRAM access stream: for every encryption, the
-        // four first-round T0 lookups with the attacker-chosen p0 and random
-        // p4/p8/p12 (the attacker flushes the lines, so each lookup reaches
-        // DRAM).
-        let mut key = [0u8; 16];
-        key[0] = k0;
-        let aes = Aes128TTable::new(&key);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ u64::from(k0));
-        let mut victim_accesses = Vec::with_capacity(self.encryptions as usize * 4);
-        for _ in 0..self.encryptions {
-            let mut plaintext = [0u8; 16];
-            rng.fill(&mut plaintext);
-            plaintext[0] = p0;
-            for line in first_round_t0_lines(&aes, &plaintext) {
-                victim_accesses.push(victim_row_addr[line]);
-            }
-        }
+        let victim_accesses: Vec<u64> = self
+            .victim_lines(k0, p0)
+            .into_iter()
+            .map(|line| victim_row_addr[line])
+            .collect();
         let victim_access_count = victim_accesses.len() as u64;
         let mut victim = SerializedAccessAgent::new(victim_accesses, victim_access_count);
 
@@ -159,6 +147,27 @@ impl SideChannelExperiment {
             tb_rfms: runner.controller().stats().tb_rfms,
             rfm_times_ns: rfm_log.iter().map(|&(t, _)| ticks_to_ns(t)).collect(),
         }
+    }
+
+    /// The victim's T0 cache-line sequence for key byte `k0` (all other key
+    /// bytes zero): for every encryption, the four first-round T0 lookups
+    /// with the attacker-chosen `p0` and random p4/p8/p12.  The attacker
+    /// flushes the lines, so each lookup reaches DRAM as an access to the
+    /// row of that line.
+    #[must_use]
+    pub fn victim_lines(&self, k0: u8, p0: u8) -> Vec<usize> {
+        let mut key = [0u8; 16];
+        key[0] = k0;
+        let aes = Aes128TTable::new(&key);
+        let mut rng = StdRng::seed_from_u64(self.seed ^ u64::from(k0));
+        let mut lines = Vec::with_capacity(self.encryptions as usize * 4);
+        for _ in 0..self.encryptions {
+            let mut plaintext = [0u8; 16];
+            rng.fill(&mut plaintext);
+            plaintext[0] = p0;
+            lines.extend(first_round_t0_lines(&aes, &plaintext));
+        }
+        lines
     }
 
     fn row_counters(&self, runner: &MultiAgentRunner, row_addresses: &[u64]) -> Vec<u64> {
