@@ -1,373 +1,61 @@
-//! AES-128 with T-table lookups — the victim application of the PRACLeak
-//! side-channel attack.
+//! The side-channel victim: the first-round T0 lookups of a T-table AES-128.
 //!
 //! Crypto libraries such as OpenSSL and GnuPG ship AES implementations whose
 //! round function is computed through four 1 KB lookup tables ("T-tables").
-//! Each table spans 16 cache lines, and the line touched in the first round
-//! for byte `i` is `(p_i XOR k_i) >> 4`, i.e. it leaks the top nibble of the
-//! key byte once the plaintext is known.  This module provides:
+//! Each table spans 16 cache lines.  In the first round, state byte `i`
+//! indexes table `i mod 4` with `p_i XOR k_i`, so the cache line it touches
+//! is `(p_i XOR k_i) >> 4`: with the plaintext known, the line leaks the top
+//! nibble of the key byte (the first-round leak of Osvik, Shamir and Tromer,
+//! "Cache Attacks and Countermeasures: the Case of AES", CT-RSA 2006).
 //!
-//! * a complete, self-contained AES-128 encryption (key schedule + 10 rounds)
-//!   built from the algorithm's mathematical definition (the S-box is derived
-//!   from the GF(2^8) inverse and affine map at construction time, and the
-//!   T-tables from the S-box), verified against the FIPS-197 known-answer
-//!   test,
-//! * [`Aes128TTable::first_round_accesses`] exposing the exact T-table
-//!   indices the first round touches — the signal the attacker amplifies into
-//!   DRAM row activations,
-//! * [`first_round_t0_lines`], the per-encryption list of T0 cache-line
-//!   indices (DRAM rows, after the attacker's flushes) used by the
-//!   side-channel experiment.
-
-use serde::{Deserialize, Serialize};
+//! That leak is all PRACLeak's side channel observes.  The attacker flushes
+//! T0 from the cache hierarchy, so each first-round T0 lookup becomes a DRAM
+//! activation of that line's row.  The chosen byte `p0` pins one of the four
+//! lookups to the line of `k0`; the later rounds index with bytes mixed
+//! through the whole state and key schedule, which spread evenly over the 16
+//! lines and add no key-dependent hot row.  So the victim is modelled as
+//! exactly the four first-round T0 lookups per encryption
+//! ([`first_round_t0_lines`]).  No ciphertext is ever read, so no key
+//! schedule, S-box or later round is computed.
 
 /// Number of cache lines spanned by one 1 KB T-table (64-byte lines).
 pub const T_TABLE_CACHE_LINES: usize = 16;
 
-/// Multiplies two elements of GF(2^8) modulo the AES polynomial x^8+x^4+x^3+x+1.
-fn gf_mul(mut a: u8, mut b: u8) -> u8 {
-    let mut product = 0u8;
-    while b != 0 {
-        if b & 1 != 0 {
-            product ^= a;
-        }
-        let carry = a & 0x80 != 0;
-        a <<= 1;
-        if carry {
-            a ^= 0x1B;
-        }
-        b >>= 1;
-    }
-    product
-}
-
-/// Multiplicative inverse in GF(2^8) (0 maps to 0).
-fn gf_inv(a: u8) -> u8 {
-    if a == 0 {
-        return 0;
-    }
-    // a^(2^8 - 2) = a^254 by square-and-multiply.
-    let mut result = 1u8;
-    let mut base = a;
-    let mut exp = 254u32;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            result = gf_mul(result, base);
-        }
-        base = gf_mul(base, base);
-        exp >>= 1;
-    }
-    result
-}
-
-/// Builds the AES S-box from its algebraic definition: multiplicative inverse
-/// followed by the fixed affine transformation.
-fn build_sbox() -> [u8; 256] {
-    let mut sbox = [0u8; 256];
-    for (i, slot) in sbox.iter_mut().enumerate() {
-        let x = gf_inv(i as u8);
-        let mut y = x;
-        let mut value = x;
-        for _ in 0..4 {
-            y = y.rotate_left(1);
-            value ^= y;
-        }
-        *slot = value ^ 0x63;
-    }
-    sbox
-}
-
-/// AES-128 encryption context using T-table round computation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Aes128TTable {
-    round_keys: [[u8; 16]; 11],
-    #[serde(skip, default = "build_sbox_boxed")]
-    sbox: Box<[u8; 256]>,
-    #[serde(skip, default = "empty_t_tables")]
-    t_tables: Box<[[u32; 256]; 4]>,
-}
-
-// Referenced by the `#[serde(default = "...")]` attributes above; the
-// offline serde-derive shim does not expand those, so the compiler cannot
-// see the use.
-#[allow(dead_code)]
-fn build_sbox_boxed() -> Box<[u8; 256]> {
-    Box::new(build_sbox())
-}
-
-#[allow(dead_code)]
-fn empty_t_tables() -> Box<[[u32; 256]; 4]> {
-    Box::new([[0u32; 256]; 4])
-}
-
-impl Aes128TTable {
-    /// Creates an encryption context for the given 128-bit key.
-    #[must_use]
-    pub fn new(key: &[u8; 16]) -> Self {
-        let sbox = build_sbox();
-        let round_keys = Self::expand_key(key, &sbox);
-        let t_tables = Self::build_t_tables(&sbox);
-        Self {
-            round_keys,
-            sbox: Box::new(sbox),
-            t_tables: Box::new(t_tables),
-        }
-    }
-
-    /// The expanded round keys (11 × 16 bytes).
-    #[must_use]
-    pub fn round_keys(&self) -> &[[u8; 16]; 11] {
-        &self.round_keys
-    }
-
-    fn expand_key(key: &[u8; 16], sbox: &[u8; 256]) -> [[u8; 16]; 11] {
-        let mut words = [[0u8; 4]; 44];
-        for i in 0..4 {
-            words[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
-        }
-        let mut rcon = 1u8;
-        for i in 4..44 {
-            let mut temp = words[i - 1];
-            if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = sbox[usize::from(*b)];
-                }
-                temp[0] ^= rcon;
-                rcon = gf_mul(rcon, 2);
-            }
-            for j in 0..4 {
-                words[i][j] = words[i - 4][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, chunk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                chunk[4 * c..4 * c + 4].copy_from_slice(&words[4 * r + c]);
-            }
-        }
-        round_keys
-    }
-
-    fn build_t_tables(sbox: &[u8; 256]) -> [[u32; 256]; 4] {
-        let mut tables = [[0u32; 256]; 4];
-        for x in 0..256 {
-            let s = sbox[x];
-            let s2 = gf_mul(s, 2);
-            let s3 = gf_mul(s, 3);
-            // T0 entry: [2·S(x), S(x), S(x), 3·S(x)] packed big-endian; the
-            // other tables are byte rotations of T0.
-            let t0 = u32::from_be_bytes([s2, s, s, s3]);
-            tables[0][x] = t0;
-            tables[1][x] = t0.rotate_right(8);
-            tables[2][x] = t0.rotate_right(16);
-            tables[3][x] = t0.rotate_right(24);
-        }
-        tables
-    }
-
-    /// The T-table indices (table, index) accessed during the first round for
-    /// the given plaintext: byte `i` of the state indexes table `i mod 4`
-    /// with `p_i XOR k_i`.
-    #[must_use]
-    pub fn first_round_accesses(&self, plaintext: &[u8; 16]) -> [(usize, u8); 16] {
-        let mut out = [(0usize, 0u8); 16];
-        for i in 0..16 {
-            let x = plaintext[i] ^ self.round_keys[0][i];
-            out[i] = (i % 4, x);
-        }
-        out
-    }
-
-    /// Encrypts one 16-byte block.
-    #[must_use]
-    pub fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
-        // State as four column words (big-endian packing of each column).
-        let mut state = [0u32; 4];
-        for c in 0..4 {
-            state[c] = u32::from_be_bytes([
-                plaintext[4 * c] ^ self.round_keys[0][4 * c],
-                plaintext[4 * c + 1] ^ self.round_keys[0][4 * c + 1],
-                plaintext[4 * c + 2] ^ self.round_keys[0][4 * c + 2],
-                plaintext[4 * c + 3] ^ self.round_keys[0][4 * c + 3],
-            ]);
-        }
-        // Rounds 1..=9 use the T-tables.
-        for round in 1..=9 {
-            let rk = &self.round_keys[round];
-            let mut next = [0u32; 4];
-            for (c, slot) in next.iter_mut().enumerate() {
-                let b0 = (state[c] >> 24) as u8;
-                let b1 = (state[(c + 1) % 4] >> 16) as u8;
-                let b2 = (state[(c + 2) % 4] >> 8) as u8;
-                let b3 = state[(c + 3) % 4] as u8;
-                let key_word =
-                    u32::from_be_bytes([rk[4 * c], rk[4 * c + 1], rk[4 * c + 2], rk[4 * c + 3]]);
-                *slot = self.t_tables[0][usize::from(b0)]
-                    ^ self.t_tables[1][usize::from(b1)]
-                    ^ self.t_tables[2][usize::from(b2)]
-                    ^ self.t_tables[3][usize::from(b3)]
-                    ^ key_word;
-            }
-            state = next;
-        }
-        // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        let rk = &self.round_keys[10];
-        let mut output = [0u8; 16];
-        for c in 0..4 {
-            let bytes = [
-                self.sbox[usize::from((state[c] >> 24) as u8)],
-                self.sbox[usize::from((state[(c + 1) % 4] >> 16) as u8)],
-                self.sbox[usize::from((state[(c + 2) % 4] >> 8) as u8)],
-                self.sbox[usize::from(state[(c + 3) % 4] as u8)],
-            ];
-            for r in 0..4 {
-                output[4 * c + r] = bytes[r] ^ rk[4 * c + r];
-            }
-        }
-        output
-    }
-}
-
 /// Returns the T0 cache-line indices (0..16) touched during the first round of
-/// one encryption: the lines indexed by state bytes 0, 4, 8 and 12 (the bytes
-/// that use table T0).  After the attacker flushes the T-table from the cache
-/// hierarchy, each of these becomes a DRAM access to the corresponding row.
+/// one encryption under `key`: the lines indexed by state bytes 0, 4, 8 and 12
+/// (the bytes that use table T0), in that order.  Each line is
+/// `(p_i XOR k_i) >> 4`: 256 one-byte entries over 16 lines of 16 entries.
 #[must_use]
-pub fn first_round_t0_lines(aes: &Aes128TTable, plaintext: &[u8; 16]) -> Vec<usize> {
-    aes.first_round_accesses(plaintext)
-        .iter()
-        .filter(|(table, _)| *table == 0)
-        .map(|(_, index)| usize::from(*index) / (64 / 4))
-        .collect()
+pub fn first_round_t0_lines(key: &[u8; 16], plaintext: &[u8; 16]) -> [usize; 4] {
+    [0, 4, 8, 12].map(|i| usize::from((plaintext[i] ^ key[i]) >> 4))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fips197_key() -> [u8; 16] {
-        [
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-            0x0e, 0x0f,
-        ]
-    }
-
-    #[test]
-    fn sbox_has_known_fixed_values() {
-        let sbox = build_sbox();
-        // Spot-check well-known S-box entries.
-        assert_eq!(sbox[0x00], 0x63);
-        assert_eq!(sbox[0x01], 0x7c);
-        assert_eq!(sbox[0x53], 0xed);
-        assert_eq!(sbox[0xff], 0x16);
-        // The S-box is a permutation.
-        let mut seen = [false; 256];
-        for v in sbox {
-            assert!(!seen[usize::from(v)]);
-            seen[usize::from(v)] = true;
-        }
-    }
-
-    #[test]
-    fn gf_arithmetic_basics() {
-        assert_eq!(gf_mul(0x57, 0x83), 0xc1); // FIPS-197 worked example
-        assert_eq!(gf_mul(0x57, 0x13), 0xfe);
-        for a in 1..=255u8 {
-            assert_eq!(gf_mul(a, gf_inv(a)), 1, "inverse failed for {a:#x}");
-        }
-    }
-
-    #[test]
-    fn fips197_known_answer() {
-        let key = fips197_key();
-        let plaintext: [u8; 16] = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
-        ];
-        let expected: [u8; 16] = [
-            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-            0xc5, 0x5a,
-        ];
-        let aes = Aes128TTable::new(&key);
-        assert_eq!(aes.encrypt_block(&plaintext), expected);
-    }
-
-    #[test]
-    fn key_expansion_first_and_last_round_keys() {
-        let aes = Aes128TTable::new(&fips197_key());
-        assert_eq!(aes.round_keys()[0], fips197_key());
-        // Last round key for this key schedule (from the FIPS-197 appendix).
-        assert_eq!(
-            aes.round_keys()[10],
-            [
-                0x13, 0x11, 0x1d, 0x7f, 0xe3, 0x94, 0x4a, 0x17, 0xf3, 0x07, 0xa7, 0x8b, 0x4d, 0x2b,
-                0x30, 0xc5
-            ]
-        );
-    }
-
-    #[test]
-    fn first_round_accesses_reflect_plaintext_xor_key() {
-        let key = [0u8; 16];
-        let aes = Aes128TTable::new(&key);
-        let mut plaintext = [0u8; 16];
-        plaintext[0] = 0xA7;
-        let accesses = aes.first_round_accesses(&plaintext);
-        assert_eq!(accesses[0], (0, 0xA7));
-        assert_eq!(accesses[1], (1, 0x00));
-        assert_eq!(accesses[4], (0, 0x00));
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn t0_lines_expose_top_nibble_of_key_byte0() {
         for k0 in [0x00u8, 0x30, 0x5A, 0xF1] {
             let mut key = [0u8; 16];
             key[0] = k0;
-            let aes = Aes128TTable::new(&key);
             let plaintext = [0u8; 16]; // p0 = 0 ⇒ x0 = k0
-            let lines = first_round_t0_lines(&aes, &plaintext);
-            assert_eq!(lines.len(), 4, "four T0 lookups per round");
-            assert_eq!(lines[0], usize::from(k0 >> 4));
-            assert!(lines.iter().all(|&l| l < T_TABLE_CACHE_LINES));
+            let lines = first_round_t0_lines(&key, &plaintext);
+            assert_eq!(lines, [usize::from(k0 >> 4), 0, 0, 0]);
         }
     }
-
-    #[test]
-    fn encryption_differs_for_different_keys_and_plaintexts() {
-        let aes_a = Aes128TTable::new(&[0u8; 16]);
-        let aes_b = Aes128TTable::new(&[1u8; 16]);
-        let p = [7u8; 16];
-        assert_ne!(aes_a.encrypt_block(&p), aes_b.encrypt_block(&p));
-        assert_ne!(aes_a.encrypt_block(&p), aes_a.encrypt_block(&[8u8; 16]));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
 
     proptest! {
-        /// T-table AES must agree with itself under re-keying (determinism)
-        /// and the first-round access indices must always equal p XOR k.
+        /// The four lines are the top nibbles of `p XOR k` at state bytes 0,
+        /// 4, 8 and 12, and always index inside the table.
         #[test]
-        fn first_round_indices_are_p_xor_k(key in proptest::array::uniform16(0u8..), plaintext in proptest::array::uniform16(0u8..)) {
-            let aes = Aes128TTable::new(&key);
-            let accesses = aes.first_round_accesses(&plaintext);
-            for i in 0..16 {
-                prop_assert_eq!(accesses[i], (i % 4, plaintext[i] ^ key[i]));
+        fn t0_lines_are_top_nibbles_of_p_xor_k(key in proptest::array::uniform16(0u8..), plaintext in proptest::array::uniform16(0u8..)) {
+            let lines = first_round_t0_lines(&key, &plaintext);
+            for (slot, byte) in [0usize, 4, 8, 12].into_iter().enumerate() {
+                prop_assert_eq!(lines[slot], usize::from((plaintext[byte] ^ key[byte]) >> 4));
+                prop_assert!(lines[slot] < T_TABLE_CACHE_LINES);
             }
-            prop_assert_eq!(aes.encrypt_block(&plaintext), aes.encrypt_block(&plaintext));
-        }
-
-        /// Flipping any single plaintext byte changes the ciphertext.
-        #[test]
-        fn ciphertext_depends_on_every_byte(key in proptest::array::uniform16(0u8..), plaintext in proptest::array::uniform16(0u8..), byte in 0usize..16) {
-            let aes = Aes128TTable::new(&key);
-            let mut flipped = plaintext;
-            flipped[byte] ^= 0xFF;
-            prop_assert_ne!(aes.encrypt_block(&plaintext), aes.encrypt_block(&flipped));
         }
     }
 }

@@ -129,16 +129,6 @@ pub fn run_characterization(
     }
 }
 
-/// Runs all four Figure 3 panels (no ABO, then 1, 2 and 4 RFMs per ABO).
-#[must_use]
-pub fn figure3_panels(nbo: u32, duration_ns: f64) -> Vec<AboCharacterization> {
-    let mut panels = vec![run_characterization(nbo, None, duration_ns)];
-    for level in PracLevel::all() {
-        panels.push(run_characterization(nbo, Some(level), duration_ns));
-    }
-    panels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,13 +170,5 @@ mod tests {
             four.mean_spike_latency_ns,
             one.mean_spike_latency_ns
         );
-    }
-
-    #[test]
-    fn figure3_produces_four_panels() {
-        let panels = figure3_panels(64, 60_000.0);
-        assert_eq!(panels.len(), 4);
-        assert_eq!(panels[0].prac_level, None);
-        assert_eq!(panels[3].prac_level, Some(PracLevel::Four));
     }
 }

@@ -4,7 +4,7 @@
 //! accesses and classifies each sample as "normal" or "spiked by an RFM".
 //! An RFM All-Bank blocks the channel for 350 ns, so an access that overlaps
 //! one observes a latency hundreds of nanoseconds above the baseline; the
-//! detector simply thresholds against the calibrated baseline.
+//! detector simply thresholds each sample against a fixed latency.
 
 use serde::{Deserialize, Serialize};
 
@@ -20,17 +20,6 @@ impl SpikeDetector {
     #[must_use]
     pub fn new(threshold_ns: f64) -> Self {
         Self { threshold_ns }
-    }
-
-    /// Calibrates a detector from baseline (no-attack) samples: the threshold
-    /// is placed halfway between the maximum observed baseline latency and
-    /// that maximum plus one tRFMab (350 ns).
-    #[must_use]
-    pub fn calibrate(baseline_ns: &[f64]) -> Self {
-        let max_baseline = baseline_ns.iter().copied().fold(0.0f64, f64::max);
-        Self {
-            threshold_ns: max_baseline + 175.0,
-        }
     }
 
     /// Whether a single latency sample is a spike.
@@ -77,15 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn calibration_tracks_baseline() {
-        let baseline = vec![60.0, 75.0, 120.0, 118.0];
-        let d = SpikeDetector::calibrate(&baseline);
-        assert!(d.threshold_ns > 120.0 && d.threshold_ns < 470.0);
-        assert!(!d.is_spike(118.0));
-        assert!(d.is_spike(500.0));
-    }
-
-    #[test]
     fn counting_and_first_spike() {
         let d = SpikeDetector::new(300.0);
         let series = vec![100.0, 90.0, 600.0, 95.0, 700.0];
@@ -96,7 +76,7 @@ mod tests {
 
     #[test]
     fn empty_series_is_handled() {
-        let d = SpikeDetector::calibrate(&[]);
+        let d = SpikeDetector::default();
         assert_eq!(d.count_spikes(&[]), 0);
         assert_eq!(d.first_spike(&[]), None);
     }

@@ -5,9 +5,10 @@
 //! Management (RFM) commands, plus the experiment drivers that reproduce the
 //! paper's attack figures.
 //!
-//! * [`aes`] — a software AES-128 T-table implementation (the victim of the
-//!   side-channel attack), with helpers exposing the first-round T-table
-//!   access indices that the attack observes.
+//! * [`aes`] — the side-channel victim, modelled as the first-round T0
+//!   lookups of a T-table AES-128: the only lookups whose cache line
+//!   (`(p_i XOR k_i) >> 4`) a chosen plaintext ties to a key byte, and so
+//!   the only ones the attack observes.
 //! * [`agents`] — memory "agents" (attacker, victim, trojan, spy) that issue
 //!   serialized dependent requests to the [`memctrl::MemoryController`] and
 //!   record per-access latencies, plus the multi-agent runner and the
@@ -44,7 +45,7 @@ pub mod setup;
 pub mod side_channel;
 
 pub use adversary::{run_adversary, AdversaryOutcome};
-pub use aes::{first_round_t0_lines, Aes128TTable};
+pub use aes::{first_round_t0_lines, T_TABLE_CACHE_LINES};
 pub use agents::{AgentId, MultiAgentRunner, PatternAgent, SerializedAccessAgent};
 pub use characterize::{AboCharacterization, LatencySample};
 pub use covert::{run_covert_channel, CovertChannelKind, CovertChannelResult};

@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::aes::{first_round_t0_lines, Aes128TTable, T_TABLE_CACHE_LINES};
+use crate::aes::{first_round_t0_lines, T_TABLE_CACHE_LINES};
 use crate::agents::{MultiAgentRunner, SerializedAccessAgent};
 use crate::latency::SpikeDetector;
 use crate::setup::AttackSetup;
@@ -158,14 +158,13 @@ impl SideChannelExperiment {
     pub fn victim_lines(&self, k0: u8, p0: u8) -> Vec<usize> {
         let mut key = [0u8; 16];
         key[0] = k0;
-        let aes = Aes128TTable::new(&key);
         let mut rng = StdRng::seed_from_u64(self.seed ^ u64::from(k0));
         let mut lines = Vec::with_capacity(self.encryptions as usize * 4);
         for _ in 0..self.encryptions {
             let mut plaintext = [0u8; 16];
             rng.fill(&mut plaintext);
             plaintext[0] = p0;
-            lines.extend(first_round_t0_lines(&aes, &plaintext));
+            lines.extend(first_round_t0_lines(&key, &plaintext));
         }
         lines
     }

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the hot data structures and kernels of the
 //! simulation stack: the bank's PRAC counter and mitigation-queue update,
 //! DRAM command issue, address mapping, scheduler picks, the analytical
-//! TB-Window solver and the AES T-table victim.
+//! TB-Window solver.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dram_sim::bank::BankMeta;
@@ -12,7 +12,6 @@ use memctrl::mapping::{AddressMap, MappingKind};
 use prac_core::config::PracConfig;
 use prac_core::security::{CounterResetPolicy, SecurityAnalysis};
 use prac_core::timing::DramTimingSummary;
-use pracleak::aes::Aes128TTable;
 
 /// The device's per-ACT PRAC path: bump the row's counter and update the
 /// single-entry queue, then drain the queue as an RFM does.
@@ -102,13 +101,6 @@ fn bench_tb_window_solver(c: &mut Criterion) {
     });
 }
 
-fn bench_aes_encrypt(c: &mut Criterion) {
-    let aes = Aes128TTable::new(&[7u8; 16]);
-    c.bench_function("aes_ttable_encrypt_block", |b| {
-        b.iter(|| black_box(aes.encrypt_block(black_box(&[42u8; 16]))));
-    });
-}
-
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -122,7 +114,6 @@ criterion_group! {
     targets = bench_mitigation_queue,
               bench_dram_activate_precharge,
               bench_address_mapping,
-              bench_tb_window_solver,
-              bench_aes_encrypt
+              bench_tb_window_solver
 }
 criterion_main!(benches);

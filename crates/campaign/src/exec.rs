@@ -24,7 +24,6 @@ use system_sim::{
     energy_overhead_for, workload_traces, AttackKind, EngineKind, ExperimentConfig,
     MitigationSetup, SystemConfig, SystemResult, SystemSimulation,
 };
-use workloads::MemoryIntensity;
 
 use crate::scenario::ScenarioSpec;
 
@@ -142,15 +141,7 @@ fn perf_metrics(
         "workload".into(),
         perf.workload.workload.name.as_str().into(),
     );
-    m.insert(
-        "intensity".into(),
-        match perf.workload.intensity {
-            MemoryIntensity::High => "high",
-            MemoryIntensity::Medium => "medium",
-            MemoryIntensity::Low => "low",
-        }
-        .into(),
-    );
+    m.insert("intensity".into(), perf.workload.intensity.slug().into());
     m.insert("group".into(), perf.workload.group.to_string().into());
     m.insert("setup".into(), perf.setup.label().into());
     m.insert("nrh".into(), perf.rowhammer_threshold.into());

@@ -87,14 +87,10 @@ impl Profile {
     /// One representative workload per memory-intensity bucket.
     fn intensity_buckets(&self) -> Vec<WorkloadSpec> {
         let suite = self.suite();
-        [
-            MemoryIntensity::High,
-            MemoryIntensity::Medium,
-            MemoryIntensity::Low,
-        ]
-        .into_iter()
-        .filter_map(|band| suite.iter().find(|w| w.intensity == band).cloned())
-        .collect()
+        MemoryIntensity::ALL
+            .into_iter()
+            .filter_map(|band| suite.iter().find(|w| w.intensity == band).cloned())
+            .collect()
     }
 
     fn nrh_sweep(&self) -> &'static [u32] {

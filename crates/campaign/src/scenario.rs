@@ -498,6 +498,17 @@ fn str_field<'v>(value: &'v Value, name: &str) -> Result<&'v str, String> {
         .ok_or_else(|| format!("missing or non-string `{name}`"))
 }
 
+/// Parses the string member `name` through an enum's `from_slug`.
+fn slug_field<T>(
+    value: &Value,
+    name: &str,
+    what: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let slug = str_field(value, name)?;
+    parse(slug).ok_or_else(|| format!("unknown {what} `{slug}`"))
+}
+
 /// Parses the optional `profile` member of a spec object: omitted (the
 /// canonical form of the JEDEC baseline) resolves to the default profile.
 fn profile_from_json(value: &Value) -> Result<DeviceProfile, String> {
@@ -577,28 +588,17 @@ fn workload_spec_from_json(value: &Value) -> Result<WorkloadSpec, String> {
             name: str_field(value, "name")?.to_string(),
             mem_ops_per_kilo_instr: int_field(value, "mem_ops_per_kilo_instr")?,
             store_fraction: f64_field(value, "store_fraction")?,
-            pattern: match str_field(value, "pattern")? {
-                "streaming" => workloads::AccessPattern::Streaming,
-                "randomlarge" => workloads::AccessPattern::RandomLarge,
-                "cacheresident" => workloads::AccessPattern::CacheResident,
-                "rowstrided" => workloads::AccessPattern::RowStrided,
-                other => return Err(format!("unknown access pattern `{other}`")),
-            },
+            pattern: slug_field(
+                value,
+                "pattern",
+                "access pattern",
+                workloads::AccessPattern::from_slug,
+            )?,
             footprint_bytes: u64_field(value, "footprint_bytes")?,
             base_address: u64_field(value, "base_address")?,
         },
-        intensity: match str_field(value, "intensity")? {
-            "high" => MemoryIntensity::High,
-            "medium" => MemoryIntensity::Medium,
-            "low" => MemoryIntensity::Low,
-            other => return Err(format!("unknown intensity `{other}`")),
-        },
-        group: match str_field(value, "group")? {
-            "spec2006" => WorkloadGroup::Spec2006Like,
-            "spec2017" => WorkloadGroup::Spec2017Like,
-            "cloudsuite" => WorkloadGroup::CloudSuiteLike,
-            other => return Err(format!("unknown workload group `{other}`")),
-        },
+        intensity: slug_field(value, "intensity", "intensity", MemoryIntensity::from_slug)?,
+        group: slug_field(value, "group", "workload group", WorkloadGroup::from_slug)?,
     })
 }
 
@@ -697,30 +697,11 @@ fn workload_spec_to_json(spec: &WorkloadSpec) -> Value {
         w.mem_ops_per_kilo_instr.into(),
     );
     map.insert("store_fraction".into(), w.store_fraction.into());
-    map.insert(
-        "pattern".into(),
-        format!("{:?}", w.pattern).to_lowercase().into(),
-    );
+    map.insert("pattern".into(), w.pattern.slug().into());
     map.insert("footprint_bytes".into(), w.footprint_bytes.into());
     map.insert("base_address".into(), w.base_address.into());
-    map.insert(
-        "intensity".into(),
-        match spec.intensity {
-            MemoryIntensity::High => "high",
-            MemoryIntensity::Medium => "medium",
-            MemoryIntensity::Low => "low",
-        }
-        .into(),
-    );
-    map.insert(
-        "group".into(),
-        match spec.group {
-            WorkloadGroup::Spec2006Like => "spec2006",
-            WorkloadGroup::Spec2017Like => "spec2017",
-            WorkloadGroup::CloudSuiteLike => "cloudsuite",
-        }
-        .into(),
-    );
+    map.insert("intensity".into(), spec.intensity.slug().into());
+    map.insert("group".into(), spec.group.slug().into());
     Value::Object(map)
 }
 

@@ -54,16 +54,6 @@ impl DramDeviceConfig {
 /// recorded; real issue ticks are bounded far below this).
 const ACT_NONE: u64 = u64::MAX;
 
-/// Result of issuing an `Activate` command: the row's new PRAC counter value
-/// and whether this activation pushed the device into asserting Alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ActivateOutcome {
-    /// The row's PRAC counter after this activation.
-    pub counter: u32,
-    /// Whether the Alert signal is asserted after this activation.
-    pub alert_asserted: bool,
-}
-
 /// One DRAM channel with PRAC support.
 #[derive(Debug, Clone)]
 pub struct DramDevice {

@@ -34,8 +34,8 @@
 //!    rows.
 //!
 //! The module also owns the low-level slot-cycling arithmetic
-//! ([`cycle_slot`], [`strided_slots`], [`line_slots`]) that the benign
-//! [`crate::patterns`] iterators share.
+//! ([`cycle_slot`], [`strided_slots`]) that the benign trace generator
+//! ([`crate::generator::SyntheticWorkload::generate`]) shares.
 
 use dram_sim::org::{DramAddress, DramOrganization};
 use prac_core::error::ConfigError;
@@ -45,8 +45,8 @@ use serde::{Deserialize, Serialize};
 
 /// Round-robin slot selection: the `position`-th access over `slots`
 /// equivalent targets.  `slots` is clamped to at least 1.  This is the one
-/// cycling primitive shared by the attack stream and by the benign
-/// [`crate::patterns::AddressStream`].
+/// cycling primitive shared by the attack stream and by the benign trace
+/// generator.
 #[must_use]
 pub fn cycle_slot(position: u64, slots: u64) -> u64 {
     position % slots.max(1)
@@ -57,12 +57,6 @@ pub fn cycle_slot(position: u64, slots: u64) -> u64 {
 #[must_use]
 pub fn strided_slots(footprint: u64, stride: u64) -> u64 {
     (footprint / stride.max(1)).max(1)
-}
-
-/// Number of distinct cache-line slots inside a `footprint` of bytes.
-#[must_use]
-pub fn line_slots(footprint: u64, line_bytes: u64) -> u64 {
-    strided_slots(footprint, line_bytes)
 }
 
 /// Number of data bits in one DRAM row of `org` — the field the on-die ECC
@@ -770,7 +764,6 @@ mod tests {
             1,
             "sub-stride footprints keep one slot"
         );
-        assert_eq!(line_slots(256, 64), 4);
     }
 
     #[test]

@@ -10,7 +10,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::patterns::AddressPattern;
+use crate::attack::{cycle_slot, strided_slots};
+
+/// Cache-line size every generated address is aligned to.
+const LINE_BYTES: u64 = 64;
 
 /// High-level access-pattern selector for a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,6 +28,34 @@ pub enum AccessPattern {
     CacheResident,
     /// Strided accesses that skip across DRAM rows.
     RowStrided,
+}
+
+impl AccessPattern {
+    /// Every pattern, in declaration order.
+    pub const ALL: [AccessPattern; 4] = [
+        AccessPattern::Streaming,
+        AccessPattern::RandomLarge,
+        AccessPattern::CacheResident,
+        AccessPattern::RowStrided,
+    ];
+
+    /// The pattern's stable name: its spelling in scenario JSON and so in
+    /// every cache key.
+    #[must_use]
+    pub fn slug(self) -> &'static str {
+        match self {
+            AccessPattern::Streaming => "streaming",
+            AccessPattern::RandomLarge => "randomlarge",
+            AccessPattern::CacheResident => "cacheresident",
+            AccessPattern::RowStrided => "rowstrided",
+        }
+    }
+
+    /// Parses a [`AccessPattern::slug`] back to its pattern.
+    #[must_use]
+    pub fn from_slug(slug: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|pattern| pattern.slug() == slug)
+    }
 }
 
 /// A parameterised synthetic workload.
@@ -85,39 +116,41 @@ impl SyntheticWorkload {
         self
     }
 
-    fn address_pattern(&self, seed: u64) -> AddressPattern {
+    /// The `(stride, slots)` the pattern's addresses step over: every
+    /// address is `base_address + slot * stride`, slot in `0..slots`.
+    fn slot_layout(&self) -> (u64, u64) {
         match self.pattern {
-            AccessPattern::Streaming => AddressPattern::Streaming {
-                base: self.base_address,
-                footprint: self.footprint_bytes,
-            },
-            AccessPattern::RandomLarge => AddressPattern::Random {
-                base: self.base_address,
-                footprint: self.footprint_bytes,
-                seed,
-            },
-            AccessPattern::CacheResident => AddressPattern::HotSet {
-                base: self.base_address,
-                // 64 hot lines (4 KB): comfortably inside even the L1D.
-                lines: 64,
-            },
-            AccessPattern::RowStrided => AddressPattern::Strided {
-                base: self.base_address,
-                footprint: self.footprint_bytes,
-                // 8 KB stride: every access lands in a different DRAM row
-                // under row-interleaved layouts.
-                stride: 8 * 1024,
-            },
+            AccessPattern::Streaming | AccessPattern::RandomLarge => {
+                (LINE_BYTES, strided_slots(self.footprint_bytes, LINE_BYTES))
+            }
+            // 64 hot lines (4 KB): comfortably inside even the L1D.
+            AccessPattern::CacheResident => (LINE_BYTES, 64),
+            // 8 KB stride: every access lands in a different DRAM row under
+            // row-interleaved layouts.
+            AccessPattern::RowStrided => {
+                let stride = 8 * 1024;
+                (stride, strided_slots(self.footprint_bytes, stride))
+            }
         }
     }
 
     /// Generates a trace containing approximately `instructions` retired
     /// instructions.
+    ///
+    /// `Streaming`, `CacheResident` and `RowStrided` cycle through their
+    /// slots in order, wrapping at the footprint; `RandomLarge` draws each
+    /// slot uniformly from its own `seed`-seeded RNG.  Each memory operation
+    /// draws its address before its load/store coin, which comes from a
+    /// second RNG seeded with `seed ^ 0x9E37_79B9_7F4A_7C15`.  Addresses are
+    /// line-aligned even when `base_address` is not.
     #[must_use]
     pub fn generate(&self, instructions: u64, seed: u64) -> Trace {
         let mut ops = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-        let mut addresses = self.address_pattern(seed).stream();
+        let (stride, slots) = self.slot_layout();
+        let mut random_slots =
+            (self.pattern == AccessPattern::RandomLarge).then(|| StdRng::seed_from_u64(seed));
+        let mut position: u64 = 0;
         let mem_per_kilo = u64::from(self.mem_ops_per_kilo_instr.max(1));
         // Compute-instruction gap between consecutive memory operations.
         let gap = (1000 / mem_per_kilo).max(1) as u32;
@@ -127,7 +160,12 @@ impl SyntheticWorkload {
                 ops.push(TraceOp::Compute(gap - 1));
                 emitted += u64::from(gap - 1);
             }
-            let addr = addresses.next_address();
+            let slot = match random_slots.as_mut() {
+                Some(random) => random.gen_range(0..slots),
+                None => cycle_slot(position, slots),
+            };
+            position += 1;
+            let addr = (self.base_address + slot * stride) & !(LINE_BYTES - 1);
             if rng.gen_bool(self.store_fraction) {
                 ops.push(TraceOp::Store(addr));
             } else {
@@ -142,6 +180,85 @@ impl SyntheticWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first `n` addresses of `w`'s trace: at 1000 memory operations per
+    /// kilo-instruction there is no compute gap, so every op is an access.
+    fn addresses(w: &SyntheticWorkload, n: u64, seed: u64) -> Vec<u64> {
+        let w = SyntheticWorkload {
+            mem_ops_per_kilo_instr: 1000,
+            ..w.clone()
+        };
+        let trace = w.generate(n, seed);
+        let addrs: Vec<u64> = trace.ops().iter().filter_map(TraceOp::address).collect();
+        assert_eq!(addrs.len() as u64, n);
+        addrs
+    }
+
+    #[test]
+    fn streaming_wraps_at_footprint() {
+        let w = SyntheticWorkload::new("stream", 1, AccessPattern::Streaming)
+            .with_base_address(0x1000)
+            .with_footprint(256);
+        assert_eq!(
+            addresses(&w, 6, 0),
+            vec![0x1000, 0x1040, 0x1080, 0x10C0, 0x1000, 0x1040]
+        );
+    }
+
+    #[test]
+    fn strided_steps_by_its_stride() {
+        let w = SyntheticWorkload::new("strided", 1, AccessPattern::RowStrided)
+            .with_base_address(0)
+            .with_footprint(32 << 10);
+        assert_eq!(addresses(&w, 5, 0), vec![0, 8192, 16384, 24576, 0]);
+    }
+
+    #[test]
+    fn cache_resident_cycles_over_64_lines() {
+        let w = SyntheticWorkload::new("hot", 1, AccessPattern::CacheResident)
+            .with_base_address(0x4000);
+        let addrs = addresses(&w, 130, 0);
+        for (i, addr) in addrs.iter().enumerate() {
+            assert_eq!(*addr, 0x4000 + (i as u64 % 64) * 64);
+        }
+    }
+
+    #[test]
+    fn random_is_seeded_in_bounds_and_line_aligned() {
+        let w = SyntheticWorkload::new("random", 1, AccessPattern::RandomLarge)
+            .with_base_address(0x8000)
+            .with_footprint(1 << 20);
+        let a = addresses(&w, 100, 7);
+        assert_eq!(a, addresses(&w, 100, 7), "same seed, same stream");
+        assert_ne!(a, addresses(&w, 100, 8), "another seed, another stream");
+        for addr in a {
+            assert!((0x8000..0x8000 + (1 << 20)).contains(&addr));
+            assert_eq!(addr % 64, 0);
+        }
+    }
+
+    #[test]
+    fn misaligned_base_comes_out_aligned() {
+        for pattern in AccessPattern::ALL {
+            let w = SyntheticWorkload::new("misaligned", 1, pattern)
+                .with_base_address(0x1001)
+                .with_footprint(1 << 20);
+            for addr in addresses(&w, 200, 3) {
+                assert_eq!(addr % 64, 0, "{pattern:?}: {addr:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn slugs_are_distinct_and_parse_back() {
+        for pattern in AccessPattern::ALL {
+            assert_eq!(AccessPattern::from_slug(pattern.slug()), Some(pattern));
+        }
+        let slugs: std::collections::HashSet<_> =
+            AccessPattern::ALL.iter().map(|p| p.slug()).collect();
+        assert_eq!(slugs.len(), AccessPattern::ALL.len());
+        assert_eq!(AccessPattern::from_slug("Streaming"), None);
+    }
 
     #[test]
     fn generated_trace_has_requested_intensity() {

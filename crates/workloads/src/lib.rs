@@ -11,16 +11,16 @@
 //! TB-RFMs, by roughly how much) are preserved even though the absolute
 //! instruction streams differ from the proprietary traces.
 //!
-//! Four building blocks are provided:
+//! Three building blocks are provided:
 //!
 //! * [`generator::SyntheticWorkload`] — a parameterised generator
 //!   (memory operations per kilo-instruction, footprint, access pattern,
-//!   write fraction),
+//!   write fraction) whose `generate` draws every line-aligned address of a
+//!   trace itself: streaming, row-strided and hot-set patterns cycle through
+//!   their slots, random-over-footprint draws from a seeded RNG,
 //! * [`suite`] — the named 50-workload suite mirroring Table 4's grouping
 //!   into SPEC2K6-like, SPEC2K17-like and CloudSuite-like entries, plus a
 //!   reduced "quick" suite for fast runs,
-//! * [`patterns`] — low-level address-pattern iterators (streaming,
-//!   strided, random-over-footprint, hot-set),
 //! * [`attack`] — the adversary: the declarative [`attack::AttackKind`]
 //!   (single-sided through decoy-blast and RFM-pressure), the one
 //!   [`attack::AttackStream`] every kind builds, and the
@@ -33,7 +33,6 @@
 
 pub mod attack;
 pub mod generator;
-pub mod patterns;
 pub mod suite;
 
 pub use attack::{attack_registry, AttackAccess, AttackKind, AttackStream};

@@ -23,6 +23,30 @@ pub enum MemoryIntensity {
 }
 
 impl MemoryIntensity {
+    /// Every bucket, from most to least memory intensive.
+    pub const ALL: [MemoryIntensity; 3] = [
+        MemoryIntensity::High,
+        MemoryIntensity::Medium,
+        MemoryIntensity::Low,
+    ];
+
+    /// The bucket's stable name: its spelling in scenario JSON (and so in
+    /// every cache key) and in the perf metric maps.
+    #[must_use]
+    pub fn slug(self) -> &'static str {
+        match self {
+            MemoryIntensity::High => "high",
+            MemoryIntensity::Medium => "medium",
+            MemoryIntensity::Low => "low",
+        }
+    }
+
+    /// Parses a [`MemoryIntensity::slug`] back to its bucket.
+    #[must_use]
+    pub fn from_slug(slug: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|band| band.slug() == slug)
+    }
+
     /// Classifies a measured misses-per-kilo-instruction value.
     #[must_use]
     pub fn classify(mpki: f64) -> Self {
@@ -45,6 +69,32 @@ pub enum WorkloadGroup {
     Spec2017Like,
     /// Stand-ins for the CloudSuite workloads.
     CloudSuiteLike,
+}
+
+impl WorkloadGroup {
+    /// Every group, in declaration order.
+    pub const ALL: [WorkloadGroup; 3] = [
+        WorkloadGroup::Spec2006Like,
+        WorkloadGroup::Spec2017Like,
+        WorkloadGroup::CloudSuiteLike,
+    ];
+
+    /// The group's stable name: its spelling in scenario JSON and so in
+    /// every cache key (the `Display` label is for reports).
+    #[must_use]
+    pub fn slug(self) -> &'static str {
+        match self {
+            WorkloadGroup::Spec2006Like => "spec2006",
+            WorkloadGroup::Spec2017Like => "spec2017",
+            WorkloadGroup::CloudSuiteLike => "cloudsuite",
+        }
+    }
+
+    /// Parses a [`WorkloadGroup::slug`] back to its group.
+    #[must_use]
+    pub fn from_slug(slug: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|group| group.slug() == slug)
+    }
 }
 
 impl std::fmt::Display for WorkloadGroup {
@@ -209,6 +259,24 @@ pub fn quick_suite() -> Vec<WorkloadSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slugs_are_distinct_and_parse_back() {
+        for band in MemoryIntensity::ALL {
+            assert_eq!(MemoryIntensity::from_slug(band.slug()), Some(band));
+        }
+        for group in WorkloadGroup::ALL {
+            assert_eq!(WorkloadGroup::from_slug(group.slug()), Some(group));
+        }
+        let slugs: std::collections::HashSet<_> = MemoryIntensity::ALL
+            .iter()
+            .map(|b| b.slug())
+            .chain(WorkloadGroup::ALL.iter().map(|g| g.slug()))
+            .collect();
+        assert_eq!(slugs.len(), 6);
+        assert_eq!(MemoryIntensity::from_slug("High"), None);
+        assert_eq!(WorkloadGroup::from_slug("SPEC2K6-like"), None);
+    }
 
     #[test]
     fn full_suite_has_50_workloads_with_paper_distribution() {

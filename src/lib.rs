@@ -19,7 +19,7 @@
 //! | Memory controller | [`memctrl`] | Channel-aware address mapping, FR-FCFS scheduling, refresh, the ABO responder and the `Mitigation` enum behind every proactive policy |
 //! | CPU | [`cpu_sim`] | Trace-driven ROB-limited cores with an L1/L2/LLC hierarchy |
 //! | Workloads | [`workloads`] | Synthetic workload suite bucketed by memory intensity, seedable end-to-end, plus the `AttackKind` adversary, its one `AttackStream` and the registry of kinds |
-//! | Attacks | [`pracleak`] | PRACLeak covert channels, the AES T-table side channel, and the attack-vs-mitigation adversary driver |
+//! | Attacks | [`pracleak`] | PRACLeak covert channels, the AES T-table side channel (the victim's four first-round T0 lookups per encryption), and the attack-vs-mitigation adversary driver |
 //! | Full system | [`system_sim`] | The simulation harness: multi-channel `MemorySubsystem`, twin tick/event engines, the scoped-thread `parallel_map` |
 //! | Campaigns | [`campaign`] | Declarative scenario sweeps, result cache, artifacts and the `prac-bench` CLI |
 //! | Microbenches | `bench-harness` | Criterion micro-benchmarks of the simulator kernels, including the single-entry queue's activate/drain path |
@@ -150,7 +150,7 @@ pub mod prelude {
     pub use prac_core::timing::DramTimingSummary;
     pub use prac_core::tprac::{TpracConfig, TrefRate};
     pub use pracleak::{
-        Aes128TTable, AttackSetup, CovertChannelKind, SideChannelExperiment, SpikeDetector,
+        first_round_t0_lines, AttackSetup, CovertChannelKind, SideChannelExperiment, SpikeDetector,
     };
     pub use system_sim::{
         mitigation_registry, ChannelStats, EngineKind, ExperimentConfig, MemorySubsystem,

@@ -24,8 +24,8 @@ use std::path::PathBuf;
 
 use campaign::{find_campaign, Profile, ScenarioSpec};
 use cpu_sim::trace::{Trace, TraceOp};
-use pracleak::SideChannelExperiment;
 use prac_core::config::MitigationPolicy;
+use pracleak::SideChannelExperiment;
 use workloads::{full_suite, AccessPattern, SyntheticWorkload};
 
 fn golden_path() -> PathBuf {
@@ -76,12 +76,7 @@ fn render_snapshot() -> String {
             ));
         }
     }
-    for pattern in [
-        AccessPattern::Streaming,
-        AccessPattern::RandomLarge,
-        AccessPattern::CacheResident,
-        AccessPattern::RowStrided,
-    ] {
+    for pattern in AccessPattern::ALL {
         let workload = SyntheticWorkload::new(format!("{pattern:?}"), 100, pattern)
             .with_base_address(0x1001)
             .with_footprint(1 << 20);
