@@ -12,11 +12,11 @@
 //! T0 from the cache hierarchy, so each first-round T0 lookup becomes a DRAM
 //! activation of that line's row.  The chosen byte `p0` pins one of the four
 //! lookups to the line of `k0`; the later rounds index with bytes mixed
-//! through the whole state and key schedule, which spread evenly over the 16
-//! lines and add no key-dependent hot row.  So the victim is modelled as
-//! exactly the four first-round T0 lookups per encryption
-//! ([`first_round_t0_lines`]).  No ciphertext is ever read, so no key
-//! schedule, S-box or later round is computed.
+//! through the whole state and key schedule, so with random plaintext bytes
+//! they add background activations to every line, not a hot row that tracks
+//! `k0`.  So the victim is modelled as exactly the four first-round T0
+//! lookups per encryption ([`first_round_t0_lines`]).  No ciphertext is
+//! ever read, so no key schedule, S-box or later round is computed.
 
 /// Number of cache lines spanned by one 1 KB T-table (64-byte lines).
 pub const T_TABLE_CACHE_LINES: usize = 16;
@@ -24,7 +24,7 @@ pub const T_TABLE_CACHE_LINES: usize = 16;
 /// Returns the T0 cache-line indices (0..16) touched during the first round of
 /// one encryption under `key`: the lines indexed by state bytes 0, 4, 8 and 12
 /// (the bytes that use table T0), in that order.  Each line is
-/// `(p_i XOR k_i) >> 4`: 256 one-byte entries over 16 lines of 16 entries.
+/// `(p_i XOR k_i) >> 4`: 256 four-byte entries, 16 to a 64-byte line.
 #[must_use]
 pub fn first_round_t0_lines(key: &[u8; 16], plaintext: &[u8; 16]) -> [usize; 4] {
     [0, 4, 8, 12].map(|i| usize::from((plaintext[i] ^ key[i]) >> 4))

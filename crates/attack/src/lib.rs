@@ -5,10 +5,10 @@
 //! Management (RFM) commands, plus the experiment drivers that reproduce the
 //! paper's attack figures.
 //!
-//! * [`aes`] — the side-channel victim, modelled as the first-round T0
-//!   lookups of a T-table AES-128: the only lookups whose cache line
-//!   (`(p_i XOR k_i) >> 4`) a chosen plaintext ties to a key byte, and so
-//!   the only ones the attack observes.
+//! * [`aes`] — the side-channel victim, modelled as the four first-round
+//!   T0 lookups of a T-table AES-128: their cache lines
+//!   (`(p_i XOR k_i) >> 4`) leak the top nibble of a key byte, and T0's
+//!   rows are the ones the attacker flushes and probes.
 //! * [`agents`] — memory "agents" (attacker, victim, trojan, spy) that issue
 //!   serialized dependent requests to the [`memctrl::MemoryController`] and
 //!   record per-access latencies, plus the multi-agent runner and the

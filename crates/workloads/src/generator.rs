@@ -250,13 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn slugs_are_distinct_and_parse_back() {
+    fn slugs_parse_back() {
         for pattern in AccessPattern::ALL {
             assert_eq!(AccessPattern::from_slug(pattern.slug()), Some(pattern));
         }
-        let slugs: std::collections::HashSet<_> =
-            AccessPattern::ALL.iter().map(|p| p.slug()).collect();
-        assert_eq!(slugs.len(), AccessPattern::ALL.len());
         assert_eq!(AccessPattern::from_slug("Streaming"), None);
     }
 

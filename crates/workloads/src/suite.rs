@@ -261,19 +261,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slugs_are_distinct_and_parse_back() {
+    fn slugs_parse_back() {
         for band in MemoryIntensity::ALL {
             assert_eq!(MemoryIntensity::from_slug(band.slug()), Some(band));
         }
         for group in WorkloadGroup::ALL {
             assert_eq!(WorkloadGroup::from_slug(group.slug()), Some(group));
         }
-        let slugs: std::collections::HashSet<_> = MemoryIntensity::ALL
-            .iter()
-            .map(|b| b.slug())
-            .chain(WorkloadGroup::ALL.iter().map(|g| g.slug()))
-            .collect();
-        assert_eq!(slugs.len(), 6);
         assert_eq!(MemoryIntensity::from_slug("High"), None);
         assert_eq!(WorkloadGroup::from_slug("SPEC2K6-like"), None);
     }
